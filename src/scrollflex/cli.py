@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import jets, scans, verify
-from .errors import ScrollflexError
+from .errors import ScrollflexError, load_json
 from .scroll import (BASE_PRESETS, NumericalBaseData, ScrollSetup,
                      chern_wu_reduce, degree_class, degree_of_inflection,
                      expected_codim, inflection_class, max_rank,
@@ -114,9 +114,7 @@ def _cmd_class(config: RunConfig) -> int:
 
 
 def _load_data(config: RunConfig) -> NumericalBaseData:
-    path = _resolve_path(config.data)
-    with open(path, "r", encoding="utf-8") as handle:
-        return NumericalBaseData.from_payload(json.load(handle))
+    return NumericalBaseData.from_payload(load_json(_resolve_path(config.data)))
 
 
 def _cmd_degree(config: RunConfig) -> int:

@@ -1,4 +1,7 @@
-"""Shared exception types for the engine."""
+"""Shared exception types for the engine, and the checks that turn
+malformed input files into them."""
+
+import json
 
 
 class ScrollflexError(Exception):
@@ -29,3 +32,22 @@ class IncompleteDataError(ScrollflexError):
 
 class InternalConsistencyError(ScrollflexError):
     """Two independent derivations of the same quantity disagree."""
+
+
+def load_json(path):
+    """The parsed content of a JSON file; ``InvalidInputError`` if it is not JSON."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def require_fields(payload, fields, what: str) -> None:
+    """Raise ``InvalidInputError`` unless ``payload`` is a JSON object
+    holding every name in ``fields``; ``what`` names it in the message."""
+    if not isinstance(payload, dict):
+        raise InvalidInputError(f"{what} must be a JSON object")
+    missing = [name for name in fields if name not in payload]
+    if missing:
+        raise InvalidInputError(f"{what} lacks {', '.join(map(repr, missing))}")

@@ -2,9 +2,19 @@
 
 The workhorse behind jet matrices, degree formulas and diophantine scans.
 A polynomial lives over a fixed ordered tuple of variable names and stores
-a map from exponent tuples to nonzero ``Fraction`` coefficients.  Values
-are never mutated after construction; every operation returns a fresh
-polynomial in canonical sparse form.
+a map from exponent tuples to nonzero coefficients.  Values are never
+mutated after construction; every operation returns a fresh polynomial in
+canonical sparse form.
+
+Coefficient contract:
+
+* a stored coefficient is an ``int`` while it is integral and a
+  ``Fraction`` only when it is not, so integer work stays on native ints;
+* the scalar accessors ``constant_value``, ``coefficient`` and ``eval_at``
+  always return ``Fraction``;
+* ``Poly(vars, terms)`` validates and coerces its input, while the results
+  of arithmetic (``+ - *``, negation, ``exact_div``, ``diff``, ``subs``) are
+  canonical by construction and are built without revalidation.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ import re
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidInputError
@@ -22,12 +33,32 @@ Scalar = Union[int, Fraction]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-def _coerce(value: Scalar) -> Fraction:
+def _canon(c: Scalar) -> Scalar:
+    """The stored form of a scalar: an integral Fraction becomes an int."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _coerce(value: Scalar) -> Scalar:
     if isinstance(value, Fraction):
-        return value
+        return _canon(value)
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise InvalidInputError(f"expected an exact rational, got {value!r}")
+
+
+def _clean(terms: dict) -> dict:
+    """Drop zero coefficients and store the rest canonically."""
+    return {e: c if type(c) is int else _canon(c) for e, c in terms.items() if c}
+
+
+def _trusted(vars: tuple[str, ...], terms: dict) -> "Poly":
+    """A polynomial from canonical parts, skipping the public checks."""
+    p = object.__new__(Poly)
+    p.vars = vars
+    p.terms = terms
+    return p
 
 
 def _grlex_key(exps: tuple[int, ...]):
@@ -44,17 +75,13 @@ class Poly:
         self.vars = tuple(vars)
         if len(set(self.vars)) != len(self.vars):
             raise InvalidInputError(f"duplicate variable names in {self.vars}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(self.vars) or any(e < 0 for e in exps):
                 raise InvalidInputError(f"bad exponent vector {exps} for {self.vars}")
-            c = _coerce(coeff)
-            if c:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if not clean[exps]:
-                    del clean[exps]
-        self.terms = clean
+            clean[exps] = clean.get(exps, 0) + _coerce(coeff)
+        self.terms = _clean(clean)
 
     # -- constructors -------------------------------------------------
 
@@ -75,7 +102,7 @@ class Poly:
         if name not in vars:
             raise InvalidInputError(f"unknown variable {name!r} (ring has {vars})")
         exps = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {exps: Fraction(1)})
+        return cls(vars, {exps: 1})
 
     @classmethod
     def variables(cls, vars: Sequence[str]) -> tuple["Poly", ...]:
@@ -92,7 +119,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise InvalidInputError(f"{self} is not constant")
-        return self.terms.get(tuple(0 for _ in self.vars), Fraction(0))
+        return Fraction(self.terms.get(tuple(0 for _ in self.vars), 0))
 
     def total_degree(self) -> int:
         """Largest total degree among terms; -1 for the zero polynomial."""
@@ -107,9 +134,9 @@ class Poly:
         return max(e[i] for e in self.terms)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.terms.get(tuple(exps), 0))
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], Scalar]:
         """Leading (exponents, coefficient) in graded-lex order."""
         if not self.terms:
             raise InvalidInputError("zero polynomial has no leading term")
@@ -131,18 +158,19 @@ class Poly:
             return NotImplemented
         self._check(other)
         terms = dict(self.terms)
+        get = terms.get
         for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
+            s = get(exps, 0) + c
             if s:
-                terms[exps] = s
+                terms[exps] = s if type(s) is int else _canon(s)
             else:
-                terms.pop(exps, None)
-        return Poly(self.vars, terms)
+                del terms[exps]
+        return _trusted(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -157,22 +185,18 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
-            if not c:
-                return Poly.zero(self.vars)
-            return Poly(self.vars, {e: k * c for e, k in self.terms.items()})
+            return _trusted(self.vars, _clean({e: k * c for e, k in self.terms.items()}))
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exps, Fraction(0)) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-        return Poly(self.vars, out)
+            for e2, c2 in right:
+                exps = tuple(map(add, e1, e2))
+                out[exps] = get(exps, 0) + c1 * c2
+        return _trusted(self.vars, _clean(out))
 
     __rmul__ = __mul__
 
@@ -203,14 +227,14 @@ class Poly:
 
     def diff(self, name: str) -> "Poly":
         i = self.vars.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exps, c in self.terms.items():
             if exps[i] == 0:
                 continue
             d = list(exps)
             d[i] -= 1
             out[tuple(d)] = c * exps[i]
-        return Poly(self.vars, out)
+        return _trusted(self.vars, _clean(out))
 
     def subs(self, mapping: Mapping[str, Union["Poly", Scalar]],
              vars: Sequence[str] | None = None) -> "Poly":
@@ -238,9 +262,10 @@ class Poly:
                     )
                 values.append(Poly.zero(target))
         out = Poly.zero(target)
+        one = tuple(0 for _ in target)
         powers: dict[tuple[int, int], Poly] = {}
         for exps, c in self.terms.items():
-            term = Poly.const(target, c)
+            term = _trusted(target, {one: c})
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
@@ -257,11 +282,10 @@ class Poly:
             raise InvalidInputError(f"point misses values for {missing}")
         total = Fraction(0)
         for exps, c in self.terms.items():
-            val = c
             for name, e in zip(self.vars, exps):
                 if e:
-                    val *= _coerce(point[name]) ** e
-            total += val
+                    c *= _coerce(point[name]) ** e
+            total += c
         return total
 
     # -- exact division, content, gcd ----------------------------------
@@ -272,28 +296,41 @@ class Poly:
             c = _coerce(divisor)
             if not c:
                 raise InvalidInputError("division by zero")
-            return self * (1 / c)
+            return self * (Fraction(1) / c)
         self._check(divisor)
         if divisor.is_zero():
             raise InvalidInputError("division by zero polynomial")
+        # Long division by the lex-leading term: the lead of the remainder
+        # strictly drops, so every quotient exponent occurs once.  An exact
+        # quotient does not depend on the monomial order used to find it.
+        dexps = max(divisor.terms)
+        dcoeff = divisor.terms[dexps]
+        tail = [(e, c) for e, c in divisor.terms.items() if e != dexps]
+        int_lead = type(dcoeff) is int
         rem = dict(self.terms)
-        out: dict[tuple[int, ...], Fraction] = {}
-        dexps, dcoeff = divisor.leading()
+        get = rem.get
+        out: dict[tuple[int, ...], Scalar] = {}
         while rem:
-            rexps = min(rem, key=_grlex_key)
-            q = tuple(a - b for a, b in zip(rexps, dexps))
-            if any(e < 0 for e in q):
+            rexps = max(rem)
+            rc = rem.pop(rexps)
+            q = tuple(map(sub, rexps, dexps))
+            if q and min(q) < 0:
                 raise InvalidInputError("division is not exact")
-            qc = rem[rexps] / dcoeff
-            out[q] = out.get(q, Fraction(0)) + qc
-            for exps, c in divisor.terms.items():
-                t = tuple(a + b for a, b in zip(q, exps))
-                s = rem.get(t, Fraction(0)) - qc * c
+            if int_lead and type(rc) is int:
+                qc, r = divmod(rc, dcoeff)
+                if r:
+                    qc = Fraction(rc, dcoeff)
+            else:
+                qc = _canon(rc / dcoeff)
+            out[q] = qc
+            for exps, c in tail:
+                t = tuple(map(add, q, exps))
+                s = get(t, 0) - qc * c
                 if s:
                     rem[t] = s
                 else:
-                    rem.pop(t, None)
-        return Poly(self.vars, out)
+                    del rem[t]
+        return _trusted(self.vars, out)
 
     def divisible_by(self, divisor: "Poly") -> bool:
         try:
@@ -367,23 +404,23 @@ class Poly:
 
 def _as_univariate(p: Poly, index: int) -> dict[int, Poly]:
     """View p as univariate in vars[index] with polynomial coefficients."""
-    coeffs: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    coeffs: dict[int, dict[tuple[int, ...], Scalar]] = {}
     for exps, c in p.terms.items():
         d = exps[index]
         rest = list(exps)
         rest[index] = 0
         coeffs.setdefault(d, {})[tuple(rest)] = c
-    return {d: Poly(p.vars, t) for d, t in coeffs.items()}
+    return {d: _trusted(p.vars, t) for d, t in coeffs.items()}
 
 
 def _from_univariate(coeffs: dict[int, Poly], vars: tuple[str, ...], index: int) -> Poly:
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], Scalar] = {}
     for d, poly in coeffs.items():
         for exps, c in poly.terms.items():
             e = list(exps)
             e[index] += d
-            terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + c
-    return Poly(vars, terms)
+            terms[tuple(e)] = terms.get(tuple(e), 0) + c
+    return _trusted(vars, _clean(terms))
 
 
 def _content_list(polys: Iterable[Poly]) -> Poly:

@@ -11,7 +11,6 @@ fraction-free symbolic mode certifies small charts over the function field.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import warnings
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, load_json, require_fields
 from .exactpoly import Poly, common_divisor, parse_poly
 from .linalg import iter_minors, rank_poly, rank_rational
 
@@ -83,6 +82,7 @@ class JetProbeSpec:
 
     @classmethod
     def from_payload(cls, payload) -> "JetProbeSpec":
+        require_fields(payload, ("variables", "coordinates", "order"), "probe spec")
         return cls(
             tuple(payload["variables"]),
             tuple(payload["coordinates"]),
@@ -94,8 +94,7 @@ class JetProbeSpec:
 
     @classmethod
     def load(cls, path) -> "JetProbeSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_payload(json.load(handle))
+        return cls.from_payload(load_json(path))
 
 
 def multi_indices(dimension: int, order: int) -> list[tuple[int, ...]]:
@@ -131,13 +130,15 @@ def symbolic_jet_matrix(spec: JetProbeSpec) -> list[list[Poly]]:
 
 def jet_matrix(spec: JetProbeSpec, point: Sequence[Fraction]) -> list[list[Fraction]]:
     """The exact jet matrix evaluated at a rational chart point."""
+    return _evaluate(spec, symbolic_jet_matrix(spec), point)
+
+
+def _evaluate(spec: JetProbeSpec, symbolic: list[list[Poly]],
+              point: Sequence[Fraction]) -> list[list[Fraction]]:
     if len(point) != spec.dimension:
         raise InvalidInputError("point dimension does not match the chart")
     values = {name: Fraction(p) for name, p in zip(spec.variables, point)}
-    return [
-        [entry.eval_at(values) for entry in row]
-        for row in symbolic_jet_matrix(spec)
-    ]
+    return [[entry.eval_at(values) for entry in row] for row in symbolic]
 
 
 def _random_point(spec: JetProbeSpec, rng: random.Random) -> tuple[Fraction, ...]:
@@ -171,10 +172,9 @@ class RankScan:
 def probe_rank(spec: JetProbeSpec) -> RankScan:
     """Maximum jet rank over sampled rational points (lower bound for s_k)."""
     rng = random.Random(spec.seed)
-    ranks = []
-    for _ in range(spec.trials):
-        matrix = jet_matrix(spec, _random_point(spec, rng))
-        ranks.append(rank_rational(matrix))
+    symbolic = symbolic_jet_matrix(spec)
+    ranks = [rank_rational(_evaluate(spec, symbolic, _random_point(spec, rng)))
+             for _ in range(spec.trials)]
     note = "generic rank with confidence: sampled"
     if max(ranks) == 0:
         note = "resample notice: every sample point gave the zero matrix"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -12,29 +13,41 @@ from .exactpoly import Poly
 MINOR_COUNT_LIMIT = 10 ** 5
 
 
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators; the rank is unchanged."""
+    row = [x if type(x) is int else Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix of exact rationals by Gaussian elimination."""
-    m = [list(map(Fraction, row)) for row in rows]
+    """Rank of a matrix of exact rationals by fraction-free elimination.
+
+    Each row is scaled to integers, then Bareiss elimination keeps every
+    entry an integer minor of that matrix, so each division is exact.
+    """
+    m = [_integer_row(row) for row in rows]
     if not m:
         return 0
-    ncols = len(m[0])
+    nrows, ncols = len(m), len(m[0])
     rank = 0
-    row = 0
+    prev = 1
     for col in range(ncols):
-        pivot = next((i for i in range(row, len(m)) if m[i][col]), None)
+        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        for i in range(row + 1, len(m)):
-            if not m[i][col]:
-                continue
-            factor = m[i][col] * inv
-            for j in range(col, ncols):
-                m[i][j] -= factor * m[row][j]
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        p = top[col]
+        for i in range(rank + 1, nrows):
+            row = m[i]
+            a = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * p - a * top[j]) // prev
+            row[col] = 0
+        prev = p
         rank += 1
-        row += 1
-        if row == len(m):
+        if rank == nrows:
             break
     return rank
 
@@ -80,13 +93,29 @@ def rank_poly(rows: Sequence[Sequence[Poly]]) -> int:
     return rank
 
 
+def _has_zero_line(rows: Sequence[Sequence[Poly]]) -> bool:
+    return (any(all(p.is_zero() for p in row) for row in rows)
+            or any(all(p.is_zero() for p in col) for col in zip(*rows)))
+
+
 def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix (fraction-free Bareiss)."""
+    """Determinant of a square polynomial matrix (fraction-free Bareiss).
+
+    A matrix with an all-zero row or column is singular, so it is answered
+    without elimination.
+    """
     n = len(rows)
     if n == 0:
         raise InvalidInputError("determinant of an empty matrix")
     if any(len(r) != n for r in rows):
         raise InvalidInputError("determinant needs a square matrix")
+    if _has_zero_line(rows):
+        return Poly.zero(rows[0][0].vars)
+    return _bareiss(rows)
+
+
+def _bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
+    n = len(rows)
     vars = rows[0][0].vars
     m = [list(row) for row in rows]
     sign = 1
@@ -103,38 +132,21 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
             for row in m:
                 row[pj], row[step] = row[step], row[pj]
             sign = -sign
-        pivot = m[step][step]
+        top = m[step]
+        pivot = top[step]
         for i in range(step + 1, n):
+            row = m[i]
+            lead = row[step]
             for j in range(step + 1, n):
-                num = m[i][j] * pivot - m[i][step] * m[step][j]
-                m[i][j] = num if prev is None else num.exact_div(prev)
+                num = row[j] * pivot
+                if not (lead.is_zero() or top[j].is_zero()):
+                    num = num - lead * top[j]
+                row[j] = num if prev is None else num.exact_div(prev)
         prev = pivot
     return m[n - 1][n - 1] * sign
 
 
-def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    m = [list(map(Fraction, row)) for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for step in range(n):
-        pivot = next((i for i in range(step, n) if m[i][step]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != step:
-            m[pivot], m[step] = m[step], m[pivot]
-            det = -det
-        det *= m[step][step]
-        inv = 1 / m[step][step]
-        for i in range(step + 1, n):
-            factor = m[i][step] * inv
-            for j in range(step, n):
-                m[i][j] -= factor * m[step][j]
-    return det
-
-
 def minor_count(nrows: int, ncols: int, r: int) -> int:
-    from math import comb
-
     return comb(nrows, r) * comb(ncols, r)
 
 
@@ -152,7 +164,9 @@ def iter_minors(matrix: Sequence[Sequence[Poly]], r: int,
         raise ResourceLimitError(
             f"{count} minors of size {r} exceed the limit of {limit}"
         )
+    zero = Poly.zero(matrix[0][0].vars)
     for rows in itertools.combinations(range(nrows), r):
         for cols in itertools.combinations(range(ncols), r):
             sub = [[matrix[i][j] for j in cols] for i in rows]
-            yield (rows, cols), det_poly(sub)
+            # most jet minors vanish for want of a nonzero row or column
+            yield (rows, cols), zero if _has_zero_line(sub) else det_poly(sub)

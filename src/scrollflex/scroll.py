@@ -20,7 +20,7 @@ from typing import Mapping, Sequence, Union
 
 from .chern import (FormalBundle, GradedClass, GradedRing, GradedVariable,
                     bundle_from_classes, dual, sym_power, tensor, tensor_line)
-from .errors import IncompleteDataError, InvalidInputError
+from .errors import IncompleteDataError, InvalidInputError, require_fields
 from .exactpoly import Poly
 
 Scalar = Union[int, Fraction]
@@ -330,6 +330,7 @@ class NumericalBaseData:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "NumericalBaseData":
+        require_fields(payload, ("dimension", "assignments"), "base data")
         return cls(payload["dimension"], payload["assignments"],
                    payload.get("divisors", {}))
 

@@ -1,14 +1,13 @@
 """Full regression table: engine output against every transcribed form.
 
 Each check is a pure function returning (ok, detail).  ``run_checks``
-executes them (concurrently; results are reported in sorted order) and is
+executes them one after another in sorted order and is
 the backing for both the command-line ``verify`` command and the
 acceptance test suite.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -518,22 +517,16 @@ def _check_rnc_products():
     return True, "identity holds on rational normal curve bases"
 
 
-def run_checks(filter: str | None = None, jobs: int | None = None,
+def run_checks(filter: str | None = None,
                checks: list[Check] | None = None) -> list[CheckResult]:
     selected = checks if checks is not None else build_checks()
     if filter:
         selected = [c for c in selected if filter in c[0]]
-    results: dict[str, CheckResult] = {}
-
-    def execute(item: Check) -> CheckResult:
-        identifier, fn = item
+    results = []
+    for identifier, fn in sorted(selected, key=lambda c: c[0]):
         try:
             ok, detail = fn()
         except Exception as exc:  # a failing check must not kill the table
             ok, detail = False, f"error: {exc}"
-        return CheckResult(identifier, ok, detail)
-
-    with ThreadPoolExecutor(max_workers=jobs or 4) as pool:
-        for result in pool.map(execute, selected):
-            results[result.identifier] = result
-    return [results[name] for name in sorted(results)]
+        results.append(CheckResult(identifier, ok, detail))
+    return results

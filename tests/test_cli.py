@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from scrollflex import cli, formulas
 from scrollflex.chern import GradedClass
 from scrollflex.cli import RunConfig, main
@@ -143,6 +145,44 @@ def test_jet_missing_file_errors(capsys):
     code, _, err = run(capsys, "jet", "no-such-file.json")
     assert code == 1
     assert "error" in err
+
+
+def _degree_with_data(capsys, path):
+    return run(capsys, "degree", "--n", "3", "--m", "2", "--k", "2",
+               "--N", "10", "--data", str(path))
+
+
+def test_degree_data_without_assignments_errors(tmp_path, capsys):
+    path = tmp_path / "numbers.json"
+    path.write_text(json.dumps({"dimension": 2}), encoding="utf-8")
+    code, _, err = _degree_with_data(capsys, path)
+    assert code == 1
+    assert err.startswith("error:") and "'assignments'" in err
+
+
+@pytest.mark.parametrize("content", [b"c1^2 = 9", b"\xff\xfe{}"])
+def test_degree_data_not_json_errors(tmp_path, capsys, content):
+    path = tmp_path / "numbers.json"
+    path.write_bytes(content)
+    code, _, err = _degree_with_data(capsys, path)
+    assert code == 1
+    assert err.startswith("error:") and "not valid JSON" in err
+
+
+def test_jet_probe_without_coordinates_errors(tmp_path, capsys):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"variables": ["u"], "order": 2}), encoding="utf-8")
+    code, _, err = run(capsys, "jet", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "'coordinates'" in err
+
+
+def test_jet_probe_not_json_errors(tmp_path, capsys):
+    path = tmp_path / "probe.json"
+    path.write_text("{\"variables\": [\"u\"],", encoding="utf-8")
+    code, _, err = run(capsys, "jet", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "not valid JSON" in err
 
 
 def test_verify_filter_passes(capsys):

@@ -5,8 +5,7 @@ import pytest
 
 from scrollflex.errors import ResourceLimitError
 from scrollflex.exactpoly import Poly
-from scrollflex.linalg import (det_poly, det_rational, iter_minors, rank_poly,
-                               rank_rational)
+from scrollflex.linalg import det_poly, iter_minors, rank_poly, rank_rational
 
 V = ("x", "y")
 
@@ -52,11 +51,6 @@ def test_rank_rational():
             [Fraction(0), Fraction(1), Fraction(1)]]
     assert rank_rational(rows) == 2
     assert rank_rational([[Fraction(0)] * 3] * 2) == 0
-
-
-def test_det_rational():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert det_rational(rows) == 1
 
 
 @pytest.mark.parametrize("seed", range(6))

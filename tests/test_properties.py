@@ -1,13 +1,18 @@
 """Randomized property suites, 500 seeded cases each."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from scrollflex.chern import (GradedRing, GradedVariable, bundle_from_classes,
                               direct_sum, sym_power, tensor)
+from scrollflex.errors import InvalidInputError
 from scrollflex.exactpoly import Poly
-from scrollflex.jets import JetProbeSpec, jet_matrix
-from scrollflex.linalg import rank_rational
+from scrollflex.jets import (BUNDLED_PROBES, JetProbeSpec, jet_matrix,
+                             symbolic_jet_matrix)
+from scrollflex.linalg import _bareiss, det_poly, iter_minors, rank_rational
 from scrollflex.scroll import (chern_wu_reduce, max_rank, pushforward,
                                scroll_ring)
 
@@ -211,3 +216,152 @@ def test_jet_rank_bound_and_monotonicity_500():
         low = rank_rational(jet_matrix(spec.with_order(k - 1), point))
         assert low <= high, f"case {case}: rank dropped with the order"
         assert high <= len(spec.coordinates)
+
+
+# -- the exact polynomial kernel -------------------------------------------------
+
+KERNEL_VARS = ("x", "y", "z")
+
+
+def _random_coefficient(rng):
+    """A nonzero int or a non-integral rational, about half of each."""
+    if rng.random() < 0.5:
+        return rng.choice((-1, 1)) * rng.randint(1, 9)
+    den = rng.randint(2, 6)
+    num = rng.choice([k for k in range(-12, 13) if k % den])
+    return Fraction(num, den)
+
+
+def _random_poly(rng, max_terms=5, max_degree=3):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = tuple(rng.randint(0, max_degree) for _ in KERNEL_VARS)
+        terms[exps] = _random_coefficient(rng)
+    return Poly(KERNEL_VARS, terms)
+
+
+def _assert_canonical(p):
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), p
+
+
+def test_kernel_round_trips_with_mixed_coefficients_500():
+    rng = random.Random(31337)
+    for case in range(CASES):
+        p, q, r = (_random_poly(rng) for _ in range(3))
+        point = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for v in KERNEL_VARS}
+        results = [p + q, p - q, -p, p * q, (p + q) * r, p * r + q * r]
+        for value in results:
+            _assert_canonical(value)
+        assert (p + q) - q == p, f"case {case}"
+        assert (p - p).is_zero() and (p + (-p)).is_zero()
+        assert p * q == q * p
+        assert (p + q) * r == p * r + q * r, f"case {case}"
+        assert (p * q).eval_at(point) == p.eval_at(point) * q.eval_at(point)
+        if q.is_zero():
+            continue
+        quotient = (p * q).exact_div(q)
+        _assert_canonical(quotient)
+        assert quotient == p, f"case {case}"
+        if not q.is_constant():
+            with pytest.raises(InvalidInputError):
+                (p * q + 1).exact_div(q)
+
+
+def _laplace(m):
+    if len(m) == 1:
+        return m[0][0]
+    total = Poly.zero(KERNEL_VARS)
+    for j, entry in enumerate(m[0]):
+        minor = _laplace([row[:j] + row[j + 1:] for row in m[1:]])
+        total = total + entry * minor if j % 2 == 0 else total - entry * minor
+    return total
+
+
+def test_det_poly_matches_laplace_on_4x4_500():
+    rng = random.Random(8128)
+    zero = Poly.zero(KERNEL_VARS)
+    for case in range(CASES):
+        m = [[_random_poly(rng, max_terms=3, max_degree=2) for _ in range(4)]
+             for _ in range(4)]
+        if case % 4 == 1:
+            m[rng.randrange(4)] = [zero] * 4
+        elif case % 4 == 2:
+            j = rng.randrange(4)
+            for row in m:
+                row[j] = zero
+        det = det_poly(m)
+        _assert_canonical(det)
+        assert det == _laplace(m), f"case {case}"
+        if case % 4 in (1, 2):
+            assert det.is_zero()
+
+
+def _fraction_rank(rows):
+    m = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            factor = m[i][col] / m[rank][col]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_rational_matches_fraction_elimination_500():
+    # products of random sparse factors: deficient ranks and skipped pivot
+    # columns, where the integer elimination relies on exact division
+    rng = random.Random(424242)
+    for case in range(CASES):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        inner = rng.randint(1, min(nrows, ncols))
+        a = [[_random_coefficient(rng) if rng.random() < 0.6 else 0
+              for _ in range(inner)] for _ in range(nrows)]
+        b = [[_random_coefficient(rng) if rng.random() < 0.6 else 0
+              for _ in range(ncols)] for _ in range(inner)]
+        m = [[sum((a[i][t] * b[t][j] for t in range(inner)), Fraction(0))
+              for j in range(ncols)] for i in range(nrows)]
+        assert rank_rational(m) == _fraction_rank(m), f"case {case}"
+
+
+# Minor size per bundled probe at which every minor's full elimination
+# stays well under half a second.
+STRUCTURAL_ZERO_SIZES = {
+    "segre-1-1": 3, "segre-2-1": 4, "segre-2-2": 2, "segre-3-1": 2,
+    "p1-cube": 7, "p1-fourth": 15, "p1-fifth": 1, "flag-threefold": 8,
+    "cubic-scroll-times-p1": 9, "veronese": 4, "two-summand-plane-scroll": 8,
+    "cubic-surface-scroll": 4, "bordiga": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_PROBES))
+def test_structural_zero_minors_equal_full_bareiss(name):
+    matrix = symbolic_jet_matrix(BUNDLED_PROBES[name].build())
+    size = STRUCTURAL_ZERO_SIZES[name]
+    keys = [(rows, cols)
+            for rows in itertools.combinations(range(len(matrix)), size)
+            for cols in itertools.combinations(range(len(matrix[0])), size)]
+    minors = list(iter_minors(matrix, size))
+    assert [key for key, _ in minors] == keys
+    for (rows, cols), value in minors:
+        full = _bareiss([[matrix[i][j] for j in cols] for i in rows])
+        assert value == full, (name, rows, cols)
+
+
+def test_scalar_accessors_return_fractions():
+    rng = random.Random(65537)
+    for _ in range(50):
+        p = _random_poly(rng) + rng.randint(-3, 3)
+        point = {v: rng.randint(-5, 5) for v in KERNEL_VARS}
+        values = [p.eval_at(point), p.coefficient((0, 0, 0)),
+                  p.coefficient((9, 9, 9))]
+        if p.is_constant():
+            values.append(p.constant_value())
+        assert all(type(v) is Fraction for v in values), values
+    assert type(Poly.const(KERNEL_VARS, 4).constant_value()) is Fraction
+    assert type(Poly.zero(KERNEL_VARS).constant_value()) is Fraction
