@@ -18,7 +18,7 @@ from .jets import (BUNDLED_PROBES, JetProbeSpec, generic_jet_rank,
                    inflection_equations, jet_matrix, probe_rank,
                    product_rank_identity, symbolic_jet_rank)
 from .scans import (FAMILIES, ScanProblem, ScanReport, build_problem,
-                    exceptional_condition, q3_scan, run_family, scan)
+                    exceptional_condition, run_family, scan)
 from .scroll import (BASE_PRESETS, NumericalBaseData, ScrollSetup,
                      chern_wu_reduce, degree_class, degree_of_inflection,
                      expected_codim, inflection_class, max_rank, pushforward,

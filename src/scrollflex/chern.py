@@ -7,16 +7,18 @@ lower-dimensional base use this to vanish above the base dimension.
 
 :class:`FormalBundle` pairs a rank with a total Chern class of constant term
 one.  Derived bundles (duals, twists by line classes, tensor products,
-symmetric powers) are computed with formal Chern roots: the derived total
-class is expanded as a symmetric polynomial in the roots and rewritten in
-elementary symmetric polynomials by exact Gaussian elimination over the
-symmetric-monomial basis.  An independent Newton-identity route through
-power sums is provided for cross-checking.
+symmetric powers) follow the splitting principle.  Tensor products and
+symmetric powers go through power sums of the formal Chern roots: Newton's
+identities turn the operands' Chern classes into power sums, the derived
+bundle's power sums are sums over its roots (products of the operands' for
+a tensor product, a cycle-index expansion for a symmetric power), and
+Newton's identities turn them back into Chern classes.  The universal
+tables are cached per (ranks, truncation); the tests check them against
+direct products over random integer roots.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -194,10 +196,6 @@ class GradedClass:
             return None
         return max(self.ring.monomial_degree(e) for e in self.terms)
 
-    def min_positive_degree(self) -> int | None:
-        degs = [self.ring.monomial_degree(e) for e in self.terms if any(e)]
-        return min(degs) if degs else None
-
     def homogeneous_part(self, d: int) -> "GradedClass":
         return GradedClass(self.ring, {
             e: c for e, c in self.terms.items()
@@ -205,11 +203,10 @@ class GradedClass:
         })
 
     def graded_parts(self) -> dict[int, "GradedClass"]:
-        out: dict[int, GradedClass] = {}
+        parts: dict[int, dict] = {}
         for e, c in self.terms.items():
-            d = self.ring.monomial_degree(e)
-            out.setdefault(d, self.ring.zero())
-        return {d: self.homogeneous_part(d) for d in sorted(out)}
+            parts.setdefault(self.ring.monomial_degree(e), {})[e] = c
+        return {d: _trusted(self.ring, parts[d]) for d in sorted(parts)}
 
     def is_homogeneous(self, d: int) -> bool:
         return all(self.ring.monomial_degree(e) == d for e in self.terms)
@@ -245,18 +242,12 @@ class GradedClass:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out = GradedClass.__new__(GradedClass)
-        out.ring = self.ring
-        out.terms = terms
-        return out
+        return _trusted(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = GradedClass.__new__(GradedClass)
-        out.ring = self.ring
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -271,10 +262,8 @@ class GradedClass:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
-            out = GradedClass.__new__(GradedClass)
-            out.ring = self.ring
-            out.terms = {e: k * c for e, k in self.terms.items()} if c else {}
-            return out
+            return _trusted(self.ring,
+                            {e: k * c for e, k in self.terms.items()} if c else {})
         if not isinstance(other, GradedClass):
             return NotImplemented
         self._check(other)
@@ -290,10 +279,7 @@ class GradedClass:
                     out[exps] = s
                 else:
                     out.pop(exps, None)
-        result = GradedClass.__new__(GradedClass)
-        result.ring = ring
-        result.terms = out
-        return result
+        return _trusted(ring, out)
 
     __rmul__ = __mul__
 
@@ -323,20 +309,24 @@ class GradedClass:
     # -- series and structural operations -----------------------------------
 
     def series_inverse(self) -> "GradedClass":
-        """Multiplicative inverse of a class with constant term one."""
+        """Multiplicative inverse of a class with constant term one.
+
+        Built degree by degree from the graded parts x_i of the class:
+        inv_0 = 1 and inv_d = -(x_1 inv_{d-1} + ... + x_d inv_0).
+        """
         if self.constant_term != 1:
             raise InvalidInputError(
                 f"series inverse needs constant term 1, got {self.constant_term}"
             )
-        u = self - 1
-        out = self.ring.one()
-        power = self.ring.one()
-        for _ in range(self.ring.truncation):
-            power = power * u
-            if power.is_zero():
-                break
-            out = out + power if (_ % 2 == 1) else out - power
-        return out
+        parts = self.graded_parts()
+        inv = [self.ring.one()]
+        for d in range(1, self.ring.truncation + 1):
+            total = self.ring.zero()
+            for i in range(1, d + 1):
+                if i in parts:
+                    total = total + parts[i] * inv[d - i]
+            inv.append(-total)
+        return sum(inv[1:], inv[0])
 
     def alternate_signs(self) -> "GradedClass":
         """Negate every odd-degree graded piece (Chern classes of a dual)."""
@@ -427,6 +417,14 @@ class GradedClass:
         return f"GradedClass({self})"
 
 
+def _trusted(ring: GradedRing, terms: dict) -> GradedClass:
+    """Wrap clean arithmetic results without revalidating them."""
+    out = GradedClass.__new__(GradedClass)
+    out.ring = ring
+    out.terms = terms
+    return out
+
+
 def _print_key(ring: GradedRing, exps: tuple[int, ...]):
     # ascending degree, then descending lex in the ring's variable order
     return (ring.monomial_degree(exps), tuple(-e for e in exps))
@@ -462,22 +460,6 @@ class FormalBundle:
 
     def __repr__(self):
         return f"FormalBundle(rank={self.rank}, c={self.total_chern})"
-
-    # method sugar over the module-level operations
-    def dual(self) -> "FormalBundle":
-        return dual(self)
-
-    def direct_sum(self, other: "FormalBundle") -> "FormalBundle":
-        return direct_sum(self, other)
-
-    def tensor(self, other: "FormalBundle", method: str = "roots") -> "FormalBundle":
-        return tensor(self, other, method=method)
-
-    def tensor_line(self, line: GradedClass, sign: int) -> "FormalBundle":
-        return tensor_line(self, line, sign)
-
-    def sym_power(self, k: int, method: str = "roots") -> "FormalBundle":
-        return sym_power(self, k, method=method)
 
 
 def trivial_bundle(ring: GradedRing, rank: int) -> FormalBundle:
@@ -532,138 +514,9 @@ def tensor_line(e: FormalBundle, line: GradedClass, sign: int) -> FormalBundle:
 # -- splitting-principle tables -------------------------------------------
 #
 # Universal expressions for the Chern classes of derived bundles are computed
-# once per (ranks, truncation) in a scratch ring of weight-one roots, then
-# instantiated by substituting the operands' actual Chern classes.
-
-
-def _root_ring(sizes: Sequence[int], truncation: int) -> tuple[GradedRing, list[range]]:
-    variables = []
-    blocks = []
-    start = 0
-    for b, size in enumerate(sizes):
-        variables.extend(GradedVariable(f"r{b}_{i}") for i in range(size))
-        blocks.append(range(start, start + size))
-        start += size
-    return GradedRing(variables, truncation), blocks
-
-
-def _elementary(ring: GradedRing, block: range, i: int) -> GradedClass:
-    n = len(ring.names)
-    terms = {}
-    for combo in itertools.combinations(block, i):
-        exps = [0] * n
-        for j in combo:
-            exps[j] = 1
-        terms[tuple(exps)] = Fraction(1)
-    return GradedClass(ring, terms) if i else ring.one()
-
-
-def _weighted_vectors(total: int, weights: Sequence[int]):
-    """All exponent tuples alpha with sum(alpha_i * weights_i) == total."""
-    if not weights:
-        if total == 0:
-            yield ()
-        return
-    w = weights[0]
-    for head in range(total // w + 1):
-        for tail in _weighted_vectors(total - head * w, weights[1:]):
-            yield (head,) + tail
-
-
-def _solve_exact(columns: list[dict], target: dict) -> list[Fraction]:
-    monomials = sorted(set().union(target, *columns))
-    rows = [[col.get(m, Fraction(0)) for col in columns] + [target.get(m, Fraction(0))]
-            for m in monomials]
-    ncols = len(columns)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [v - factor * p for v, p in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
-            raise InvalidInputError("inconsistent symmetric reduction")
-    solution = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        solution[c] = rows[row_idx][ncols]
-    return solution
-
-
-def _reduce_symmetric(part: GradedClass, blocks: Sequence[range], d: int) -> dict:
-    """Rewrite a block-symmetric degree-d polynomial in elementary symmetrics.
-
-    Returns a map from per-block elementary exponent tuples (concatenated)
-    to rational coefficients.
-    """
-    ring = part.ring
-    sizes = [len(b) for b in blocks]
-    candidates = []
-    splits = list(_weighted_vectors(d, [1] * len(blocks))) if len(blocks) > 1 else [(d,)]
-    for split in splits:
-        per_block = []
-        for b, db in enumerate(split):
-            per_block.append(list(_weighted_vectors(db, list(range(1, sizes[b] + 1)))))
-        for combo in itertools.product(*per_block):
-            candidates.append(tuple(itertools.chain.from_iterable(combo)))
-    expansions = []
-    for cand in candidates:
-        value = ring.one()
-        pos = 0
-        for b, block in enumerate(blocks):
-            for i in range(1, sizes[b] + 1):
-                e = cand[pos + i - 1]
-                if e:
-                    value = value * (_elementary(ring, block, i) ** e)
-            pos += sizes[b]
-        expansions.append(value.terms)
-    coeffs = _solve_exact(expansions, part.terms)
-    return {cand: c for cand, c in zip(candidates, coeffs) if c}
-
-
-@lru_cache(maxsize=None)
-def _tensor_table(ra: int, rb: int, truncation: int) -> tuple:
-    """Chern classes of a tensor product in elementary symmetric data."""
-    ring, (block_a, block_b) = _root_ring((ra, rb), truncation)
-    roots = [
-        ring.variable(ring.names[i]) + ring.variable(ring.names[j])
-        for i in block_a for j in block_b
-    ]
-    total = ring.one()
-    for root in roots:
-        total = total * (ring.one() + root)
-    return tuple(
-        _reduce_symmetric(total.homogeneous_part(d), (block_a, block_b), d)
-        for d in range(truncation + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _sym_table(r: int, k: int, truncation: int) -> tuple:
-    """Chern classes of the k-th symmetric power in elementary symmetric data."""
-    ring, (block,) = _root_ring((r,), truncation)
-    total = ring.one()
-    for combo in itertools.combinations_with_replacement(block, k):
-        root = ring.zero()
-        for i in combo:
-            root = root + ring.variable(ring.names[i])
-        total = total * (ring.one() + root)
-    return tuple(
-        _reduce_symmetric(total.homogeneous_part(d), (block,), d)
-        for d in range(truncation + 1)
-    )
-
-
-# -- Newton-identity route (independent of the root expansions) ------------
+# once per (ranks, truncation) in a ring of the operands' Chern classes
+# e<b>_<i> (weight i), then instantiated by substituting the operands' actual
+# Chern classes.  Newton's identities: Macdonald, Symmetric Functions, ch. I.
 
 
 def _chern_ring(sizes: Sequence[int], truncation: int) -> tuple[GradedRing, list[list[str]]]:
@@ -705,12 +558,9 @@ def _chern_from_power_sums(ring: GradedRing, p: Sequence[GradedClass]) -> list[G
     return e
 
 
-def _class_to_table(cls: GradedClass) -> dict:
-    return dict(cls.terms)
-
-
 @lru_cache(maxsize=None)
-def _tensor_table_newton(ra: int, rb: int, truncation: int) -> tuple:
+def _tensor_table(ra: int, rb: int, truncation: int) -> tuple:
+    """Tensor-product Chern classes: p_d = sum_t C(d, t) p_t(A) p_{d-t}(B)."""
     ring, (names_a, names_b) = _chern_ring((ra, rb), truncation)
     pa = _power_sums(ring, names_a, ra)
     pb = _power_sums(ring, names_b, rb)
@@ -721,7 +571,7 @@ def _tensor_table_newton(ra: int, rb: int, truncation: int) -> tuple:
             total = total + pa[t] * pb[d - t] * comb(d, t)
         pt.append(total)
     e = _chern_from_power_sums(ring, pt)
-    return tuple(_class_to_table(e[d]) for d in range(truncation + 1))
+    return tuple(e[d].terms for d in range(truncation + 1))
 
 
 def _partitions(k: int, largest: int | None = None):
@@ -743,7 +593,7 @@ def _cycle_index_size(partition: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _sym_table_newton(r: int, k: int, truncation: int) -> tuple:
+def _sym_table(r: int, k: int, truncation: int) -> tuple:
     """Symmetric-power Chern classes through the exponential character.
 
     The character of the k-th symmetric power is the complete homogeneous
@@ -765,7 +615,7 @@ def _sym_table_newton(r: int, k: int, truncation: int) -> tuple:
                 total = total + term
         ps.append(total * factorial(d))
     e = _chern_from_power_sums(ring, ps)
-    return tuple(_class_to_table(e[d]) for d in range(truncation + 1))
+    return tuple(e[d].terms for d in range(truncation + 1))
 
 
 def _compositions(total: int, parts: int):
@@ -781,7 +631,7 @@ def _compositions(total: int, parts: int):
 # -- derived bundle operations ----------------------------------------------
 
 
-def _instantiate(table: tuple, operands: Sequence[FormalBundle]) -> FormalBundle:
+def _instantiate(table: tuple, operands: Sequence[FormalBundle]) -> GradedClass:
     ring = operands[0].ring
     sizes = [b.rank for b in operands]
     powers: dict[tuple[int, int, int], GradedClass] = {}
@@ -813,26 +663,20 @@ def _instantiate(table: tuple, operands: Sequence[FormalBundle]) -> FormalBundle
     return total
 
 
-def tensor(a: FormalBundle, b: FormalBundle, method: str = "roots") -> FormalBundle:
-    """Tensor product computed through formal Chern roots."""
+def tensor(a: FormalBundle, b: FormalBundle) -> FormalBundle:
+    """Tensor product, through the power sums of the formal Chern roots."""
     if a.ring != b.ring:
         raise RingMismatchError("tensor operands live in different rings")
     if a.rank * b.rank > TENSOR_RANK_LIMIT:
         raise ResourceLimitError(
             f"tensor rank {a.rank * b.rank} exceeds the limit {TENSOR_RANK_LIMIT}"
         )
-    if method == "roots":
-        table = _tensor_table(a.rank, b.rank, a.ring.truncation)
-    elif method == "newton":
-        table = _tensor_table_newton(a.rank, b.rank, a.ring.truncation)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
-    total = _instantiate(table, (a, b))
+    total = _instantiate(_tensor_table(a.rank, b.rank, a.ring.truncation), (a, b))
     return FormalBundle(a.rank * b.rank, total)
 
 
-def sym_power(e: FormalBundle, k: int, method: str = "roots") -> FormalBundle:
-    """k-th symmetric power computed through formal Chern roots."""
+def sym_power(e: FormalBundle, k: int) -> FormalBundle:
+    """k-th symmetric power, through the power sums of the formal Chern roots."""
     if not isinstance(k, int) or k < 0:
         raise InvalidInputError("symmetric power order must be a non-negative integer")
     if k == 0:
@@ -842,11 +686,5 @@ def sym_power(e: FormalBundle, k: int, method: str = "roots") -> FormalBundle:
         raise ResourceLimitError(
             f"symmetric power rank {rank} exceeds the limit {SYM_RANK_LIMIT}"
         )
-    if method == "roots":
-        table = _sym_table(e.rank, k, e.ring.truncation)
-    elif method == "newton":
-        table = _sym_table_newton(e.rank, k, e.ring.truncation)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
-    total = _instantiate(table, (e,))
+    total = _instantiate(_sym_table(e.rank, k, e.ring.truncation), (e,))
     return FormalBundle(rank, total)

@@ -282,12 +282,6 @@ def thm_details_exception_degree(case: int, **params):
     return value
 
 
-def divisor_degree_lower_bound(m: int, d: int) -> int:
-    """Lower bound binom(m+1, 2) d, valid when the adjoint divisor
-    -c1 + (m+1)/(n+2) v1 is nef."""
-    return comb(m + 1, 2) * d
-
-
 # -- registry ------------------------------------------------------------------
 
 

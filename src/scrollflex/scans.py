@@ -555,11 +555,6 @@ def run_family(family: str, scale: int = 1, **params) -> ScanReport:
     return scan(problem)
 
 
-def q3_scan(ell: int, scale: int = 1) -> ScanReport:
-    """Scan the quadric-threefold family at the given codimension."""
-    return run_family("Q3", scale=scale, ell=ell)
-
-
 def exceptional_condition(family: str, **params) -> ExceptionalCondition:
     """The a = 2 linear condition of the two hyperbola families, verified
     by substituting it back into the family's degree-zero equation."""

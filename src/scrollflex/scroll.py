@@ -256,29 +256,33 @@ def graded_to_poly(cls: GradedClass, vars: Sequence[str] | None = None) -> Poly:
 # -- numerical and symbolic base data ---------------------------------------
 
 
-def _monomial_weight(key: str) -> int:
-    weight = 0
+def _monomial_factors(key: str) -> dict[str, int]:
+    """Exponents of a base monomial such as ``c1^2*v1``; empty for ``1``."""
+    if not isinstance(key, str):
+        raise InvalidInputError(f"bad base monomial {key!r}")
+    factors: dict[str, int] = {}
     if key.strip() == "1":
-        return 0
+        return factors
     for factor in key.split("*"):
         name, _, power = factor.strip().partition("^")
-        e = int(power) if power else 1
-        if len(name) < 2 or name[0] not in "cv" or not name[1:].isdigit():
+        if (len(name) < 2 or name[0] not in "cv" or not name[1:].isdecimal()
+                or (power and not power.isdecimal())):
             raise InvalidInputError(f"bad base monomial {key!r}")
-        weight += int(name[1:]) * e
-    return weight
+        factors[name] = factors.get(name, 0) + (int(power) if power else 1)
+    return factors
+
+
+def _monomial_weight(key: str) -> int:
+    return sum(int(name[1:]) * e for name, e in _monomial_factors(key).items())
 
 
 def canonical_monomial(key: str) -> str:
-    factors: dict[str, int] = {}
-    for factor in key.split("*"):
-        name, _, power = factor.strip().partition("^")
-        factors[name] = factors.get(name, 0) + (int(power) if power else 1)
+    factors = _monomial_factors(key)
     parts = []
     for name in sorted(factors, key=lambda s: (s[0], int(s[1:]))):
         e = factors[name]
         parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join(parts) or "1"
 
 
 @dataclass(frozen=True)
@@ -295,6 +299,8 @@ class NumericalBaseData:
     divisors: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.assignments, Mapping):
+            raise InvalidInputError("assignments must map monomials to integers")
         clean = {}
         for key, value in self.assignments.items():
             ck = canonical_monomial(key)

@@ -85,8 +85,8 @@ def test_criterion_4_diophantine_scans():
         assert not scans.run_family("P3", ell=ell).survivors
     assert not scans.run_family("P2_N10").survivors
     for ell in (2, 3, 4):
-        report = scans.q3_scan(ell)
-        doubled = scans.q3_scan(ell, scale=2)
+        report = scans.run_family("Q3", ell=ell)
+        doubled = scans.run_family("Q3", ell=ell, scale=2)
         assert report.verdict == doubled.verdict == "empty"
     for e in (0, 1):
         assert scans.exceptional_condition("Fe", e=e).verified

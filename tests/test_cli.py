@@ -160,6 +160,18 @@ def test_degree_data_without_assignments_errors(tmp_path, capsys):
     assert err.startswith("error:") and "'assignments'" in err
 
 
+@pytest.mark.parametrize("assignments", [
+    [1, 2], {"zz": 1}, {"c1^x": 1}, {"c1*": 1}, {"c": 1}])
+def test_degree_data_with_malformed_assignments_errors(tmp_path, capsys,
+                                                       assignments):
+    path = tmp_path / "numbers.json"
+    path.write_text(json.dumps({"dimension": 2, "assignments": assignments}),
+                    encoding="utf-8")
+    code, _, err = _degree_with_data(capsys, path)
+    assert code == 1
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("content", [b"c1^2 = 9", b"\xff\xfe{}"])
 def test_degree_data_not_json_errors(tmp_path, capsys, content):
     path = tmp_path / "numbers.json"

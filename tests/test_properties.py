@@ -3,11 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from scrollflex.chern import (GradedRing, GradedVariable, bundle_from_classes,
-                              direct_sum, sym_power, tensor)
+from scrollflex.chern import (SYM_RANK_LIMIT, TENSOR_RANK_LIMIT, FormalBundle,
+                              GradedClass, GradedRing, GradedVariable,
+                              bundle_from_classes, direct_sum, sym_power,
+                              tensor)
 from scrollflex.errors import InvalidInputError
 from scrollflex.exactpoly import Poly
 from scrollflex.jets import (BUNDLED_PROBES, JetProbeSpec, jet_matrix,
@@ -37,8 +40,6 @@ def _random_class(ring, rng, max_terms=5, unit=False):
             terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
     cls = ring.zero()
     for exps, coeff in terms.items():
-        from scrollflex.chern import GradedClass
-
         cls = cls + GradedClass(ring, {exps: coeff})
     return ring.one() + cls if unit else cls
 
@@ -84,32 +85,76 @@ def _degree_exponents(ring, degree):
 
 
 def _monomial(ring, exps):
-    from scrollflex.chern import GradedClass
-
     return GradedClass(ring, {exps: Fraction(1)})
+
+
+def _one_plus_product(ring, roots):
+    """prod (1 + a*t + b*s) over integer roots (a, b), expanded with plain
+    ints and truncated at the ring's degree."""
+    poly = {(0, 0): 1}
+    for a, b in roots:
+        grown = dict(poly)
+        for (i, j), c in poly.items():
+            if i + j < ring.truncation:
+                grown[i + 1, j] = grown.get((i + 1, j), 0) + a * c
+                grown[i, j + 1] = grown.get((i, j + 1), 0) + b * c
+        poly = grown
+    return GradedClass(ring, poly)
+
+
+def _root_bundle(ring, rng, rank):
+    """A bundle with random integer Chern roots a*t + b*s, and those roots."""
+    roots = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rank)]
+    return FormalBundle(rank, _one_plus_product(ring, roots)), roots
+
+
+def _max_sym_base_rank(k):
+    """The largest rank whose k-th symmetric power is within the limit."""
+    r = 1
+    while comb(r + k, k) <= SYM_RANK_LIMIT:
+        r += 1
+    return r
 
 
 def test_root_consistency_and_whitney_500():
     rng = random.Random(4711)
-    ring_cache = {}
+    root_rings = {trunc: GradedRing([GradedVariable("t", 1), GradedVariable("s", 1)],
+                                    trunc) for trunc in (2, 3, 4)}
+    mixed_rings = {trunc: GradedRing([GradedVariable("p", 1), GradedVariable("q", 2)],
+                                     trunc) for trunc in (2, 3, 4)}
+    largest = {"tensor": 0, "sym": 0}
     for case in range(CASES):
         trunc = rng.randint(2, 4)
-        if trunc not in ring_cache:
-            ring_cache[trunc] = GradedRing(
-                [GradedVariable("p", 1), GradedVariable("q", 2)], trunc)
-        ring = ring_cache[trunc]
-        ra, rb = rng.randint(1, 3), rng.randint(1, 3)
-        a = _random_bundle(ring, rng, ra)
-        b = _random_bundle(ring, rng, rb)
         mode = case % 3
+        # modes 0 and 1: the power-sum tables against products over roots
+        ring = root_rings[trunc] if mode < 2 else mixed_rings[trunc]
         if mode == 0:
-            # tensor through roots equals tensor through power sums
-            assert tensor(a, b).total_chern == tensor(a, b, method="newton").total_chern
+            ra = rng.randint(1, 8)
+            rb = rng.choice((rng.randint(1, TENSOR_RANK_LIMIT // ra),
+                             TENSOR_RANK_LIMIT // ra))
+            a, alpha = _root_bundle(ring, rng, ra)
+            b, beta = _root_bundle(ring, rng, rb)
+            want = _one_plus_product(
+                ring, [(x + u, y + v) for x, y in alpha for u, v in beta])
+            got = tensor(a, b)
+            assert got.rank == ra * rb
+            assert got.total_chern == want, f"case {case}: ranks {ra}, {rb}"
+            largest["tensor"] = max(largest["tensor"], got.rank)
         elif mode == 1:
-            k = rng.randint(1, 3)
-            assert (sym_power(a, k).total_chern
-                    == sym_power(a, k, method="newton").total_chern)
+            k = rng.randint(1, 4)
+            top = _max_sym_base_rank(k)
+            r = rng.choice((rng.randint(1, top), top))
+            e, alpha = _root_bundle(ring, rng, r)
+            want = _one_plus_product(ring, [
+                tuple(map(sum, zip(*combo)))
+                for combo in itertools.combinations_with_replacement(alpha, k)])
+            got = sym_power(e, k)
+            assert got.rank == comb(r + k - 1, k)
+            assert got.total_chern == want, f"case {case}: rank {r}, k {k}"
+            largest["sym"] = max(largest["sym"], got.rank)
         else:
+            a = _random_bundle(ring, rng, rng.randint(1, 3))
+            b = _random_bundle(ring, rng, rng.randint(1, 3))
             # Whitney additivity and distributivity of tensor over sums
             c = _random_bundle(ring, rng, rng.randint(1, 2))
             s = direct_sum(a, b)
@@ -118,6 +163,7 @@ def test_root_consistency_and_whitney_500():
             rhs = direct_sum(tensor(a, c), tensor(b, c))
             assert lhs.rank == rhs.rank
             assert lhs.total_chern == rhs.total_chern
+    assert largest == {"tensor": TENSOR_RANK_LIMIT, "sym": SYM_RANK_LIMIT}
 
 
 def test_chern_wu_idempotence_500():

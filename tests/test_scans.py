@@ -3,8 +3,7 @@ import pytest
 from scrollflex import scans
 from scrollflex.errors import InternalConsistencyError, InvalidInputError
 from scrollflex.exactpoly import Poly
-from scrollflex.scans import (build_problem, exceptional_condition, q3_scan,
-                              run_family, scan)
+from scrollflex.scans import build_problem, exceptional_condition, run_family, scan
 
 
 def survivors(report):
@@ -45,16 +44,16 @@ def test_p3_higher_codim_empty(ell):
 
 @pytest.mark.parametrize("ell", (2, 3, 4))
 def test_quadric_scans_empty_and_stable(ell):
-    report = q3_scan(ell)
+    report = run_family("Q3", ell=ell)
     assert report.verdict == "empty"
     assert not report.survivors
-    doubled = q3_scan(ell, scale=2)
+    doubled = run_family("Q3", ell=ell, scale=2)
     assert doubled.verdict == report.verdict
     assert survivors(doubled) == survivors(report)
 
 
 def test_quadric_notes_mention_derivation():
-    report = q3_scan(4)
+    report = run_family("Q3", ell=4)
     assert any("derived" in note for note in report.notes)
 
 
@@ -139,6 +138,6 @@ def test_report_payload_round_trip():
 
 
 def test_q3_positivity_screen_records_boundary_points():
-    report = q3_scan(2)
+    report = run_family("Q3", ell=2)
     assert any(p == {"x": 2, "y": 0} for p, why in report.excluded
                if "positive-c2" in why)
