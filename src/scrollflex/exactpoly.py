@@ -151,7 +151,8 @@ class Poly:
                 f"variable tuples differ: {self.vars} vs {other.vars}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """``op(self, other)`` for ``op`` in (add, sub), in one pass."""
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.vars, other)
         if not isinstance(other, Poly):
@@ -160,12 +161,15 @@ class Poly:
         terms = dict(self.terms)
         get = terms.get
         for exps, c in other.terms.items():
-            s = get(exps, 0) + c
+            s = op(get(exps, 0), c)
             if s:
                 terms[exps] = s if type(s) is int else _canon(s)
             else:
                 del terms[exps]
         return _trusted(self.vars, terms)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -173,11 +177,7 @@ class Poly:
         return _trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -4,7 +4,10 @@ A probe is a local polynomial parameterization of an embedded variety: a
 list of coordinate functions in named chart variables.  The order-k jet
 matrix at a point stacks all partial derivatives of order <= k (rows, in
 graded-lex order of multi-indices) of every coordinate (columns).  Generic
-rank is obtained by exact evaluation at random rational points; a
+rank is the largest rank over random rational points ``p/q``: each row is
+evaluated already multiplied by ``prod_v q_v^d_v``, where ``d_v`` is the
+row's largest exponent in ``v``, so integer charts give integer rows and the
+rank, which no nonzero row scaling changes, is found without fractions.  A
 fraction-free symbolic mode certifies small charts over the function field.
 """
 
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import sub
 from typing import Sequence
 
 from .errors import InvalidInputError, load_json, require_fields
@@ -111,7 +115,10 @@ def multi_indices(dimension: int, order: int) -> list[tuple[int, ...]]:
     return out
 
 
-def symbolic_jet_matrix(spec: JetProbeSpec) -> list[list[Poly]]:
+JetMatrix = tuple[tuple[Poly, ...], ...]
+
+
+def symbolic_jet_matrix(spec: JetProbeSpec) -> JetMatrix:
     """Rows: derivatives of order <= k; columns: coordinate functions."""
     rows = []
     for alpha in multi_indices(spec.dimension, spec.order):
@@ -124,21 +131,74 @@ def symbolic_jet_matrix(spec: JetProbeSpec) -> list[list[Poly]]:
                     if g.is_zero():
                         break
             row.append(g)
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+_SHARED_MATRICES = 64
+_shared: dict[tuple, JetMatrix] = {}
+
+
+def _shared_jet_matrix(spec: JetProbeSpec) -> JetMatrix:
+    """The symbolic jet matrix, built once per (variables, coordinates, order).
+
+    Sampling settings are not part of the key, so a rank probe and the
+    minors of the same chart share one build.  The matrix is immutable;
+    callers that eliminate in place copy it first.  The least recently
+    used of ``_SHARED_MATRICES`` entries is dropped.
+    """
+    key = (spec.variables, spec.coordinates, spec.order)
+    matrix = _shared.pop(key, None)
+    if matrix is None:
+        matrix = symbolic_jet_matrix(spec)
+        if len(_shared) >= _SHARED_MATRICES:
+            del _shared[next(iter(_shared))]
+    _shared[key] = matrix
+    return matrix
 
 
 def jet_matrix(spec: JetProbeSpec, point: Sequence[Fraction]) -> list[list[Fraction]]:
     """The exact jet matrix evaluated at a rational chart point."""
-    return _evaluate(spec, symbolic_jet_matrix(spec), point)
-
-
-def _evaluate(spec: JetProbeSpec, symbolic: list[list[Poly]],
-              point: Sequence[Fraction]) -> list[list[Fraction]]:
     if len(point) != spec.dimension:
         raise InvalidInputError("point dimension does not match the chart")
     values = {name: Fraction(p) for name, p in zip(spec.variables, point)}
-    return [[entry.eval_at(values) for entry in row] for row in symbolic]
+    return [[entry.eval_at(values) for entry in row]
+            for row in _shared_jet_matrix(spec)]
+
+
+def _scaled_layout(matrix: JetMatrix):
+    """Terms of each entry against the distinct scaled monomials of the matrix.
+
+    An entry ``sum c x^e`` in a row whose largest exponents are ``d``,
+    evaluated at ``x_v = p_v/q_v`` and multiplied by ``prod q_v^d_v``, is
+    ``sum c prod p_v^e_v q_v^(d_v - e_v)``.  Returns the entries as lists
+    of (coefficient, monomial index) and the monomials as ((e_v, d_v - e_v)
+    per variable) keys.
+    """
+    monomials: dict[tuple, int] = {}
+    layout = []
+    for row in matrix:
+        top = tuple(map(max, zip(*(e for entry in row for e in entry.terms))))
+        layout.append([
+            [(c, monomials.setdefault(tuple(zip(e, map(sub, top, e))),
+                                      len(monomials)))
+             for e, c in entry.terms.items()]
+            for entry in row
+        ])
+    return layout, list(monomials)
+
+
+def _scaled_rows(layout, monomials, point: Sequence[Fraction]) -> list[list]:
+    """The jet matrix at ``point`` with each row scaled as in ``_scaled_layout``."""
+    parts = [(x.numerator, x.denominator) for x in point]
+    values = []
+    for key in monomials:
+        value = 1
+        for (e, f), (p, q) in zip(key, parts):
+            value *= p ** e * q ** f
+        values.append(value)
+    return [[sum([c * values[i] for c, i in terms]) for terms in row]
+            for row in layout]
 
 
 def _random_point(spec: JetProbeSpec, rng: random.Random) -> tuple[Fraction, ...]:
@@ -172,8 +232,8 @@ class RankScan:
 def probe_rank(spec: JetProbeSpec) -> RankScan:
     """Maximum jet rank over sampled rational points (lower bound for s_k)."""
     rng = random.Random(spec.seed)
-    symbolic = symbolic_jet_matrix(spec)
-    ranks = [rank_rational(_evaluate(spec, symbolic, _random_point(spec, rng)))
+    layout, monomials = _scaled_layout(_shared_jet_matrix(spec))
+    ranks = [rank_rational(_scaled_rows(layout, monomials, _random_point(spec, rng)))
              for _ in range(spec.trials)]
     note = "generic rank with confidence: sampled"
     if max(ranks) == 0:
@@ -188,7 +248,7 @@ def generic_jet_rank(spec: JetProbeSpec) -> int:
 
 def symbolic_jet_rank(spec: JetProbeSpec) -> int:
     """Rank over the rational function field, fraction-free; exact but slower."""
-    return rank_poly(symbolic_jet_matrix(spec))
+    return rank_poly(_shared_jet_matrix(spec))
 
 
 @dataclass
@@ -226,7 +286,7 @@ class MinorReport:
 
 def inflection_equations(spec: JetProbeSpec, size: int) -> MinorReport:
     """Minors of order ``size`` with the common polynomial content factored out."""
-    matrix = symbolic_jet_matrix(spec)
+    matrix = _shared_jet_matrix(spec)
     nrows, ncols = len(matrix), len(matrix[0])
     if size > min(nrows, ncols):
         raise InvalidInputError(

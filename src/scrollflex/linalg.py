@@ -1,4 +1,12 @@
-"""Exact linear algebra: rational ranks and fraction-free polynomial minors."""
+"""Exact linear algebra: rational ranks and fraction-free polynomial minors.
+
+Both eliminations are Bareiss's: every intermediate entry is a minor of the
+input, so each division is exact and no fraction is ever formed.  Integer
+ranks pivot on the first nonzero entry of the current column; polynomial
+ranks and determinants pivot on the sparsest nonzero entry of the remaining
+submatrix (fewest terms, first in row-major order on ties), which keeps the
+Bareiss products and exact divisions small.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +23,8 @@ MINOR_COUNT_LIMIT = 10 ** 5
 
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
     """The row times the lcm of its denominators; the rank is unchanged."""
+    if all(type(x) is int for x in row):
+        return list(row)
     row = [x if type(x) is int else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]
@@ -53,18 +63,30 @@ def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def _find_pivot(m, step):
+    """Position of the sparsest nonzero entry of the submatrix m[step:][step:].
+
+    Fewest terms wins, ties go to the first entry in row-major order, and a
+    single-term entry ends the scan.  None when the submatrix is zero.
+    """
+    best = None
+    fewest = 0
     for i in range(step, len(m)):
-        for j in range(step, len(m[0])):
-            if not m[i][j].is_zero():
-                return i, j
-    return None
+        row = m[i]
+        for j in range(step, len(row)):
+            size = len(row[j].terms)
+            if size and (best is None or size < fewest):
+                if size == 1:
+                    return i, j
+                best, fewest = (i, j), size
+    return best
 
 
 def rank_poly(rows: Sequence[Sequence[Poly]]) -> int:
     """Rank over the rational function field, by fraction-free elimination.
 
     Bareiss one-step elimination: every intermediate entry is a minor of the
-    original matrix, and the division by the previous pivot is exact.
+    original matrix, and the division by the previous pivot is exact.  Each
+    step pivots on the sparsest nonzero entry left (see ``_find_pivot``).
     """
     m = [list(row) for row in rows]
     if not m or not m[0]:
@@ -102,7 +124,9 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square polynomial matrix (fraction-free Bareiss).
 
     A matrix with an all-zero row or column is singular, so it is answered
-    without elimination.
+    without elimination.  Otherwise each step pivots on the sparsest nonzero
+    entry left (see ``_find_pivot``), and every row or column swap flips the
+    sign.
     """
     n = len(rows)
     if n == 0:

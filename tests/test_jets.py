@@ -172,3 +172,24 @@ def test_point_rank_never_exceeds_generic_rank():
             from scrollflex.linalg import rank_rational
 
             assert rank_rational(jet_matrix(spec, point)) <= generic
+
+
+def test_rank_and_minors_share_one_jet_matrix(monkeypatch):
+    builds = []
+    build = jets.symbolic_jet_matrix
+    monkeypatch.setattr(jets, "symbolic_jet_matrix",
+                        lambda spec: builds.append(spec) or build(spec))
+    monkeypatch.setattr(jets, "_shared", {})
+    spec = BUNDLED_PROBES["flag-threefold"].build()
+    resampled = JetProbeSpec(spec.variables, spec.coordinates, spec.order,
+                             trials=3, seed=9)
+    probe_rank(spec)
+    report = inflection_equations(spec, 8)
+    probe_rank(resampled)
+    jet_matrix(resampled, (Fraction(1, 2), Fraction(-1, 3), Fraction(2)))
+    symbolic_jet_rank(spec)
+    assert len(builds) == 1 and report.nonzero_minors == 9
+    probe_rank(spec.with_order(3))
+    assert len(builds) == 2
+    shared = jets._shared_jet_matrix(spec)
+    assert type(shared) is tuple and all(type(row) is tuple for row in shared)

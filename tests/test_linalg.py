@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from scrollflex.errors import ResourceLimitError
-from scrollflex.exactpoly import Poly
-from scrollflex.linalg import det_poly, iter_minors, rank_poly, rank_rational
+from scrollflex.exactpoly import Poly, parse_poly
+from scrollflex.linalg import (_find_pivot, det_poly, iter_minors, rank_poly,
+                               rank_rational)
 
 V = ("x", "y")
 
@@ -89,3 +90,17 @@ def test_iter_minors_values():
     m = [[x, y], [y, x]]
     minors = dict(iter_minors(m, 2))
     assert minors[((0, 1), (0, 1))] == x ** 2 - y ** 2
+
+
+def test_pivot_is_the_sparsest_entry_left():
+    def grid(*rows):
+        return [[parse_poly(t, V) for t in row] for row in rows]
+
+    m = grid(("x", "x + y", "1"),
+             ("x + 1", "x*y + x + 1", "x + y"),
+             ("0", "y + 1", "x + y"))
+    assert _find_pivot(m, 0) == (0, 0)   # a single term ends the scan
+    assert _find_pivot(m, 1) == (1, 2)   # ties go to the first, row-major
+    m[2][1] = parse_poly("y", V)
+    assert _find_pivot(m, 1) == (2, 1)
+    assert _find_pivot(grid(("1", "0"), ("0", "0")), 1) is None

@@ -13,8 +13,9 @@ from scrollflex.chern import (SYM_RANK_LIMIT, TENSOR_RANK_LIMIT, FormalBundle,
                               tensor)
 from scrollflex.errors import InvalidInputError
 from scrollflex.exactpoly import Poly
-from scrollflex.jets import (BUNDLED_PROBES, JetProbeSpec, jet_matrix,
-                             symbolic_jet_matrix)
+from scrollflex import jets
+from scrollflex.jets import (BUNDLED_PROBES, JetProbeSpec, bundled_minor_report,
+                             jet_matrix, probe_rank, symbolic_jet_matrix)
 from scrollflex.linalg import _bareiss, det_poly, iter_minors, rank_rational
 from scrollflex.scroll import (chern_wu_reduce, max_rank, pushforward,
                                scroll_ring)
@@ -397,6 +398,92 @@ def test_structural_zero_minors_equal_full_bareiss(name):
     for (rows, cols), value in minors:
         full = _bareiss([[matrix[i][j] for j in cols] for i in rows])
         assert value == full, (name, rows, cols)
+
+
+# The minor requests of the jet benchmark: (probe, minor size).
+MINOR_REQUESTS = [("bordiga", 9), ("flag-threefold", 8), ("p1-cube", 7),
+                  ("two-summand-plane-scroll", 9), ("cubic-surface-scroll", 5)]
+
+
+def _fraction_det(rows):
+    """Determinant by plain Fraction elimination, first nonzero pivot down."""
+    m = [list(row) for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            factor = m[i][col] / m[col][col]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
+    return det
+
+
+@pytest.mark.parametrize("name,size", MINOR_REQUESTS)
+def test_minors_match_fraction_determinants_at_points(name, size):
+    # an oracle that shares neither the pivot rule nor the Bareiss
+    # divisions: each minor's value at a point is the determinant of the
+    # jet matrix evaluated there
+    spec = BUNDLED_PROBES[name].build()
+    report = bundled_minor_report(name, size)
+    nrows, ncols = len(symbolic_jet_matrix(spec)), len(spec.coordinates)
+    keys = [(rows, cols)
+            for rows in itertools.combinations(range(nrows), size)
+            for cols in itertools.combinations(range(ncols), size)]
+    assert len(keys) == len(report.minors)
+    rng = random.Random(2718)
+    for _ in range(2):
+        point = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                      for _ in spec.variables)
+        values = dict(zip(spec.variables, point))
+        evaluated = jet_matrix(spec, point)
+        checked = 0
+        for (rows, cols), minor in zip(keys, report.minors):
+            if minor.is_zero():
+                continue
+            sub = [[evaluated[i][j] for j in cols] for i in rows]
+            assert minor.eval_at(values) == _fraction_det(sub), (name, rows, cols)
+            checked += 1
+        assert checked == report.nonzero_minors > 0
+    if name == "bordiga":
+        assert str(report.content) == "y^5"
+
+
+def _non_integral_probe():
+    return JetProbeSpec(
+        ("u1", "u2"),
+        ("1", "1/2*u1^2", "u1 + 1/3*u2", "u1*u2 - 2/5*u2^3", "u1^3/7 + u2^2"),
+        2, trials=64, seed=5)
+
+
+@pytest.mark.filterwarnings("ignore:no constant coordinate")
+@pytest.mark.parametrize("name", sorted(BUNDLED_PROBES) + ["non-integral"])
+def test_scaled_ranks_equal_fraction_route(name):
+    if name == "non-integral":
+        spec = _non_integral_probe()
+    else:
+        base = BUNDLED_PROBES[name].build()
+        spec = JetProbeSpec(base.variables, base.coordinates, base.order,
+                            trials=64, seed=5, height=base.height)
+    rng = random.Random(spec.seed)
+    points = [jets._random_point(spec, rng) for _ in range(spec.trials)]
+    expected = tuple(rank_rational(jet_matrix(spec, p)) for p in points)
+    assert probe_rank(spec).per_trial == expected
+    assert any(x < 0 for p in points for x in p)
+    # each scaled row is the evaluated row times a positive constant
+    layout, monomials = jets._scaled_layout(jets._shared_jet_matrix(spec))
+    kinds = set()
+    for point in points:
+        scaled = jets._scaled_rows(layout, monomials, point)
+        for row, exact in zip(scaled, jet_matrix(spec, point)):
+            kinds.update(type(x) for x in row)
+            scale = next((a / b for a, b in zip(row, exact) if b), 1)
+            assert scale > 0 and row == [scale * b for b in exact], (name, point)
+    assert kinds == ({int, Fraction} if name == "non-integral" else {int})
 
 
 def test_scalar_accessors_return_fractions():
