@@ -3,7 +3,8 @@
 Commands: ``rank``, ``class``, ``degree``, ``scan``, ``jet``, ``verify``.
 Output is either a human-readable report (default) or a structured JSON
 document (``--format structured``).  Exit status is 0 exactly when the
-requested operation succeeded and, for ``verify``, every check passed.
+requested operation succeeded and, for ``verify``, every check passed.  The
+jet, scan and verify layers are imported only by the commands that use them.
 """
 
 from __future__ import annotations
@@ -12,15 +13,15 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import jets, scans, verify
 from .errors import ScrollflexError, load_json
-from .scroll import (BASE_PRESETS, NumericalBaseData, ScrollSetup,
-                     chern_wu_reduce, degree_class, degree_of_inflection,
-                     expected_codim, inflection_class, max_rank,
-                     rank_breakdown, scroll_ring, symbolic_degree)
+from .scroll import (BASE_PRESETS, SCAN_FAMILIES, NumericalBaseData,
+                     ScrollSetup, chern_wu_reduce, degree_class,
+                     degree_of_inflection, expected_codim, inflection_class,
+                     max_rank, rank_breakdown, scroll_ring, symbolic_degree)
 
 DATA_DIR_ENV = "SCROLLFLEX_DATA_DIR"
 
@@ -153,6 +154,8 @@ def _cmd_degree(config: RunConfig) -> int:
 
 
 def _cmd_scan(config: RunConfig) -> int:
+    from . import scans
+
     params = {}
     if config.ell is not None:
         params["ell"] = config.ell
@@ -183,15 +186,19 @@ def _cmd_scan(config: RunConfig) -> int:
 
 
 def _cmd_jet(config: RunConfig) -> int:
+    from . import jets
+
     path = _resolve_path(config.spec)
     spec = jets.JetProbeSpec.load(path)
     if config.seed is not None or config.trials is not None:
-        spec = jets.JetProbeSpec(
-            spec.variables, spec.coordinates, spec.order,
-            config.trials if config.trials is not None else spec.trials,
-            config.seed if config.seed is not None else spec.seed,
-            spec.height,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the loaded spec has warned already
+            spec = jets.JetProbeSpec(
+                spec.variables, spec.coordinates, spec.order,
+                config.trials if config.trials is not None else spec.trials,
+                config.seed if config.seed is not None else spec.seed,
+                spec.height,
+            )
     scan_result = jets.probe_rank(spec)
     payload = scan_result.to_payload()
     lines = [
@@ -210,6 +217,8 @@ def _cmd_jet(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    from . import verify
+
     results = verify.run_checks(filter=config.filter)
     ok = all(r.ok for r in results)
     lines = [r.row() for r in results]
@@ -260,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt(p)
 
     p = sub.add_parser("scan", help="integer-point scan of a base family")
-    p.add_argument("family", choices=scans.FAMILIES)
+    p.add_argument("family", choices=SCAN_FAMILIES)
     p.add_argument("--l", dest="ell", type=int, help="codimension (P3/Q3)")
     p.add_argument("--e", type=int, help="Hirzebruch invariant (Fe)")
     p.add_argument("--q", type=int, help="base curve genus (ProductsBxP1)")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,8 +64,10 @@ class JetProbeSpec:
         if not any(c.is_constant() for c in coords):
             # rank is still chart-invariant wherever some coordinate is a
             # unit, which covers blown-up parameterizations
-            warnings.warn("no constant coordinate; chart is not normalized",
-                          stacklevel=2)
+            warnings.warn(
+                "no constant coordinate; the chart in "
+                f"({', '.join(self.variables)}) is not normalized",
+                stacklevel=_caller_stacklevel())
 
     @property
     def dimension(self) -> int:
@@ -99,6 +102,19 @@ class JetProbeSpec:
     @classmethod
     def load(cls, path) -> "JetProbeSpec":
         return cls.from_payload(load_json(path))
+
+
+def _caller_stacklevel() -> int:
+    """``warnings`` stacklevel of the nearest caller outside this module.
+
+    Counted from the function that calls this helper; frames of this module,
+    the dataclass-generated ``__init__`` included, are skipped, so a warning
+    names the code that built the spec even through ``load``.
+    """
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def multi_indices(dimension: int, order: int) -> list[tuple[int, ...]]:

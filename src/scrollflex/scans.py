@@ -20,9 +20,8 @@ from .errors import InternalConsistencyError, InvalidInputError
 from .exactpoly import Poly
 from .formulas import (degree_substitution_m2, fourfold_degree,
                        p2_specialization_n9, surface_degree)
-from .scroll import BASE_PRESETS, ScrollSetup, symbolic_degree
-
-FAMILIES = ("P2_N10", "P2_N9", "Fe", "ProductsBxP1", "P3", "Q3")
+from .scroll import (BASE_PRESETS, SCAN_FAMILIES as FAMILIES, ScrollSetup,
+                     symbolic_degree)
 
 MARGIN = 5  # safety cushion over every derived enumeration bound
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Mapping, Sequence, Union
 
@@ -164,6 +165,13 @@ def total_chern_E_k(setup: ScrollSetup, ring: GradedRing | None = None) -> Grade
 def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> GradedClass:
     """Degree-codim part of the inverse total Chern class, unreduced.
 
+    The class is computed at truncation ``ell = setup.codim``: products and
+    inverses only add degrees, so nothing above degree ell reaches degree
+    ell.  Its terms are then re-wrapped in ``ring`` (the full scroll ring by
+    default), and kept per (ring, n, m, k, ell) in a least-recently-used
+    cache of CLASS_CACHE_SIZE (128) entries; every call returns a fresh
+    class.
+
     Outside the asserted range the formal degree part is still returned;
     whether it means anything is the caller's concern (check ``in_range``).
     The standing hypotheses - maximal generic jet rank and expected
@@ -173,7 +181,20 @@ def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> Grad
     ell = setup.codim
     if ell < 0 or ell > ring.truncation:
         return ring.zero()
-    return total_chern_E_k(setup, ring).series_inverse().homogeneous_part(ell)
+    return GradedClass(ring, dict(_class_terms(ring, setup.n, setup.m, setup.k, ell)))
+
+
+CLASS_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _class_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
+    """Degree-ell terms of c(E_k)^-1, computed with ``ring`` truncated at ell."""
+    caps = {sector: min(cap, ell) for sector, cap in ring.sector_caps.items()}
+    small = GradedRing(ring.variables, ell, caps)
+    setup = ScrollSetup(n, m, k, max_rank(n, m, k) - 2 + ell)
+    inverse = total_chern_E_k(setup, small).series_inverse()
+    return tuple(inverse.homogeneous_part(ell).terms.items())
 
 
 def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:
@@ -412,6 +433,11 @@ def symbolic_degree(setup: ScrollSetup,
 
 
 # -- bundled base presets ----------------------------------------------------
+
+
+# Base families of the integer-point scans (``scans.build_problem``), defined
+# here so that the command line can list them without importing the scans.
+SCAN_FAMILIES = ("P2_N10", "P2_N9", "Fe", "ProductsBxP1", "P3", "Q3")
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,14 @@ def test_spec_validation():
         JetProbeSpec(("u1",), (Poly.const(("u1",), 1),), 0)
     with pytest.raises(InvalidInputError):
         JetProbeSpec(("u1",), (Poly.zero(("u1",)),), 2)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning,
+                      match=r"no constant coordinate; the chart in \(u1\) ") as seen:
         JetProbeSpec(("u1",), (Poly.variable(("u1",), "u1"),), 2)
+    assert seen[0].filename == __file__
+    payload = {"variables": ["u1"], "coordinates": ["u1"], "order": 2}
+    with pytest.warns(UserWarning, match=r"\(u1\)") as seen:
+        JetProbeSpec.from_payload(payload)
+    assert seen[0].filename == __file__
 
 
 def test_probe_rank_report_fields():

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
+from scrollflex import scroll
 from scrollflex.chern import dual, tensor_line, sym_power
 from scrollflex.errors import IncompleteDataError, InvalidInputError
 from scrollflex.exactpoly import Poly
 from scrollflex.scroll import (BASE_PRESETS, NumericalBaseData, ScrollSetup,
-                               chern_wu_reduce, degree_class,
+                               base_ring, chern_wu_reduce, degree_class,
                                degree_of_inflection, expected_codim,
                                graded_to_poly, hyperplane_class,
                                inflection_class, max_rank, pushforward,
@@ -130,6 +131,23 @@ def test_pushforward_basics():
     assert y == v1 ** 2 - v2
 
 
+def test_pushforward_of_hyperplane_powers_is_the_segre_class():
+    # Under L^r = sum_i (-1)^(i+1) V_i L^(r-i), pi_* L^(r-1+i) is the
+    # degree-i part of 1 / c(V^dual) (Fulton, Intersection Theory, 3.1).
+    for n in range(2, 13):
+        for m in range(1, n):
+            r = n - m + 1
+            base = base_ring(m, r)
+            c_dual = base.one()
+            for i in range(1, min(r, m) + 1):
+                c_dual = c_dual + (-1) ** i * base.variable(f"v{i}")
+            segre = c_dual.series_inverse()
+            L = hyperplane_class(scroll_ring(n, m))
+            for i in range(m + 1):
+                got = pushforward(L ** (r - 1 + i), r)
+                assert got == segre.homogeneous_part(i), (n, m, i)
+
+
 def test_pushforward_projection_formula():
     ring = scroll_ring(3, 2)
     L, C1, V1 = (ring.variable(s) for s in ("L", "C1", "V1"))
@@ -146,6 +164,35 @@ def test_pushforward_projection_formula():
 
 def test_inflection_class_out_of_grading_is_zero():
     assert inflection_class(ScrollSetup(3, 2, 2, 11)).is_zero()
+
+
+# every in-range N of the benchmark's cold class setups and of four larger ones
+TRUNCATION_SETUPS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 2, 2), (3, 2, 3),
+                     (3, 2, 4), (4, 2, 2), (4, 2, 3), (4, 2, 4), (4, 3, 2),
+                     (4, 3, 3), (5, 4, 3), (6, 5, 3), (7, 6, 2), (8, 7, 2)]
+
+
+@pytest.mark.parametrize("n,m,k", TRUNCATION_SETUPS)
+def test_class_at_codim_truncation_matches_full_truncation(n, m, k):
+    ring = scroll_ring(n, m)
+    lo = max_rank(n, m, k) - 1
+    full = total_chern_E_k(ScrollSetup(n, m, k, lo), ring).series_inverse()
+    for N in range(lo, lo + n):
+        setup = ScrollSetup(n, m, k, N)
+        got = inflection_class(setup)
+        assert got.ring == ring
+        assert got == full.homogeneous_part(setup.codim), N
+
+
+def test_class_cache_hands_out_fresh_classes():
+    assert scroll._class_terms.cache_info().maxsize == scroll.CLASS_CACHE_SIZE == 128
+    setup = ScrollSetup(4, 3, 2, 14)
+    first = inflection_class(setup)
+    want = dict(first.terms)
+    first.terms.clear()
+    first.terms[(9, 0, 0, 0, 0, 0)] = 5
+    assert inflection_class(setup).terms == want
+    assert inflection_class(setup).terms is not inflection_class(setup).terms
 
 
 def test_degree_example_abelian_symbolic():
