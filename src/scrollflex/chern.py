@@ -13,7 +13,8 @@ identities turn the operands' Chern classes into power sums, the derived
 bundle's power sums are sums over its roots (products of the operands' for
 a tensor product, a cycle-index expansion for a symmetric power), and
 Newton's identities turn them back into Chern classes.  The universal
-tables are cached per (ranks, truncation); the tests check them against
+tables are cached per (ranks, truncation) in bounded least-recently-used
+caches of TABLE_CACHE_SIZE entries; the tests check them against
 direct products over random integer roots.
 """
 
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
@@ -31,6 +33,9 @@ Scalar = Union[int, Fraction]
 
 TENSOR_RANK_LIMIT = 64
 SYM_RANK_LIMIT = 64
+# Entries kept per splitting-principle table cache; a full ``verify`` run
+# fills about 50 and a warm degree session about the same.
+TABLE_CACHE_SIZE = 256
 
 
 def _coerce(value: Scalar) -> Fraction:
@@ -57,7 +62,11 @@ class GradedVariable:
 
 
 class GradedRing:
-    """An ordered tuple of graded variables with truncation data."""
+    """An ordered tuple of graded variables with truncation data.
+
+    Rings are shared between callers (the scroll layer caches them), so
+    ``sector_caps`` is a read-only view.
+    """
 
     __slots__ = ("variables", "names", "weights", "truncation", "sector_caps",
                  "_index", "_sector_idx")
@@ -72,7 +81,7 @@ class GradedRing:
             raise InvalidInputError("truncation must be non-negative")
         self.weights = tuple(v.weight for v in self.variables)
         self.truncation = truncation
-        self.sector_caps = dict(sector_caps or {})
+        self.sector_caps = MappingProxyType(dict(sector_caps or {}))
         for sector in self.sector_caps:
             if not any(v.sector == sector for v in self.variables):
                 raise InvalidInputError(f"sector cap for unused sector {sector!r}")
@@ -142,7 +151,7 @@ class GradedRing:
 
     def __repr__(self):
         return (f"GradedRing({', '.join(self.names)}; trunc={self.truncation}"
-                + (f"; caps={self.sector_caps}" if self.sector_caps else "") + ")")
+                + (f"; caps={dict(self.sector_caps)}" if self.sector_caps else "") + ")")
 
     def descriptor(self) -> dict:
         return {
@@ -558,7 +567,7 @@ def _chern_from_power_sums(ring: GradedRing, p: Sequence[GradedClass]) -> list[G
     return e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _tensor_table(ra: int, rb: int, truncation: int) -> tuple:
     """Tensor-product Chern classes: p_d = sum_t C(d, t) p_t(A) p_{d-t}(B)."""
     ring, (names_a, names_b) = _chern_ring((ra, rb), truncation)
@@ -592,7 +601,7 @@ def _cycle_index_size(partition: tuple[int, ...]) -> int:
     return z
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _sym_table(r: int, k: int, truncation: int) -> tuple:
     """Symmetric-power Chern classes through the exponential character.
 

@@ -225,7 +225,8 @@ def _cmd_verify(config: RunConfig) -> int:
     lines.append(f"{sum(r.ok for r in results)}/{len(results)} checks passed")
     payload = {
         "results": [
-            {"id": r.identifier, "ok": r.ok, "detail": r.detail} for r in results
+            {"id": r.identifier, "ok": r.ok, "detail": r.detail,
+             "elapsed_ms": round(r.elapsed_ms, 3)} for r in results
         ],
         "passed": ok,
     }

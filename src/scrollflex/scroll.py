@@ -6,8 +6,11 @@ live in a graded ring with generators L, C_i (pullbacks of c_i(T_Y)) and
 V_i (pullbacks of c_i(V)); pullback generators carry a sector cap at m, the
 base dimension, since any pullback class vanishes above it.
 
-The tautological relation sum_i (-1)^i V_i L^(r-i) = 0 drives both the
-rewriting of high L-powers and the fiber integration.
+Fiber integration uses Segre classes: pi_*(beta L^(r-1+i)) = beta s_i for
+a class beta pulled back from Y, where s = 1 / c(V^dual) (Fulton,
+Intersection Theory, 3.1).  The tautological relation
+sum_i (-1)^i V_i L^(r-i) = 0 rewrites high L-powers for the ``reduced``
+form of a class that the command line prints.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 from typing import Mapping, Sequence, Union
 
 from .chern import (FormalBundle, GradedClass, GradedRing, GradedVariable,
-                    bundle_from_classes, dual, sym_power, tensor, tensor_line)
+                    _trusted, bundle_from_classes, dual, sym_power, tensor,
+                    tensor_line)
 from .errors import IncompleteDataError, InvalidInputError, require_fields
 from .exactpoly import Poly
 
@@ -109,6 +114,10 @@ def expected_codim(setup: ScrollSetup) -> CodimResult:
 # -- rings and tautological bundles ----------------------------------------
 
 
+RING_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=RING_CACHE_SIZE)
 def scroll_ring(n: int, m: int) -> GradedRing:
     """Ring of classes on X: L, C_1..C_m, V_1..V_min(r, m); truncation n."""
     r = n - m + 1
@@ -119,6 +128,7 @@ def scroll_ring(n: int, m: int) -> GradedRing:
     return GradedRing(variables, n, {BASE_SECTOR: m})
 
 
+@lru_cache(maxsize=RING_CACHE_SIZE)
 def base_ring(m: int, r: int) -> GradedRing:
     """Ring of classes on Y: c_1..c_m, v_1..v_min(r, m); truncation m."""
     variables = [GradedVariable(f"c{i}", i) for i in range(1, m + 1)]
@@ -200,7 +210,8 @@ def _class_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
 def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:
     """Rewrite L-powers >= r via L^r = sum_i (-1)^(i+1) V_i L^(r-i).
 
-    Idempotent; the result has L-degree at most r - 1.
+    Idempotent; the result has L-degree at most r - 1.  This gives the
+    ``reduced`` form of a class; fiber integration does not need it.
     """
     ring = x.ring
     li = ring.index("L")
@@ -235,30 +246,58 @@ def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:
 
 
 def pushforward(x: GradedClass, r: int, target: GradedRing | None = None) -> GradedClass:
-    """Fiber integration to Y: the coefficient of L^(r-1) after reduction.
+    """Fiber integration to Y through the Segre classes of V.
 
-    Terms of lower L-degree integrate to zero; C_i and V_i rename to their
-    lowercase base counterparts.
+    pi_*(beta L^(r-1+i)) = beta s_i, with s = 1 / c(V^dual) (Fulton,
+    Intersection Theory, 3.1); terms of L-degree below r - 1 integrate to
+    zero, and C_i and V_i rename to their lowercase base counterparts.
     """
     ring = x.ring
     m = ring.sector_caps.get(BASE_SECTOR)
     if m is None:
         raise InvalidInputError("pushforward needs a scroll ring with a base sector")
-    target = target or base_ring(m, r)
-    reduced = chern_wu_reduce(x, r)
+    return _integrate(ring, x.terms.items(), r, target or base_ring(m, r))
+
+
+@lru_cache(maxsize=RING_CACHE_SIZE)
+def _segre_parts(target: GradedRing, r: int) -> tuple:
+    """Terms of s_0..s_trunc, the graded parts of 1 / c(V^dual) in ``target``.
+
+    The coefficients are integers: c(V^dual) has integer coefficients and
+    constant term one.
+    """
+    c_dual = target.one()
+    for i in range(1, r + 1):
+        if f"v{i}" in target.names:
+            v = target.variable(f"v{i}")
+            c_dual = c_dual + (-v if i % 2 else v)
+    segre = c_dual.series_inverse()
+    return tuple(tuple((e, int(c)) for e, c in segre.homogeneous_part(i).terms.items())
+                 for i in range(target.truncation + 1))
+
+
+def _integrate(ring: GradedRing, terms, r: int, target: GradedRing,
+               shift: int = 0) -> GradedClass:
+    """pi_* of the sum of the terms (exps, coeff) of ``ring``, times L^shift."""
     li = ring.index("L")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in reduced.terms.items():
-        if exps[li] != r - 1:
+    renamed = [(i, name.lower()) for i, name in enumerate(ring.names) if i != li]
+    segre = _segre_parts(target, r)
+    out: dict[tuple[int, ...], Scalar] = {}
+    for exps, coeff in terms:
+        i = exps[li] + shift - (r - 1)
+        if not 0 <= i < len(segre):
             continue
-        t = [0] * len(target.names)
-        for name, e in zip(ring.names, exps):
-            if name == "L" or e == 0:
-                continue
-            t[target.index(name.lower())] = e
-        key = tuple(t)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return GradedClass(target, out)
+        base = [0] * len(target.names)
+        for src, name in renamed:
+            if exps[src]:
+                base[target.index(name)] = exps[src]
+        # integral coefficients (the usual case) are summed as plain ints
+        c = coeff.numerator if coeff.denominator == 1 else coeff
+        for s_exps, s_coeff in segre[i]:
+            key = tuple(map(add, base, s_exps))
+            out[key] = out.get(key, 0) + c * s_coeff
+    return _trusted(target, {e: Fraction(c) for e, c in out.items()
+                             if c and target.admits(e)})
 
 
 def graded_to_poly(cls: GradedClass, vars: Sequence[str] | None = None) -> Poly:
@@ -397,14 +436,20 @@ class DegreeResult:
 
 
 def degree_class(setup: ScrollSetup, ring: GradedRing | None = None) -> GradedClass:
-    """pi_* of the degeneracy class dotted with L^(n - codim)."""
+    """pi_* of the degeneracy class dotted with L^(n - codim).
+
+    The cached terms of the class are integrated over the fiber with each
+    L-exponent raised by n - codim (see ``pushforward``); the product with
+    the L-power is never formed.
+    """
     ring = ring or scroll_ring(setup.n, setup.m)
-    cls = inflection_class(setup, ring)
-    power = setup.n - setup.codim
-    if power < 0:
-        return base_ring(setup.m, setup.fiber_rank).zero()
-    dotted = cls * hyperplane_class(ring) ** power
-    return pushforward(dotted, setup.fiber_rank)
+    target = base_ring(setup.m, setup.fiber_rank)
+    ell = setup.codim
+    # the dotted class has degree n, so it vanishes when the ring stops below n
+    if not 0 <= ell <= setup.n <= ring.truncation:
+        return target.zero()
+    terms = _class_terms(ring, setup.n, setup.m, setup.k, ell)
+    return _integrate(ring, terms, setup.fiber_rank, target, setup.n - ell)
 
 
 def degree_of_inflection(setup: ScrollSetup, data: NumericalBaseData) -> DegreeResult:
@@ -413,12 +458,14 @@ def degree_of_inflection(setup: ScrollSetup, data: NumericalBaseData) -> DegreeR
         raise InvalidInputError(
             f"data dimension {data.dimension} does not match m={setup.m}"
         )
-    ring = scroll_ring(setup.n, setup.m)
-    symbolic = degree_class(setup, ring)
+    symbolic = degree_class(setup)
     value = data.evaluate(symbolic)
     if value.denominator != 1:
         raise InvalidInputError(f"degree evaluated to a non-integer {value}")
-    d = data.evaluate(pushforward(hyperplane_class(ring) ** setup.n, setup.fiber_rank))
+    # the scroll degree pi_*(L^n) is the top Segre class s_m
+    base = base_ring(setup.m, setup.fiber_rank)
+    top_segre = _segre_parts(base, setup.fiber_rank)[setup.m]
+    d = data.evaluate(GradedClass(base, dict(top_segre)))
     if d <= 0:
         warnings.warn(f"base data gives non-positive scroll degree d={d}",
                       stacklevel=2)

@@ -1,13 +1,14 @@
 """Full regression table: engine output against every transcribed form.
 
 Each check is a pure function returning (ok, detail).  ``run_checks``
-executes them one after another in sorted order and is
+executes them one after another in sorted order, timing each, and is
 the backing for both the command-line ``verify`` command and the
 acceptance test suite.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -25,6 +26,7 @@ class CheckResult:
     identifier: str
     ok: bool
     detail: str
+    elapsed_ms: float = 0.0
 
     def row(self) -> str:
         return f"{'PASS' if self.ok else 'FAIL'}  {self.identifier}  {self.detail}"
@@ -524,9 +526,11 @@ def run_checks(filter: str | None = None,
         selected = [c for c in selected if filter in c[0]]
     results = []
     for identifier, fn in sorted(selected, key=lambda c: c[0]):
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a failing check must not kill the table
             ok, detail = False, f"error: {exc}"
-        results.append(CheckResult(identifier, ok, detail))
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        results.append(CheckResult(identifier, ok, detail, elapsed_ms))
     return results

@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from scrollflex import chern
 from scrollflex.chern import (FormalBundle, GradedClass, GradedRing,
                               GradedVariable, bundle_from_classes, direct_sum,
                               dual, series_inverse, sym_power, tensor,
@@ -264,6 +266,31 @@ def test_sector_caps_kill_base_overflow():
     L = ring.variable("L")
     assert (C1 ** 3).is_zero()
     assert not (C1 ** 2 * L).is_zero()
+
+
+def test_sector_caps_are_read_only():
+    variables = [GradedVariable("L", 1), GradedVariable("C1", 1, "base")]
+    ring = GradedRing(variables, 3, {"base": 2})
+    with pytest.raises(TypeError):
+        ring.sector_caps["base"] = 3
+    with pytest.raises(TypeError):
+        del ring.sector_caps["base"]
+    assert ring.sector_caps == {"base": 2}
+    twin = GradedRing(variables, 3, {"base": 2})
+    assert ring == twin and hash(ring) == hash(twin)
+    assert ring != GradedRing(variables, 3, {"base": 1})
+    assert hash(ring) == hash((tuple(variables), 3, (("base", 2),)))
+    assert ring.descriptor() == {
+        "variables": [["L", 1, None], ["C1", 1, "base"]],
+        "truncation": 3, "sector_caps": {"base": 2}}
+    json.dumps(ring.descriptor())
+    assert repr(ring) == "GradedRing(L, C1; trunc=3; caps={'base': 2})"
+
+
+def test_table_caches_are_bounded():
+    assert chern.TABLE_CACHE_SIZE == 256
+    for table in (chern._tensor_table, chern._sym_table):
+        assert table.cache_info().maxsize == chern.TABLE_CACHE_SIZE
 
 
 def test_serialization_round_trip():

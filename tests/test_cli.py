@@ -203,6 +203,20 @@ def test_verify_filter_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_structured_rows_carry_their_wall_time(capsys):
+    code, out, _ = run(capsys, "verify", "--filter", "class-threefold")
+    pretty = [line.split()[:2] for line in out.splitlines()[:-1]]
+    assert "elapsed" not in out
+    code_s, out_s, _ = run(capsys, "verify", "--filter", "class-threefold",
+                           "--format", "structured")
+    rows = json.loads(out_s)["result"]["results"]
+    assert code == code_s == 0
+    assert [["PASS" if r["ok"] else "FAIL", r["id"]] for r in rows] == pretty
+    assert len(rows) == 3
+    for row in rows:
+        assert isinstance(row["elapsed_ms"], float) and row["elapsed_ms"] >= 0
+
+
 def test_verify_fault_injection(capsys, monkeypatch):
     # corrupt one transcribed coefficient: the matching rows must fail by name
     good = formulas.threefold_surface_class

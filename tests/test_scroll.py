@@ -1,9 +1,12 @@
 import json
+import random
+import warnings
+from fractions import Fraction
 
 import pytest
 
 from scrollflex import scroll
-from scrollflex.chern import dual, tensor_line, sym_power
+from scrollflex.chern import GradedClass, dual, tensor_line, sym_power
 from scrollflex.errors import IncompleteDataError, InvalidInputError
 from scrollflex.exactpoly import Poly
 from scrollflex.scroll import (BASE_PRESETS, NumericalBaseData, ScrollSetup,
@@ -148,6 +151,62 @@ def test_pushforward_of_hyperplane_powers_is_the_segre_class():
                 assert got == segre.homogeneous_part(i), (n, m, i)
 
 
+def reduce_then_read(x, r):
+    """Fiber integration by the rewriting rule: reduce every L-power below r,
+    then read off the coefficient of L^(r-1), renamed into the base ring."""
+    ring = x.ring
+    target = base_ring(ring.sector_caps["base"], r)
+    li = ring.index("L")
+    out = {}
+    for exps, coeff in chern_wu_reduce(x, r).terms.items():
+        if exps[li] != r - 1:
+            continue
+        t = [0] * len(target.names)
+        for name, e in zip(ring.names, exps):
+            if name != "L" and e:
+                t[target.index(name.lower())] = e
+        out[tuple(t)] = out.get(tuple(t), 0) + coeff
+    return GradedClass(target, out)
+
+
+def random_class(ring, rng, fractions):
+    """A class with at least one term at every L-exponent up to the truncation."""
+    base = [(i, w) for i, w in enumerate(ring.weights) if ring.names[i] != "L"]
+    cap = ring.sector_caps["base"]
+    terms = {}
+    for j in range(ring.truncation + 1):
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * len(ring.names)
+            exps[ring.index("L")] = j
+            room = rng.randint(0, min(cap, ring.truncation - j))
+            while room:
+                i, w = rng.choice([(i, w) for i, w in base if w <= room])
+                exps[i] += 1
+                room -= w
+            num = rng.randint(-9, 9) or 1
+            terms[tuple(exps)] = Fraction(num, rng.randint(1, 6)) if fractions else num
+    return GradedClass(ring, terms)
+
+
+def test_pushforward_matches_the_rewriting_rule():
+    rng = random.Random(20101)
+    for n in range(2, 10):
+        for m in range(1, n):
+            r = n - m + 1
+            ring = scroll_ring(n, m)
+            for fractions in (False, True):
+                x = random_class(ring, rng, fractions)
+                assert pushforward(x, r) == reduce_then_read(x, r), (n, m, fractions)
+
+
+def test_fiber_integration_caches_are_bounded():
+    assert scroll.scroll_ring.cache_info().maxsize == scroll.RING_CACHE_SIZE
+    assert scroll.base_ring.cache_info().maxsize == scroll.RING_CACHE_SIZE
+    assert scroll._segre_parts.cache_info().maxsize == scroll.RING_CACHE_SIZE
+    assert scroll_ring(4, 3) is scroll_ring(4, 3)
+    assert base_ring(3, 2) is base_ring(3, 2)
+
+
 def test_pushforward_projection_formula():
     ring = scroll_ring(3, 2)
     L, C1, V1 = (ring.variable(s) for s in ("L", "C1", "V1"))
@@ -193,6 +252,55 @@ def test_class_cache_hands_out_fresh_classes():
     first.terms[(9, 0, 0, 0, 0, 0)] = 5
     assert inflection_class(setup).terms == want
     assert inflection_class(setup).terms is not inflection_class(setup).terms
+
+
+# the setups above, the benchmark's warm class setup and its frontier ladder rungs
+DEGREE_SETUPS = TRUNCATION_SETUPS + [(5, 4, 2), (6, 5, 2), (5, 3, 4),
+                                     (6, 4, 4), (7, 6, 3)]
+
+
+@pytest.mark.parametrize("n,m,k", DEGREE_SETUPS)
+def test_degree_class_matches_the_rewriting_rule(n, m, k):
+    L = hyperplane_class(scroll_ring(n, m))
+    lo = max_rank(n, m, k) - 1
+    for N in range(lo, lo + n):
+        setup = ScrollSetup(n, m, k, N)
+        dotted = inflection_class(setup) * L ** (n - setup.codim)
+        assert degree_class(setup) == reduce_then_read(dotted, setup.fiber_rank), N
+
+
+@pytest.mark.parametrize("n,m,k", [(2, 1, 2), (3, 2, 2), (4, 2, 3), (4, 3, 2),
+                                   (5, 3, 4), (6, 4, 4), (8, 7, 2)])
+def test_scroll_degree_is_the_pushforward_of_the_top_hyperplane_power(
+        n, m, k, monkeypatch):
+    # degree_of_inflection evaluates the degree class, then the scroll degree
+    seen = []
+    evaluate = NumericalBaseData.evaluate
+    monkeypatch.setattr(NumericalBaseData, "evaluate",
+                        lambda data, cls: seen.append(cls) or evaluate(data, cls))
+    r = n - m + 1
+    base = base_ring(m, r)
+    data = NumericalBaseData(m, {base.monomial_string(exps): 1 + sum(exps)
+                                 for exps in _exponents(base.weights, m)})
+    setup = ScrollSetup(n, m, k, max_rank(n, m, k) - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        degree_of_inflection(setup, data)
+    symbolic, scroll_degree = seen
+    assert symbolic == degree_class(setup)
+    L = hyperplane_class(scroll_ring(n, m))
+    assert scroll_degree == reduce_then_read(L ** n, r)
+
+
+def _exponents(weights, total):
+    """Exponent vectors of the given weighted degree."""
+    if not weights:
+        if total == 0:
+            yield ()
+        return
+    for e in range(total // weights[0] + 1):
+        for rest in _exponents(weights[1:], total - e * weights[0]):
+            yield (e,) + rest
 
 
 def test_degree_example_abelian_symbolic():
