@@ -1,0 +1,48 @@
+"""Plain slotted records, the base of the package's value types.
+
+A record class lists its fields in ``__slots__``, in constructor order, and
+writes its own ``__init__``.  Two records of the same class are equal when
+their fields are, and the repr is ``Name(field=value, ...)``.  A record is
+read-only and hashed by its fields, unless its class is declared with
+``frozen=False``: then it is mutable and unhashable.  A read-only record's
+``__init__`` stores its fields with ``set_field``.
+"""
+
+from operator import attrgetter
+
+# Stores a field of a read-only record, bypassing its ``__setattr__``.
+set_field = object.__setattr__
+
+
+class Record:
+    """Field-wise equality, hashing and repr over ``__slots__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field values as one tuple: records have two fields or more
+        cls._values = attrgetter(*cls.__slots__)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

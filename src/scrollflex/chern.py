@@ -20,13 +20,13 @@ direct products over random integer roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
+from ._record import Record, set_field
 from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
 
 Scalar = Union[int, Fraction]
@@ -46,30 +46,30 @@ def _coerce(value: Scalar) -> Fraction:
     raise InvalidInputError(f"expected an exact rational, got {value!r}")
 
 
-@dataclass(frozen=True)
-class GradedVariable:
+class GradedVariable(Record):
     """A named generator with a positive cohomological weight."""
 
-    name: str
-    weight: int = 1
-    sector: str | None = None
+    __slots__ = ("name", "weight", "sector")
 
-    def __post_init__(self):
-        if not self.name or not isinstance(self.name, str):
+    def __init__(self, name: str, weight: int = 1, sector: str | None = None):
+        if not name or not isinstance(name, str):
             raise InvalidInputError("variable name must be a nonempty string")
-        if self.weight < 1:
-            raise InvalidInputError(f"weight of {self.name} must be >= 1")
+        if weight < 1:
+            raise InvalidInputError(f"weight of {name} must be >= 1")
+        set_field(self, "name", name)
+        set_field(self, "weight", weight)
+        set_field(self, "sector", sector)
 
 
 class GradedRing:
     """An ordered tuple of graded variables with truncation data.
 
     Rings are shared between callers (the scroll layer caches them), so
-    ``sector_caps`` is a read-only view.
+    ``sector_caps`` is a read-only view and the hash is computed once.
     """
 
     __slots__ = ("variables", "names", "weights", "truncation", "sector_caps",
-                 "_index", "_sector_idx")
+                 "_index", "_sector_idx", "_hash")
 
     def __init__(self, variables: Sequence[GradedVariable], truncation: int,
                  sector_caps: Mapping[str, int] | None = None):
@@ -90,6 +90,8 @@ class GradedRing:
             sector: tuple(i for i, v in enumerate(self.variables) if v.sector == sector)
             for sector in self.sector_caps
         }
+        self._hash = hash((self.variables, self.truncation,
+                           tuple(sorted(self.sector_caps.items()))))
 
     def index(self, name: str) -> int:
         try:
@@ -146,8 +148,7 @@ class GradedRing:
                 and self.sector_caps == other.sector_caps)
 
     def __hash__(self):
-        return hash((self.variables, self.truncation,
-                     tuple(sorted(self.sector_caps.items()))))
+        return self._hash
 
     def __repr__(self):
         return (f"GradedRing({', '.join(self.names)}; trunc={self.truncation}"

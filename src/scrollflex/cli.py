@@ -3,8 +3,11 @@
 Commands: ``rank``, ``class``, ``degree``, ``scan``, ``jet``, ``verify``.
 Output is either a human-readable report (default) or a structured JSON
 document (``--format structured``).  Exit status is 0 exactly when the
-requested operation succeeded and, for ``verify``, every check passed.  The
-jet, scan and verify layers are imported only by the commands that use them.
+requested operation succeeded and, for ``verify``, every check passed.
+Every command imports ``scroll`` with ``chern``, ``exactpoly`` and ``errors``;
+``jet`` adds ``jets`` and ``linalg``, ``scan`` adds ``scans`` and
+``formulas``, and ``verify`` imports all of these.  Records are plain
+slotted classes, so start-up generates no code and imports no ``inspect``.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from ._record import Record, set_field
 from .errors import ScrollflexError, load_json
 from .scroll import (BASE_PRESETS, SCAN_FAMILIES, NumericalBaseData,
                      ScrollSetup, chern_wu_reduce, degree_class,
@@ -26,30 +29,27 @@ from .scroll import (BASE_PRESETS, SCAN_FAMILIES, NumericalBaseData,
 DATA_DIR_ENV = "SCROLLFLEX_DATA_DIR"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One parsed invocation; exactly one command per run."""
 
-    command: str
-    n: int | None = None
-    m: int | None = None
-    k: int | None = None
-    N: int | None = None
-    base: str | None = None
-    data: str | None = None
-    family: str | None = None
-    ell: int | None = None
-    e: int | None = None
-    q: int | None = None
-    spec: str | None = None
-    minors: int | None = None
-    format: str = "pretty"
-    seed: int | None = None
-    trials: int | None = None
-    filter: str | None = None
+    __slots__ = ("command", "n", "m", "k", "N", "base", "data", "family", "ell",
+                 "e", "q", "spec", "minors", "format", "seed", "trials", "filter")
+
+    def __init__(self, command: str, n: int | None = None, m: int | None = None,
+                 k: int | None = None, N: int | None = None, base: str | None = None,
+                 data: str | None = None, family: str | None = None,
+                 ell: int | None = None, e: int | None = None, q: int | None = None,
+                 spec: str | None = None, minors: int | None = None,
+                 format: str = "pretty", seed: int | None = None,
+                 trials: int | None = None, filter: str | None = None):
+        values = (command, n, m, k, N, base, data, family, ell, e, q, spec,
+                  minors, format, seed, trials, filter)
+        for name, value in zip(self.__slots__, values):
+            set_field(self, name, value)
 
     def to_payload(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {name: value for name, value in zip(self.__slots__, self._values(self))
+                if value is not None}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "RunConfig":

@@ -43,6 +43,12 @@ def load_json(path):
             raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``, which JSON's
+    ``true`` and ``false`` parse to."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def require_fields(payload, fields, what: str) -> None:
     """Raise ``InvalidInputError`` unless ``payload`` is a JSON object
     holding every name in ``fields``; ``what`` names it in the message."""

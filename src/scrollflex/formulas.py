@@ -19,11 +19,11 @@ Scalar conventions for degree polynomials:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable
 
+from ._record import Record, set_field
 from .chern import GradedClass, GradedRing
 from .errors import InvalidInputError
 from .exactpoly import Poly
@@ -285,13 +285,16 @@ def thm_details_exception_degree(case: int, **params):
 # -- registry ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormulaRecord:
-    identifier: str
-    parameters: tuple[str, ...]
-    kind: str        # "class" | "degree" | "integer"
-    source: str      # what the expression is, in plain language
-    build: Callable
+class FormulaRecord(Record):
+    __slots__ = ("identifier", "parameters", "kind", "source", "build")
+
+    def __init__(self, identifier: str, parameters: tuple[str, ...], kind: str,
+                 source: str, build: Callable):
+        set_field(self, "identifier", identifier)
+        set_field(self, "parameters", parameters)
+        set_field(self, "kind", kind)        # "class" | "degree" | "integer"
+        set_field(self, "source", source)    # the expression, in plain language
+        set_field(self, "build", build)
 
     def template_string(self, **params) -> str:
         return str(self.build(**params))

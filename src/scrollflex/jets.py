@@ -17,14 +17,14 @@ import itertools
 import random
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import sub
 from typing import Sequence
 
-from .errors import InvalidInputError, load_json, require_fields
+from ._record import Record, set_field
+from .errors import InvalidInputError, is_integer, load_json, require_fields
 from .exactpoly import Poly, common_divisor, parse_poly
 from .linalg import iter_minors, rank_poly, rank_rational
 
@@ -32,41 +32,60 @@ DEFAULT_TRIALS = 8
 DEFAULT_HEIGHT = 100
 
 
-@dataclass(frozen=True)
-class JetProbeSpec:
-    """A chart to probe: variables, coordinate functions, order and sampling."""
+class JetProbeSpec(Record):
+    """A chart to probe: variables, coordinate functions, order and sampling.
 
-    variables: tuple[str, ...]
-    coordinates: tuple[Poly, ...]
-    order: int
-    trials: int = DEFAULT_TRIALS
-    seed: int = 0
-    height: int = DEFAULT_HEIGHT
+    ``variables`` is a list or tuple of names and ``coordinates`` one of
+    polynomials or strings parsed over those names.
+    """
 
-    def __post_init__(self):
-        if self.order < 1:
+    __slots__ = ("variables", "coordinates", "order", "trials", "seed", "height")
+
+    def __init__(self, variables: Sequence[str], coordinates: Sequence[Poly | str],
+                 order: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
+                 height: int = DEFAULT_HEIGHT):
+        if not (isinstance(variables, (list, tuple))
+                and all(isinstance(v, str) for v in variables)):
+            raise InvalidInputError("variables must be a list of names")
+        if not isinstance(coordinates, (list, tuple)):
+            raise InvalidInputError("coordinates must be a list")
+        for name, value in (("jet order", order), ("trials", trials),
+                            ("seed", seed), ("height", height)):
+            if not is_integer(value):
+                raise InvalidInputError(f"{name} must be an integer")
+        if order < 1:
             raise InvalidInputError("jet order must be >= 1")
-        if self.trials < 1:
+        if trials < 1:
             raise InvalidInputError("need at least one trial")
-        if not self.coordinates:
+        if height < 1:
+            raise InvalidInputError("sampling height must be >= 1")
+        if not coordinates:
             raise InvalidInputError("need at least one coordinate function")
-        coords = tuple(
-            parse_poly(c, self.variables) if isinstance(c, str) else c
-            for c in self.coordinates
-        )
-        for c in coords:
-            if c.vars != self.variables:
+        variables = tuple(variables)
+        coords = []
+        for c in coordinates:
+            if isinstance(c, str):
+                c = parse_poly(c, variables)
+            elif not isinstance(c, Poly):
+                raise InvalidInputError(
+                    f"coordinate {c!r} is neither a polynomial nor a string")
+            if c.vars != variables:
                 raise InvalidInputError("coordinate over the wrong variables")
             if c.is_zero():
                 raise InvalidInputError("coordinate functions must be nonzero")
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "variables", tuple(self.variables))
+            coords.append(c)
+        set_field(self, "variables", variables)
+        set_field(self, "coordinates", tuple(coords))
+        set_field(self, "order", order)
+        set_field(self, "trials", trials)
+        set_field(self, "seed", seed)
+        set_field(self, "height", height)
         if not any(c.is_constant() for c in coords):
             # rank is still chart-invariant wherever some coordinate is a
             # unit, which covers blown-up parameterizations
             warnings.warn(
                 "no constant coordinate; the chart in "
-                f"({', '.join(self.variables)}) is not normalized",
+                f"({', '.join(variables)}) is not normalized",
                 stacklevel=_caller_stacklevel())
 
     @property
@@ -91,8 +110,8 @@ class JetProbeSpec:
     def from_payload(cls, payload) -> "JetProbeSpec":
         require_fields(payload, ("variables", "coordinates", "order"), "probe spec")
         return cls(
-            tuple(payload["variables"]),
-            tuple(payload["coordinates"]),
+            payload["variables"],
+            payload["coordinates"],
             payload["order"],
             payload.get("trials", DEFAULT_TRIALS),
             payload.get("seed", 0),
@@ -107,9 +126,9 @@ class JetProbeSpec:
 def _caller_stacklevel() -> int:
     """``warnings`` stacklevel of the nearest caller outside this module.
 
-    Counted from the function that calls this helper; frames of this module,
-    the dataclass-generated ``__init__`` included, are skipped, so a warning
-    names the code that built the spec even through ``load``.
+    Counted from the function that calls this helper; frames of this module
+    are skipped, so a warning names the code that built the spec even
+    through ``load``.
     """
     frame, level = sys._getframe(2), 2
     while frame is not None and frame.f_globals.get("__name__") == __name__:
@@ -225,15 +244,18 @@ def _random_point(spec: JetProbeSpec, rng: random.Random) -> tuple[Fraction, ...
     )
 
 
-@dataclass
-class RankScan:
+class RankScan(Record, frozen=False):
     """Result of a sampled generic-rank computation."""
 
-    spec: JetProbeSpec
-    rank: int
-    per_trial: tuple[int, ...]
-    rows: int
-    note: str = "generic rank with confidence: sampled"
+    __slots__ = ("spec", "rank", "per_trial", "rows", "note")
+
+    def __init__(self, spec: JetProbeSpec, rank: int, per_trial: tuple[int, ...],
+                 rows: int, note: str = "generic rank with confidence: sampled"):
+        self.spec = spec
+        self.rank = rank
+        self.per_trial = per_trial
+        self.rows = rows
+        self.note = note
 
     def to_payload(self) -> dict:
         return {
@@ -267,15 +289,18 @@ def symbolic_jet_rank(spec: JetProbeSpec) -> int:
     return rank_poly(_shared_jet_matrix(spec))
 
 
-@dataclass
-class MinorReport:
+class MinorReport(Record, frozen=False):
     """All r x r minors of the symbolic jet matrix with their common content."""
 
-    spec: JetProbeSpec
-    size: int
-    minors: list[Poly]
-    content: Poly
-    nonzero_minors: int
+    __slots__ = ("spec", "size", "minors", "content", "nonzero_minors")
+
+    def __init__(self, spec: JetProbeSpec, size: int, minors: list[Poly],
+                 content: Poly, nonzero_minors: int):
+        self.spec = spec
+        self.size = size
+        self.minors = minors
+        self.content = content
+        self.nonzero_minors = nonzero_minors
 
     @property
     def reduced_locus(self) -> str:
@@ -317,12 +342,15 @@ def inflection_equations(spec: JetProbeSpec, size: int) -> MinorReport:
     return MinorReport(spec, size, minors, content, len(live))
 
 
-@dataclass
-class ProductRankCheck:
-    base_rank_low: int     # order k-1 on the base
-    base_rank_high: int    # order k on the base
-    predicted: int
-    direct: int
+class ProductRankCheck(Record, frozen=False):
+    __slots__ = ("base_rank_low", "base_rank_high", "predicted", "direct")
+
+    def __init__(self, base_rank_low: int, base_rank_high: int, predicted: int,
+                 direct: int):
+        self.base_rank_low = base_rank_low      # order k-1 on the base
+        self.base_rank_high = base_rank_high    # order k on the base
+        self.predicted = predicted
+        self.direct = direct
 
     @property
     def holds(self) -> bool:
@@ -476,13 +504,17 @@ def bordiga_chart(order: int = 2, **kw) -> JetProbeSpec:
         return JetProbeSpec(names, tuple(coords), order, **kw)
 
 
-@dataclass(frozen=True)
-class BundledProbe:
-    name: str
-    build: callable
-    expected_rank: int
-    description: str
-    scroll_dims: tuple[int, int] | None = None   # (n, m) when the chart is a scroll
+class BundledProbe(Record):
+    __slots__ = ("name", "build", "expected_rank", "description", "scroll_dims")
+
+    def __init__(self, name: str, build: callable, expected_rank: int,
+                 description: str, scroll_dims: tuple[int, int] | None = None):
+        set_field(self, "name", name)
+        set_field(self, "build", build)
+        set_field(self, "expected_rank", expected_rank)
+        set_field(self, "description", description)
+        # (n, m) when the chart is a scroll
+        set_field(self, "scroll_dims", scroll_dims)
 
 
 BUNDLED_PROBES: dict[str, BundledProbe] = {}

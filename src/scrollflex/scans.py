@@ -12,10 +12,10 @@ are annotated, never dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
+from ._record import Record, set_field
 from .errors import InternalConsistencyError, InvalidInputError
 from .exactpoly import Poly
 from .formulas import (degree_substitution_m2, fourfold_degree,
@@ -26,32 +26,45 @@ from .scroll import (BASE_PRESETS, SCAN_FAMILIES as FAMILIES, ScrollSetup,
 MARGIN = 5  # safety cushion over every derived enumeration bound
 
 
-@dataclass(frozen=True)
-class Constraint:
-    name: str
-    reason: str
-    holds: Callable[[Mapping[str, int]], bool]
+class Constraint(Record):
+    __slots__ = ("name", "reason", "holds")
+
+    def __init__(self, name: str, reason: str,
+                 holds: Callable[[Mapping[str, int]], bool]):
+        set_field(self, "name", name)
+        set_field(self, "reason", reason)
+        set_field(self, "holds", holds)
 
 
-@dataclass(frozen=True)
-class Bound:
-    lo: int
-    hi: int
-    reason: str
+class Bound(Record):
+    __slots__ = ("lo", "hi", "reason")
+
+    def __init__(self, lo: int, hi: int, reason: str):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "reason", reason)
 
 
-@dataclass
-class ScanProblem:
-    family: str
-    params: dict
-    equation: Poly                      # == 0, linear in the solve variable
-    sweep: tuple[str, ...]
-    solve: str
-    bounds: dict[str, Bound]
-    constraints: tuple[Constraint, ...]
-    annotate: Callable[[Mapping[str, int]], str | None]
-    notes: tuple[str, ...] = ()
-    exceptional: "ExceptionalCondition | None" = None
+class ScanProblem(Record, frozen=False):
+    __slots__ = ("family", "params", "equation", "sweep", "solve", "bounds",
+                 "constraints", "annotate", "notes", "exceptional")
+
+    def __init__(self, family: str, params: dict, equation: Poly,
+                 sweep: tuple[str, ...], solve: str, bounds: dict[str, Bound],
+                 constraints: tuple[Constraint, ...],
+                 annotate: Callable[[Mapping[str, int]], str | None],
+                 notes: tuple[str, ...] = (),
+                 exceptional: ExceptionalCondition | None = None):
+        self.family = family
+        self.params = params
+        self.equation = equation        # == 0, linear in the solve variable
+        self.sweep = sweep
+        self.solve = solve
+        self.bounds = bounds
+        self.constraints = constraints
+        self.annotate = annotate
+        self.notes = notes
+        self.exceptional = exceptional
 
     def scaled(self, factor: int) -> "ScanProblem":
         bounds = {
@@ -64,22 +77,29 @@ class ScanProblem:
                            self.notes, self.exceptional)
 
 
-@dataclass
-class Survivor:
-    point: dict[str, int]
-    annotation: str | None = None
+class Survivor(Record, frozen=False):
+    __slots__ = ("point", "annotation")
+
+    def __init__(self, point: dict[str, int], annotation: str | None = None):
+        self.point = point
+        self.annotation = annotation
 
 
-@dataclass
-class ScanReport:
-    family: str
-    params: dict
-    candidates: int
-    survivors: list[Survivor]
-    excluded: list[tuple[dict, str]]    # integer points killed by a named screen
-    verdict: str
-    bounds: dict[str, Bound]
-    notes: tuple[str, ...]
+class ScanReport(Record, frozen=False):
+    __slots__ = ("family", "params", "candidates", "survivors", "excluded",
+                 "verdict", "bounds", "notes")
+
+    def __init__(self, family: str, params: dict, candidates: int,
+                 survivors: list[Survivor], excluded: list[tuple[dict, str]],
+                 verdict: str, bounds: dict[str, Bound], notes: tuple[str, ...]):
+        self.family = family
+        self.params = params
+        self.candidates = candidates
+        self.survivors = survivors
+        self.excluded = excluded        # integer points killed by a named screen
+        self.verdict = verdict
+        self.bounds = bounds
+        self.notes = notes
 
     def to_payload(self) -> dict:
         return {
@@ -96,16 +116,19 @@ class ScanReport:
         }
 
 
-@dataclass
-class ExceptionalCondition:
+class ExceptionalCondition(Record, frozen=False):
     """Parametric survivor family of a hyperbola scan: a = 2 plus a linear
     relation among the remaining invariants, verified by substitution."""
 
-    family: str
-    fixed: dict[str, int]
-    relation: str
-    side_conditions: tuple[str, ...]
-    verified: bool
+    __slots__ = ("family", "fixed", "relation", "side_conditions", "verified")
+
+    def __init__(self, family: str, fixed: dict[str, int], relation: str,
+                 side_conditions: tuple[str, ...], verified: bool):
+        self.family = family
+        self.fixed = fixed
+        self.relation = relation
+        self.side_conditions = side_conditions
+        self.verified = verified
 
     def check(self, **values) -> tuple[bool, str]:
         """Feasibility screen for concrete parameter values."""

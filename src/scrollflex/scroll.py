@@ -16,7 +16,6 @@ form of a class that the command line prints.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -26,7 +25,9 @@ from typing import Mapping, Sequence, Union
 from .chern import (FormalBundle, GradedClass, GradedRing, GradedVariable,
                     _trusted, bundle_from_classes, dual, sym_power, tensor,
                     tensor_line)
-from .errors import IncompleteDataError, InvalidInputError, require_fields
+from ._record import Record, set_field
+from .errors import (IncompleteDataError, InvalidInputError, is_integer,
+                     require_fields)
 from .exactpoly import Poly
 
 Scalar = Union[int, Fraction]
@@ -53,22 +54,22 @@ def rank_breakdown(n: int, m: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class ScrollSetup:
+class ScrollSetup(Record):
     """Discrete data of a scroll probe: dimensions, order and ambient space."""
 
-    n: int
-    m: int
-    k: int
-    N: int
+    __slots__ = ("n", "m", "k", "N")
 
-    def __post_init__(self):
-        if not (1 <= self.m < self.n):
-            raise InvalidInputError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
-        if self.k < 1:
+    def __init__(self, n: int, m: int, k: int, N: int):
+        if not (1 <= m < n):
+            raise InvalidInputError(f"need 1 <= m < n, got m={m}, n={n}")
+        if k < 1:
             raise InvalidInputError("osculation order k must be >= 1")
-        if self.N < self.n:
+        if N < n:
             raise InvalidInputError("ambient dimension must be at least dim X")
+        set_field(self, "n", n)
+        set_field(self, "m", m)
+        set_field(self, "k", k)
+        set_field(self, "N", N)
 
     @property
     def fiber_rank(self) -> int:
@@ -93,12 +94,14 @@ class ScrollSetup:
         return lo <= self.N <= hi
 
 
-@dataclass(frozen=True)
-class CodimResult:
-    codim: int
-    in_range: bool
-    range_lo: int
-    range_hi: int
+class CodimResult(Record):
+    __slots__ = ("codim", "in_range", "range_lo", "range_hi")
+
+    def __init__(self, codim: int, in_range: bool, range_lo: int, range_hi: int):
+        set_field(self, "codim", codim)
+        set_field(self, "in_range", in_range)
+        set_field(self, "range_lo", range_lo)
+        set_field(self, "range_hi", range_hi)
 
     @property
     def asserted(self) -> bool:
@@ -345,33 +348,41 @@ def canonical_monomial(key: str) -> str:
     return "*".join(parts) or "1"
 
 
-@dataclass(frozen=True)
-class NumericalBaseData:
+class NumericalBaseData(Record):
     """Intersection numbers of Y paired against weight-m monomials.
 
     ``assignments`` maps canonical monomial strings in c_i = c_i(T_Y) and
     v_i = c_i(V) to integers.  ``divisors`` optionally carries pairing data
-    for named divisor classes against the same generators.
+    for named divisor classes against the same generators; it defaults to
+    an empty mapping.
     """
 
-    dimension: int
-    assignments: Mapping[str, int]
-    divisors: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
+    __slots__ = ("dimension", "assignments", "divisors")
 
-    def __post_init__(self):
-        if not isinstance(self.assignments, Mapping):
+    def __init__(self, dimension: int, assignments: Mapping[str, int],
+                 divisors: Mapping[str, Mapping[str, int]] | None = None):
+        if not is_integer(dimension):
+            raise InvalidInputError("dimension must be an integer")
+        if not isinstance(assignments, Mapping):
             raise InvalidInputError("assignments must map monomials to integers")
         clean = {}
-        for key, value in self.assignments.items():
+        for key, value in assignments.items():
             ck = canonical_monomial(key)
-            if _monomial_weight(ck) != self.dimension:
+            if _monomial_weight(ck) != dimension:
                 raise InvalidInputError(
-                    f"monomial {key!r} does not have weight {self.dimension}"
+                    f"monomial {key!r} does not have weight {dimension}"
                 )
-            if not isinstance(value, int):
+            if not is_integer(value):
                 raise InvalidInputError(f"value for {key!r} must be an integer")
             clean[ck] = value
-        object.__setattr__(self, "assignments", clean)
+        if divisors is None:
+            divisors = {}
+        if not (isinstance(divisors, Mapping)
+                and all(isinstance(v, Mapping) for v in divisors.values())):
+            raise InvalidInputError("divisors must map names to monomial tables")
+        set_field(self, "dimension", dimension)
+        set_field(self, "assignments", clean)
+        set_field(self, "divisors", divisors)
 
     def evaluate(self, cls: GradedClass) -> Fraction:
         """Pair a degree-m class on Y against the stored numbers."""
@@ -424,12 +435,15 @@ def evaluate_symbolic(cls: GradedClass,
     return total
 
 
-@dataclass
-class DegreeResult:
-    value: int
-    symbolic: GradedClass       # degree-m class on Y before pairing
-    setup: ScrollSetup
-    asserted: bool
+class DegreeResult(Record, frozen=False):
+    __slots__ = ("value", "symbolic", "setup", "asserted")
+
+    def __init__(self, value: int, symbolic: GradedClass, setup: ScrollSetup,
+                 asserted: bool):
+        self.value = value
+        self.symbolic = symbolic    # degree-m class on Y before pairing
+        self.setup = setup
+        self.asserted = asserted
 
     def __int__(self):
         return self.value
@@ -487,19 +501,22 @@ def symbolic_degree(setup: ScrollSetup,
 SCAN_FAMILIES = ("P2_N10", "P2_N9", "Fe", "ProductsBxP1", "P3", "Q3")
 
 
-@dataclass(frozen=True)
-class BasePreset:
+class BasePreset(Record):
     """A base surface/threefold with its intersection lattice filled in.
 
     ``slots`` are the free symbolic parameters; ``build(**values)`` returns
     monomial assignments, symbolic wherever a slot is left unset.
     """
 
-    name: str
-    dimension: int
-    slots: tuple[str, ...]
-    legend: str
-    _builder: callable
+    __slots__ = ("name", "dimension", "slots", "legend", "_builder")
+
+    def __init__(self, name: str, dimension: int, slots: tuple[str, ...],
+                 legend: str, _builder: callable):
+        set_field(self, "name", name)
+        set_field(self, "dimension", dimension)
+        set_field(self, "slots", slots)
+        set_field(self, "legend", legend)
+        set_field(self, "_builder", _builder)
 
     def assignments(self, **values) -> dict[str, Union[Poly, Fraction]]:
         """Monomial table over the still-free slots; bound slots become numbers."""

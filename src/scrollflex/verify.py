@@ -9,24 +9,27 @@ acceptance test suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Callable
 
 from . import formulas, jets, scans
+from ._record import Record
 from .exactpoly import Poly
 from .scroll import (BASE_PRESETS, ScrollSetup, degree_class,
                      degree_of_inflection, graded_to_poly, inflection_class,
                      max_rank, scroll_ring, symbolic_degree, total_chern_E_k)
 
 
-@dataclass
-class CheckResult:
-    identifier: str
-    ok: bool
-    detail: str
-    elapsed_ms: float = 0.0
+class CheckResult(Record, frozen=False):
+    __slots__ = ("identifier", "ok", "detail", "elapsed_ms")
+
+    def __init__(self, identifier: str, ok: bool, detail: str,
+                 elapsed_ms: float = 0.0):
+        self.identifier = identifier
+        self.ok = ok
+        self.detail = detail
+        self.elapsed_ms = elapsed_ms
 
     def row(self) -> str:
         return f"{'PASS' if self.ok else 'FAIL'}  {self.identifier}  {self.detail}"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,7 +165,9 @@ def test_degree_data_without_assignments_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("assignments", [
-    [1, 2], {"zz": 1}, {"c1^x": 1}, {"c1*": 1}, {"c": 1}])
+    [1, 2], {"zz": 1}, {"c1^x": 1}, {"c1*": 1}, {"c": 1},
+    # JSON true parses to a bool, which Python counts as the integer 1
+    {"c1^2": 9, "c2": 3, "c1*v1": 12, "v1^2": 16, "v2": True}])
 def test_degree_data_with_malformed_assignments_errors(tmp_path, capsys,
                                                        assignments):
     path = tmp_path / "numbers.json"
@@ -169,7 +175,7 @@ def test_degree_data_with_malformed_assignments_errors(tmp_path, capsys,
                     encoding="utf-8")
     code, _, err = _degree_with_data(capsys, path)
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("content", [b"c1^2 = 9", b"\xff\xfe{}"])
@@ -187,6 +193,24 @@ def test_jet_probe_without_coordinates_errors(tmp_path, capsys):
     code, _, err = run(capsys, "jet", str(path))
     assert code == 1
     assert err.startswith("error:") and "'coordinates'" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coordinates", [1, "x"]),   # not a polynomial string
+    ("order", "2"),
+    ("order", True),             # a bool would run as order 1
+    ("height", 0),               # no sample points to draw from
+    ("variables", "xy"),         # a string would split into names x, y
+])
+def test_jet_probe_with_malformed_field_errors(tmp_path, capsys, field, value):
+    payload = {"variables": ["x", "y"], "coordinates": ["1", "x", "y"],
+               "order": 2}
+    payload[field] = value
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "jet", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_jet_probe_not_json_errors(tmp_path, capsys):
@@ -240,3 +264,17 @@ def test_rank_over_a_curve_base(capsys):
     code, out, _ = run(capsys, "rank", "--n", "3", "--m", "1", "--k", "2")
     assert code == 0
     assert "maximal generic jet rank: 7" in out
+
+
+def test_command_imports_leave_out_dataclasses_and_inspect():
+    # -S keeps the site hook, which may import more, out of the child
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys\n"
+             "import scrollflex.cli\n"
+             "from scrollflex import jets, scans, formulas, verify\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,0 +1,248 @@
+"""Value semantics of the package's records and seeded payload round trips.
+
+Every record compares field by field, prints as ``Name(field=value, ...)``
+in constructor order, and is read-only and hashed by its fields unless it
+is one of the mutable result records, which are unhashable.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from scrollflex.chern import GradedVariable
+from scrollflex.cli import RunConfig
+from scrollflex.exactpoly import Poly
+from scrollflex.formulas import FormulaRecord
+from scrollflex.jets import (BundledProbe, JetProbeSpec, MinorReport,
+                             ProductRankCheck, RankScan)
+from scrollflex.scans import (Bound, Constraint, ExceptionalCondition,
+                              ScanProblem, ScanReport, Survivor)
+from scrollflex.scroll import (BasePreset, CodimResult, DegreeResult,
+                               NumericalBaseData, ScrollSetup, base_ring,
+                               canonical_monomial)
+from scrollflex.verify import CheckResult
+
+CASES = 300
+
+
+def _build(*args):
+    return args
+
+
+def _holds(point):
+    return True
+
+
+_U = ("u",)
+_SPEC = JetProbeSpec(_U, ("1", "u"), 2)
+_CONTENT = Poly.variable(_U, "u")
+
+
+# (factory of variant i, field names in constructor order, read-only,
+#  hashable); factory(0) twice gives two equal records, factory(1) differs
+# from it in one field
+RECORDS = [
+    (lambda i: GradedVariable("L", 1 + i), ("name", "weight", "sector"),
+     True, True),
+    (lambda i: ScrollSetup(3, 2, 2, 8 + i), ("n", "m", "k", "N"), True, True),
+    (lambda i: CodimResult(1 + i, True, 8, 10),
+     ("codim", "in_range", "range_lo", "range_hi"), True, True),
+    (lambda i: NumericalBaseData(2, {"c1^2": 9, "c2": 3 + i}),
+     ("dimension", "assignments", "divisors"), True, False),
+    (lambda i: BasePreset("p", 2, ("v",), f"legend {i}", _build),
+     ("name", "dimension", "slots", "legend", "_builder"), True, True),
+    (lambda i: RunConfig("class", n=3, m=2, k=2, N=8 + i),
+     ("command", "n", "m", "k", "N", "base", "data", "family", "ell", "e",
+      "q", "spec", "minors", "format", "seed", "trials", "filter"),
+     True, True),
+    (lambda i: JetProbeSpec(_U, ("1", "u"), 2, seed=i),
+     ("variables", "coordinates", "order", "trials", "seed", "height"),
+     True, True),
+    (lambda i: BundledProbe("probe", _build, 4 + i, "a chart"),
+     ("name", "build", "expected_rank", "description", "scroll_dims"),
+     True, True),
+    (lambda i: Constraint("positive", f"reason {i}", _holds),
+     ("name", "reason", "holds"), True, True),
+    (lambda i: Bound(2, 12 + i, "window"), ("lo", "hi", "reason"), True, True),
+    (lambda i: FormulaRecord("f", ("p",), ("class", "degree")[i], "src", _build),
+     ("identifier", "parameters", "kind", "source", "build"), True, True),
+    (lambda i: DegreeResult(6 + i, base_ring(2, 2).zero(),
+                            ScrollSetup(3, 2, 2, 10), True),
+     ("value", "symbolic", "setup", "asserted"), False, False),
+    (lambda i: RankScan(_SPEC, 2 - i, (2, 2 - i), 6),
+     ("spec", "rank", "per_trial", "rows", "note"), False, False),
+    (lambda i: MinorReport(_SPEC, 2, [_CONTENT], _CONTENT, 1 - i),
+     ("spec", "size", "minors", "content", "nonzero_minors"), False, False),
+    (lambda i: ProductRankCheck(2, 3, 7, 7 + i),
+     ("base_rank_low", "base_rank_high", "predicted", "direct"), False, False),
+    (lambda i: ScanProblem("P2_N9", {}, _CONTENT, ("u",), "u",
+                           {"u": Bound(2, 9, "window")}, (), _holds,
+                           notes=("note",) * i),
+     ("family", "params", "equation", "sweep", "solve", "bounds",
+      "constraints", "annotate", "notes", "exceptional"), False, False),
+    (lambda i: Survivor({"v": 4, "d": 10 + i}), ("point", "annotation"),
+     False, False),
+    (lambda i: ScanReport("P2_N9", {}, 10 + i, [], [], "empty", {}, ()),
+     ("family", "params", "candidates", "survivors", "excluded", "verdict",
+      "bounds", "notes"), False, False),
+    (lambda i: ExceptionalCondition("Fe", {"a": 2}, "9d - 32 = 20(b - e)",
+                                    ("d even",), i == 0),
+     ("family", "fixed", "relation", "side_conditions", "verified"),
+     False, False),
+    (lambda i: CheckResult("class-x", i == 0, "= 1", 0.5),
+     ("identifier", "ok", "detail", "elapsed_ms"), False, False),
+]
+_IDS = [type(factory(0)).__name__ for factory, *_ in RECORDS]
+
+
+@pytest.mark.parametrize("factory, fields, frozen, hashable", RECORDS, ids=_IDS)
+def test_records_compare_field_by_field(factory, fields, frozen, hashable):
+    a, twin, other = factory(0), factory(0), factory(1)
+    assert a is not twin
+    assert a == twin and not a != twin
+    assert a != other and not a == other
+    assert a.__eq__(object()) is NotImplemented
+    assert a != tuple(getattr(a, name) for name in fields)
+
+
+@pytest.mark.parametrize("factory, fields, frozen, hashable", RECORDS, ids=_IDS)
+def test_records_print_their_fields_in_order(factory, fields, frozen, hashable):
+    a = factory(0)
+    shown = ", ".join(f"{name}={getattr(a, name)!r}" for name in fields)
+    assert repr(a) == f"{type(a).__name__}({shown})"
+
+
+@pytest.mark.parametrize("factory, fields, frozen, hashable", RECORDS, ids=_IDS)
+def test_records_are_read_only_or_unhashable(factory, fields, frozen, hashable):
+    a, twin, other = factory(0), factory(0), factory(1)
+    if frozen:
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(other, name))
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == twin
+        if hashable:
+            assert hash(a) == hash(twin)
+            assert len({a, twin, other}) == 2
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+        for name in fields:
+            setattr(a, name, getattr(other, name))
+        assert a == other
+
+
+def test_record_reprs_spell_out_each_field():
+    assert repr(ScrollSetup(3, 2, 2, 8)) == "ScrollSetup(n=3, m=2, k=2, N=8)"
+    assert repr(Bound(1, 2, "r")) == "Bound(lo=1, hi=2, reason='r')"
+    assert (repr(GradedVariable("C1", 1, "base"))
+            == "GradedVariable(name='C1', weight=1, sector='base')")
+    assert (repr(NumericalBaseData(1, {"v1": 3}))
+            == "NumericalBaseData(dimension=1, assignments={'v1': 3}, divisors={})")
+
+
+def test_base_data_divisors_default_to_a_fresh_mapping():
+    a, b = NumericalBaseData(1, {"c1": 2}), NumericalBaseData(1, {"c1": 2})
+    assert a.divisors == {} and a.divisors is not b.divisors
+
+
+# -- seeded payload round trips ------------------------------------------------
+
+
+_INT_OPTIONS = ("n", "m", "k", "N", "ell", "e", "q", "minors", "seed", "trials")
+_STR_OPTIONS = ("base", "data", "family", "spec", "filter")
+
+
+def test_run_config_payload_round_trip():
+    rng = random.Random(20261018)
+    for case in range(CASES):
+        fields = {"command": rng.choice(("rank", "class", "degree", "scan",
+                                         "jet", "verify"))}
+        for name in _INT_OPTIONS:
+            if rng.random() < 0.4:
+                fields[name] = rng.randint(-3, 120)
+        for name in _STR_OPTIONS:
+            if rng.random() < 0.3:
+                fields[name] = rng.choice(("p2", "data.json", "Fe", "", "é-1"))
+        if rng.random() < 0.5:
+            fields["format"] = rng.choice(("pretty", "structured"))
+        config = RunConfig(**fields)
+        payload = json.loads(json.dumps(config.to_payload()))
+        assert payload == {"format": "pretty", **fields}, f"case {case}"
+        assert RunConfig.from_payload(payload) == config, f"case {case}"
+
+
+def _random_poly(rng, names):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 3) for _ in names)
+        coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3))
+        terms[exps] = coeff
+    poly = Poly(names, terms)
+    return poly if not poly.is_zero() else Poly.variable(names, names[0])
+
+
+def test_jet_probe_payload_round_trip():
+    rng = random.Random(20261019)
+    for case in range(CASES):
+        names = tuple(rng.sample(("u1", "u2", "t", "x", "y", "w"),
+                                 rng.randint(1, 3)))
+        coords = [Poly.const(names, rng.randint(1, 5))]
+        coords += [_random_poly(rng, names) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(coords)
+        spec = JetProbeSpec(names, coords, rng.randint(1, 4),
+                            rng.randint(1, 64), rng.randrange(10 ** 6),
+                            rng.randint(1, 1000))
+        payload = json.loads(json.dumps(spec.to_payload()))
+        again = JetProbeSpec.from_payload(payload)
+        assert again == spec, f"case {case}"
+        assert again.to_payload() == payload, f"case {case}"
+
+
+def _weight_monomials(m, r):
+    """Weight-m monomials in c1..cm, v1..v_min(r, m), as factor lists."""
+    names = [(f"c{i}", i) for i in range(1, m + 1)]
+    names += [(f"v{i}", i) for i in range(1, min(r, m) + 1)]
+    out = []
+
+    def walk(start, left, picked):
+        if left == 0:
+            out.append(picked)
+        for j in range(start, len(names)):
+            if names[j][1] <= left:
+                walk(j, left - names[j][1], picked + [names[j][0]])
+
+    walk(0, m, [])
+    return out
+
+
+def test_base_data_payload_round_trip():
+    rng = random.Random(20261020)
+    for case in range(CASES):
+        m, r = rng.randint(1, 4), rng.randint(1, 4)
+        monomials = _weight_monomials(m, r)
+        assignments, want = {}, {}
+        for factors in rng.sample(monomials, rng.randint(1, len(monomials))):
+            # a non-canonical spelling: shuffled factors, powers written out
+            factors = list(factors)
+            rng.shuffle(factors)
+            key = "*".join(factors)
+            value = rng.randint(-50, 50)
+            assignments[key] = value
+            want[canonical_monomial(key)] = value
+        divisors = {}
+        if rng.random() < 0.5:
+            divisors["H"] = {"H*v1": rng.randint(1, 9)}
+        data = NumericalBaseData(m, assignments, divisors)
+        payload = json.loads(json.dumps(data.to_payload()))
+        assert payload == {"dimension": m, "assignments": want,
+                           "divisors": divisors}, f"case {case}"
+        again = NumericalBaseData.from_payload(payload)
+        assert again == data, f"case {case}"
+        assert again.to_payload() == payload, f"case {case}"
