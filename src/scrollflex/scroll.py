@@ -28,9 +28,7 @@ from .chern import (FormalBundle, GradedClass, GradedRing, GradedVariable,
 from ._record import Record, set_field
 from .errors import (IncompleteDataError, InvalidInputError, is_integer,
                      require_fields)
-from .exactpoly import Poly
-
-Scalar = Union[int, Fraction]
+from .exactpoly import Poly, Scalar, _clean
 
 BASE_SECTOR = "base"
 
@@ -225,27 +223,18 @@ def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:
             continue
         term = ring.variable(name) * ring.variable("L") ** (r - i)
         rule = rule + (term if i % 2 == 1 else -term)
-    done: dict[tuple[int, ...], Fraction] = {}
-    work = dict(x.terms)
-    while work:
-        exps, coeff = work.popitem()
-        if exps[li] < r:
-            s = done.get(exps, Fraction(0)) + coeff
-            if s:
-                done[exps] = s
+    # the rewriting is linear, so all terms at or above L^r are lowered at once
+    done = ring.zero()
+    while not x.is_zero():
+        low, high = {}, {}
+        for exps, coeff in x.terms.items():
+            if exps[li] < r:
+                low[exps] = coeff
             else:
-                done.pop(exps, None)
-            continue
-        lowered = list(exps)
-        lowered[li] -= r
-        rest = GradedClass(ring, {tuple(lowered): coeff})
-        for e2, c2 in (rest * rule).terms.items():
-            s = work.get(e2, Fraction(0)) + c2
-            if s:
-                work[e2] = s
-            else:
-                work.pop(e2, None)
-    return GradedClass(ring, done)
+                high[exps[:li] + (exps[li] - r,) + exps[li + 1:]] = coeff
+        done = done + _trusted(ring, low)
+        x = _trusted(ring, high) * rule
+    return done
 
 
 def pushforward(x: GradedClass, r: int, target: GradedRing | None = None) -> GradedClass:
@@ -275,7 +264,7 @@ def _segre_parts(target: GradedRing, r: int) -> tuple:
             v = target.variable(f"v{i}")
             c_dual = c_dual + (-v if i % 2 else v)
     segre = c_dual.series_inverse()
-    return tuple(tuple((e, int(c)) for e, c in segre.homogeneous_part(i).terms.items())
+    return tuple(tuple(segre.homogeneous_part(i).terms.items())
                  for i in range(target.truncation + 1))
 
 
@@ -294,13 +283,10 @@ def _integrate(ring: GradedRing, terms, r: int, target: GradedRing,
         for src, name in renamed:
             if exps[src]:
                 base[target.index(name)] = exps[src]
-        # integral coefficients (the usual case) are summed as plain ints
-        c = coeff.numerator if coeff.denominator == 1 else coeff
         for s_exps, s_coeff in segre[i]:
             key = tuple(map(add, base, s_exps))
-            out[key] = out.get(key, 0) + c * s_coeff
-    return _trusted(target, {e: Fraction(c) for e, c in out.items()
-                             if c and target.admits(e)})
+            out[key] = out.get(key, 0) + coeff * s_coeff
+    return _trusted(target, _clean({e: c for e, c in out.items() if target.admits(e)}))
 
 
 def graded_to_poly(cls: GradedClass, vars: Sequence[str] | None = None) -> Poly:

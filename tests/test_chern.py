@@ -11,6 +11,7 @@ from scrollflex.chern import (FormalBundle, GradedClass, GradedRing,
                               tensor_line, trivial_bundle)
 from scrollflex.errors import (InvalidInputError, ResourceLimitError,
                                RingMismatchError)
+from scrollflex.exactpoly import Poly
 
 
 def ring_b(truncation=3):
@@ -332,3 +333,68 @@ def test_every_stored_term_respects_the_grading():
         for exps in out.terms:
             assert ring.admits(exps)
             assert out.terms[exps] != 0
+
+
+# -- the shared kernel contract ------------------------------------------------
+
+
+def test_graded_coefficients_are_int_while_integral():
+    ring = surface_ring()
+    c1 = ring.variable("c1")
+    half = c1 * Fraction(1, 2)
+    assert [type(c) for c in half.terms.values()] == [Fraction]
+    for cls in (half * 2, half + half, GradedClass(ring, {(1, 0, 0, 0): Fraction(6, 3)}),
+                (ring.one() + c1).series_inverse(), ring.scalar(Fraction(4, 2))):
+        assert all(type(c) is int for c in cls.terms.values()), cls
+
+
+def test_graded_scalar_accessors_return_fractions():
+    ring = surface_ring()
+    cls = 3 + 2 * ring.variable("c1")
+    assert type(cls.constant_term) is Fraction and cls.constant_term == 3
+    assert type(ring.zero().constant_term) is Fraction
+    for key in ("c1", (1, 0, 0, 0), "c2", "1"):
+        assert type(cls.coefficient(key)) is Fraction
+    assert cls.coefficient("c1") == 2 and cls.coefficient("c2") == 0
+
+
+def test_graded_class_refuses_a_plain_poly_over_the_same_names():
+    ring = surface_ring()
+    cls = ring.variable("c1")
+    poly = Poly.variable(ring.names, "c1")
+    for mix in (lambda: cls + poly, lambda: cls - poly, lambda: cls * poly,
+                lambda: poly + cls, lambda: poly - cls, lambda: poly * cls):
+        with pytest.raises(RingMismatchError):
+            mix()
+    assert cls != poly and poly != cls
+
+
+def test_equal_classes_hash_equal():
+    ring = surface_ring()
+    c1, v1 = ring.variable("c1"), ring.variable("v1")
+    a = (c1 + v1) ** 2
+    b = c1 * c1 + v1 * v1 + c1 * v1 * Fraction(4, 2)
+    assert a == b and hash(a) == hash(b)
+    assert 3 * ring.one() == 3 and hash(3 * ring.one()) == hash(ring.scalar(Fraction(3)))
+    assert {a, b} == {a}
+
+
+def test_graded_class_keeps_only_the_grading_on_top_of_poly():
+    own = set(vars(GradedClass))
+    assert {"__mul__", "__rmul__", "series_inverse", "__eq__"} <= own
+    assert not own & {"__add__", "__sub__", "__neg__", "__pow__", "__str__"}
+    assert GradedClass.__rmul__ is GradedClass.__mul__
+    assert not hasattr(chern, "_coerce") and not hasattr(chern, "_print_key")
+
+
+def test_graded_products_never_use_the_plain_product(monkeypatch):
+    def plain_product(self, other):
+        raise AssertionError("graded arithmetic reached Poly.__mul__")
+
+    monkeypatch.setattr(Poly, "__mul__", plain_product)
+    ring = surface_ring()
+    x = ring.one() + ring.variable("c1") - ring.variable("v2") * Fraction(1, 3)
+    assert x * x.series_inverse() == ring.one()
+    assert (x ** 2) * 3 == 3 * x * x
+    assert sym_power(bundle_from_classes(2, [ring.variable("c1"), ring.variable("c2")]),
+                     2).rank == 3

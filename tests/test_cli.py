@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,20 @@ def test_jet_probe_with_malformed_field_errors(tmp_path, capsys, field, value):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_jet_probe_past_the_row_limit_is_refused_at_once(tmp_path, capsys):
+    # six variables at order 30 would need comb(36, 30) = 1947792 jet rows
+    names = [f"x{i}" for i in range(6)]
+    payload = {"variables": names, "coordinates": ["1", *names], "order": 30,
+               "trials": 1}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "jet", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert err.startswith("error:") and "1947792 rows" in err
+
+
 def test_jet_probe_not_json_errors(tmp_path, capsys):
     path = tmp_path / "probe.json"
     path.write_text("{\"variables\": [\"u\"],", encoding="utf-8")
@@ -264,6 +279,16 @@ def test_rank_over_a_curve_base(capsys):
     code, out, _ = run(capsys, "rank", "--n", "3", "--m", "1", "--k", "2")
     assert code == 0
     assert "maximal generic jet rank: 7" in out
+
+
+def test_cli_import_leaves_out_pathlib():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, scrollflex.cli; print('pathlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_command_imports_leave_out_dataclasses_and_inspect():

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 from math import comb
@@ -18,6 +19,21 @@ def test_multi_index_count_and_order():
     idx = multi_indices(2, 2)
     assert idx == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     assert len(multi_indices(3, 2)) == comb(5, 2)
+
+
+def test_multi_indices_match_the_filtered_product_and_stop_at_the_row_limit():
+    for dimension in range(5):
+        for order in range(6):
+            block_order = sorted(
+                (e for e in itertools.product(range(order + 1), repeat=dimension)
+                 if sum(e) <= order),
+                key=lambda e: (sum(e), tuple(-x for x in e)))
+            assert multi_indices(dimension, order) == block_order
+    assert len(multi_indices(1, jets.MAX_JET_ROWS - 1)) == jets.MAX_JET_ROWS
+    with pytest.raises(ResourceLimitError):
+        multi_indices(1, jets.MAX_JET_ROWS)
+    with pytest.raises(ResourceLimitError):
+        multi_indices(6, 30)
 
 
 def test_row_count_matches_binomial():

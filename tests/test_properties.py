@@ -57,6 +57,39 @@ def test_series_inverse_identity_500():
         assert x * x.series_inverse() == ring.one(), f"case {case}"
 
 
+def _truncated(ring, poly):
+    """The terms of a plain polynomial that the ring admits."""
+    return {e: c for e, c in poly.terms.items() if ring.admits(e)}
+
+
+def test_graded_kernel_matches_truncated_poly_500():
+    """Graded products, powers and inverses against plain ``Poly`` products
+    filtered by ``ring.admits``, over rings with and without a sector cap."""
+    rng = random.Random(20261018)
+    capped = 0
+    for case in range(CASES):
+        nvars = rng.randint(1, 4)
+        trunc = rng.randint(1, 6)
+        sectors = [rng.choice((None, "s")) for _ in range(nvars)]
+        caps = None
+        if "s" in sectors and case % 2:
+            caps = {"s": rng.randint(0, trunc)}
+            capped += 1
+        ring = GradedRing([GradedVariable(f"x{i}", rng.randint(1, 2), sectors[i])
+                           for i in range(nvars)], trunc, caps)
+        a = _random_class(ring, rng) * rng.choice((1, 2, Fraction(1, 3)))
+        b = _random_class(ring, rng) + rng.randint(-2, 2)
+        pa, pb = Poly(ring.names, a.terms), Poly(ring.names, b.terms)
+        power = rng.randint(0, 4)
+        unit = ring.one() + a
+        geometric = sum(((-pa) ** j for j in range(trunc + 1)), Poly.zero(ring.names))
+        for got, want in ((a * b, pa * pb), (b * a, pa * pb), (a ** power, pa ** power),
+                          (unit.series_inverse(), geometric)):
+            assert got.terms == _truncated(ring, want), f"case {case}"
+            assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+    assert capped > CASES // 4
+
+
 def _random_bundle(ring, rng, rank):
     classes = []
     for i in range(1, min(rank, ring.truncation) + 1):
