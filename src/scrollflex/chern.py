@@ -18,8 +18,8 @@ symmetric powers) follow the splitting principle.  Tensor products and
 symmetric powers go through power sums of the formal Chern roots: Newton's
 identities turn the operands' Chern classes into power sums, the derived
 bundle's power sums are sums over its roots (products of the operands' for
-a tensor product, a cycle-index expansion for a symmetric power), and
-Newton's identities turn them back into Chern classes.  The universal
+a tensor product, a recursion on Adams operations for a symmetric power),
+and Newton's identities turn them back into Chern classes.  The universal
 tables are cached per (ranks, truncation) in bounded least-recently-used
 caches of TABLE_CACHE_SIZE entries; the tests check them against
 direct products over random integer roots.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from operator import add, le
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
@@ -181,6 +181,22 @@ class GradedClass(Poly):
         super().__init__(ring.names, terms)
         self.ring = ring
         self.terms = {e: c for e, c in self.terms.items() if ring.admits(e)}
+
+    # ``Poly`` members that would build classes without a ring
+    def _refused(name: str, instead: str):
+        def refuse(*args, **kwargs):
+            raise InvalidInputError(
+                f"GradedClass.{name} ignores the grading; use {instead}")
+        refuse.__name__ = name
+        return staticmethod(refuse)
+
+    zero = _refused("zero", "GradedRing.zero()")
+    const = _refused("const", "GradedRing.scalar(value)")
+    variable = _refused("variable", "GradedRing.variable(name)")
+    variables = _refused("variables", "GradedRing.variable(name)")
+    subs = _refused("subs", "GradedClass.substitute(target, mapping) "
+                            "with a GradedRing target")
+    del _refused
 
     def _new(self, terms: dict) -> "GradedClass":
         return _trusted(self.ring, terms)
@@ -523,58 +539,35 @@ def _tensor_table(ra: int, rb: int, truncation: int) -> tuple:
     return tuple(e[d].terms for d in range(truncation + 1))
 
 
-def _partitions(k: int, largest: int | None = None):
-    if k == 0:
-        yield ()
-        return
-    largest = k if largest is None else largest
-    for head in range(min(k, largest), 0, -1):
-        for tail in _partitions(k - head, head):
-            yield (head,) + tail
-
-
-def _cycle_index_size(partition: tuple[int, ...]) -> int:
-    z = 1
-    for part in set(partition):
-        m = partition.count(part)
-        z *= part ** m * factorial(m)
-    return z
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _sym_table(r: int, k: int, truncation: int) -> tuple:
-    """Symmetric-power Chern classes through the exponential character.
+    """Symmetric-power Chern classes through Adams operations.
 
-    The character of the k-th symmetric power is the complete homogeneous
-    polynomial in the exponentials of the roots; extracting graded parts of
-    the cycle-index expansion yields its power sums in terms of those of the
-    original bundle.
+    In power-sum coordinates, ch(E) = sum_d p_d / d!, the Adams operation
+    psi^j scales p_d by j^d and a product has (ab)_d = sum_t C(d, t) a_t
+    b_(d-t).  The power sums of S^i E then follow from the Newton identity
+    i ch(S^i E) = sum_{j=1..i} psi^j(ch E) ch(S^(i-j) E) (Macdonald,
+    Symmetric Functions, I.2), with O(k truncation^2) products in all.
     """
     ring, (names,) = _chern_ring((r,), truncation)
     p = _power_sums(ring, names, r)
-    ps: list[GradedClass] = []
-    for d in range(truncation + 1):
-        total = ring.zero()
-        for partition in _partitions(k):
-            weight = Fraction(1, _cycle_index_size(partition))
-            for split in _compositions(d, len(partition)):
-                term = ring.scalar(weight)
-                for part, di in zip(partition, split):
-                    term = term * p[di] * Fraction(part ** di, factorial(di))
-                total = total + term
-        ps.append(total * factorial(d))
-    e = _chern_from_power_sums(ring, ps)
+    zero = ring.zero()
+    # sym[i][d]: degree-d power sum of S^i E; S^0 E is the trivial line
+    sym = [[ring.one()] + [zero] * truncation]
+    for i in range(1, k + 1):
+        ps = []
+        for d in range(truncation + 1):
+            total = zero
+            for t in range(d + 1):
+                # sum_j j^t p_(d-t)(S^(i-j) E): psi^j scales p_t by j^t
+                weighted = zero
+                for j in range(1, i + 1):
+                    weighted = weighted + sym[i - j][d - t] * j ** t
+                total = total + p[t] * weighted * comb(d, t)
+            ps.append(total * Fraction(1, i))
+        sym.append(ps)
+    e = _chern_from_power_sums(ring, sym[k])
     return tuple(e[d].terms for d in range(truncation + 1))
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 # -- derived bundle operations ----------------------------------------------

@@ -22,13 +22,14 @@ from math import comb
 from operator import add
 from typing import Mapping, Sequence, Union
 
-from .chern import (FormalBundle, GradedClass, GradedRing, GradedVariable,
-                    _trusted, bundle_from_classes, dual, sym_power, tensor,
-                    tensor_line)
+from .chern import (TABLE_CACHE_SIZE, FormalBundle, GradedClass, GradedRing,
+                    GradedVariable, _trusted, bundle_from_classes, dual,
+                    sym_power, tensor, tensor_line)
 from ._record import Record, set_field
 from .errors import (IncompleteDataError, InvalidInputError, is_integer,
                      require_fields)
-from .exactpoly import Poly, Scalar, _clean
+from .exactpoly import Poly, Scalar, _clean, as_scalar
+from .exactpoly import _trusted as _trusted_poly
 
 BASE_SECTOR = "base"
 
@@ -325,6 +326,12 @@ def _monomial_weight(key: str) -> int:
     return sum(int(name[1:]) * e for name, e in _monomial_factors(key).items())
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _monomial_key(ring: GradedRing, exps: tuple[int, ...]) -> str:
+    """The canonical base-monomial key of a term of ``ring``."""
+    return canonical_monomial(ring.monomial_string(exps))
+
+
 def canonical_monomial(key: str) -> str:
     factors = _monomial_factors(key)
     parts = []
@@ -332,6 +339,13 @@ def canonical_monomial(key: str) -> str:
         e = factors[name]
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts) or "1"
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _canonical_key(key: str) -> tuple[str, int]:
+    """A base monomial's canonical form and its weight, parsed once per key."""
+    ck = canonical_monomial(key)
+    return ck, _monomial_weight(ck)
 
 
 class NumericalBaseData(Record):
@@ -353,8 +367,8 @@ class NumericalBaseData(Record):
             raise InvalidInputError("assignments must map monomials to integers")
         clean = {}
         for key, value in assignments.items():
-            ck = canonical_monomial(key)
-            if _monomial_weight(ck) != dimension:
+            ck, weight = _canonical_key(key)
+            if weight != dimension:
                 raise InvalidInputError(
                     f"monomial {key!r} does not have weight {dimension}"
                 )
@@ -372,17 +386,17 @@ class NumericalBaseData(Record):
 
     def evaluate(self, cls: GradedClass) -> Fraction:
         """Pair a degree-m class on Y against the stored numbers."""
-        total = Fraction(0)
+        total = 0
         missing = []
         for exps, coeff in cls.terms.items():
-            key = canonical_monomial(cls.ring.monomial_string(exps))
+            key = _monomial_key(cls.ring, exps)
             if key not in self.assignments:
                 missing.append(key)
                 continue
             total += coeff * self.assignments[key]
         if missing:
             raise IncompleteDataError(missing)
-        return total
+        return Fraction(total)
 
     def to_payload(self) -> dict:
         return {
@@ -403,22 +417,27 @@ def evaluate_symbolic(cls: GradedClass,
                       vars: Sequence[str]) -> Poly:
     """Pair a degree-m class against symbolic intersection values."""
     vars = tuple(vars)
-    total = Poly.zero(vars)
+    total = Poly.zero(vars)  # checks the names
+    one = tuple(0 for _ in vars)
+    out: dict[tuple[int, ...], Scalar] = {}
+    get = out.get
     missing = []
     for exps, coeff in cls.terms.items():
-        key = canonical_monomial(cls.ring.monomial_string(exps))
+        key = _monomial_key(cls.ring, exps)
         if key not in assignments:
             missing.append(key)
             continue
         value = assignments[key]
         if not isinstance(value, Poly):
-            value = Poly.const(vars, value)
-        elif value.vars != vars:
+            out[one] = get(one, 0) + as_scalar(value) * coeff
+            continue
+        if value.vars != vars:
             raise InvalidInputError(f"assignment for {key!r} uses foreign variables")
-        total = total + value * coeff
+        for e, c in value.terms.items():
+            out[e] = get(e, 0) + c * coeff
     if missing:
         raise IncompleteDataError(missing)
-    return total
+    return total._new(_clean(out))
 
 
 class DegreeResult(Record, frozen=False):
@@ -448,8 +467,15 @@ def degree_class(setup: ScrollSetup, ring: GradedRing | None = None) -> GradedCl
     # the dotted class has degree n, so it vanishes when the ring stops below n
     if not 0 <= ell <= setup.n <= ring.truncation:
         return target.zero()
-    terms = _class_terms(ring, setup.n, setup.m, setup.k, ell)
-    return _integrate(ring, terms, setup.fiber_rank, target, setup.n - ell)
+    return _trusted(target, dict(_degree_terms(ring, setup.n, setup.m, setup.k, ell)))
+
+
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _degree_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
+    """Terms of ``degree_class`` in the base ring, integrated once per class."""
+    r = n - m + 1
+    terms = _class_terms(ring, n, m, k, ell)
+    return tuple(_integrate(ring, terms, r, base_ring(m, r), n - ell).terms.items())
 
 
 def degree_of_inflection(setup: ScrollSetup, data: NumericalBaseData) -> DegreeResult:
@@ -465,7 +491,7 @@ def degree_of_inflection(setup: ScrollSetup, data: NumericalBaseData) -> DegreeR
     # the scroll degree pi_*(L^n) is the top Segre class s_m
     base = base_ring(setup.m, setup.fiber_rank)
     top_segre = _segre_parts(base, setup.fiber_rank)[setup.m]
-    d = data.evaluate(GradedClass(base, dict(top_segre)))
+    d = data.evaluate(_trusted(base, dict(top_segre)))
     if d <= 0:
         warnings.warn(f"base data gives non-positive scroll degree d={d}",
                       stacklevel=2)
@@ -504,32 +530,57 @@ class BasePreset(Record):
         set_field(self, "legend", legend)
         set_field(self, "_builder", _builder)
 
-    def assignments(self, **values) -> dict[str, Union[Poly, Fraction]]:
-        """Monomial table over the still-free slots; bound slots become numbers."""
-        unknown = set(values) - set(self.slots)
-        if unknown:
-            raise InvalidInputError(f"unknown preset parameters {sorted(unknown)}")
-        free = tuple(s for s in self.slots if s not in values)
-        table = {}
-        for name in self.slots:
-            if name in values:
-                table[name] = Poly.const(free, values[name])
-            else:
-                table[name] = Poly.variable(free, name)
-        return self._builder(table, free)
+    def assignments(self, **values) -> dict[str, Poly]:
+        """Monomial table over the still-free slots; bound slots become numbers.
+
+        The table over all the slots is built once per preset, in a bounded
+        cache, and bound slots are evaluated in it; every call returns a
+        fresh dict.
+        """
+        if not values:
+            return dict(_preset_table(self))
+        free, table = self._bind(values)
+        return {key: _trusted_poly(free, terms) for key, terms in table}
 
     def numerical(self, **values) -> NumericalBaseData:
         missing = [s for s in self.slots if s not in values]
         if missing:
             raise InvalidInputError(f"preset {self.name} needs values for {missing}")
-        raw = self.assignments(**values)
         ints = {}
-        for key, poly in raw.items():
-            c = poly.constant_value()
-            if c.denominator != 1:
+        for key, terms in self._bind(values)[1]:
+            c = terms.get((), 0)
+            if type(c) is not int:  # stored coefficients are ints while integral
                 raise InvalidInputError(f"{key} evaluated to non-integer {c}")
-            ints[key] = int(c)
+            ints[key] = c
         return NumericalBaseData(self.dimension, ints)
+
+    def _bind(self, values: Mapping[str, Scalar]) -> tuple[tuple[str, ...], list]:
+        """The free slots, and (key, terms over them) of the table at ``values``."""
+        unknown = set(values) - set(self.slots)
+        if unknown:
+            raise InvalidInputError(f"unknown preset parameters {sorted(unknown)}")
+        bound = [(i, as_scalar(values[name]))
+                 for i, name in enumerate(self.slots) if name in values]
+        kept = [i for i, name in enumerate(self.slots) if name not in values]
+        table = []
+        for key, poly in _preset_table(self):
+            terms: dict[tuple[int, ...], Scalar] = {}
+            for exps, coeff in poly.terms.items():
+                for i, value in bound:
+                    if exps[i]:
+                        coeff = coeff * value ** exps[i]
+                rest = tuple(exps[i] for i in kept)
+                terms[rest] = terms.get(rest, 0) + coeff
+            table.append((key, _clean(terms)))
+        return tuple(self.slots[i] for i in kept), table
+
+
+@lru_cache(maxsize=RING_CACHE_SIZE)
+def _preset_table(preset: BasePreset) -> tuple:
+    """(key, Poly over every slot) pairs of a preset's monomial table."""
+    table = preset._builder(dict(zip(preset.slots, Poly.variables(preset.slots))),
+                            preset.slots)
+    return tuple(table.items())
 
 
 def _p2_builder(t, vars):

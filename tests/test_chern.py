@@ -288,6 +288,32 @@ def test_sector_caps_are_read_only():
     assert repr(ring) == "GradedRing(L, C1; trunc=3; caps={'base': 2})"
 
 
+@pytest.mark.parametrize("member, args, constructor", [
+    ("zero", lambda ring: (ring.names,), "GradedRing.zero()"),
+    ("const", lambda ring: (ring.names, 3), "GradedRing.scalar(value)"),
+    ("variable", lambda ring: (ring.names, "c1"), "GradedRing.variable(name)"),
+    ("variables", lambda ring: (ring.names,), "GradedRing.variable(name)"),
+])
+def test_graded_class_refuses_ringless_constructors(member, args, constructor):
+    ring = surface_ring()
+    for owner in (GradedClass, ring.variable("c1")):
+        with pytest.raises(InvalidInputError) as err:
+            getattr(owner, member)(*args(ring))
+        assert str(err.value) == (
+            f"GradedClass.{member} ignores the grading; use {constructor}")
+
+
+def test_graded_class_refuses_subs():
+    ring = surface_ring()
+    cls = ring.variable("c1") + ring.variable("v1")
+    with pytest.raises(InvalidInputError, match="GradedClass.substitute"):
+        cls.subs({"c1": 1})
+    with pytest.raises(InvalidInputError, match="GradedClass.substitute"):
+        cls.subs({"c1": 1}, vars=ring.names)
+    # plain polynomials keep their substitution
+    assert Poly.variable(ring.names, "c1").subs({"c1": 2}) == 2
+
+
 def test_table_caches_are_bounded():
     assert chern.TABLE_CACHE_SIZE == 256
     for table in (chern._tensor_table, chern._sym_table):

@@ -200,6 +200,22 @@ def test_root_consistency_and_whitney_500():
     assert largest == {"tensor": TENSOR_RANK_LIMIT, "sym": SYM_RANK_LIMIT}
 
 
+@pytest.mark.parametrize("r, k, trunc", [(2, 8, 4), (2, 12, 4), (2, 16, 4),
+                                         (3, 6, 6)])
+def test_sym_power_high_order_against_roots(r, k, trunc):
+    """The Adams-operation tables at orders past the suite above (k <= 4)."""
+    rng = random.Random(1000 * r + k)
+    ring = GradedRing([GradedVariable("t", 1), GradedVariable("s", 1)], trunc)
+    for case in range(3):
+        e, alpha = _root_bundle(ring, rng, r)
+        want = _one_plus_product(ring, [
+            tuple(map(sum, zip(*combo)))
+            for combo in itertools.combinations_with_replacement(alpha, k)])
+        got = sym_power(e, k)
+        assert got.rank == comb(r + k - 1, k)
+        assert got.total_chern == want, f"case {case}"
+
+
 def test_chern_wu_idempotence_500():
     rng = random.Random(90125)
     rings = {(n, m): scroll_ring(n, m)
