@@ -14,21 +14,21 @@ truncation or a sector cap.
 
 :class:`FormalBundle` pairs a rank with a total Chern class of constant term
 one.  Derived bundles (duals, twists by line classes, tensor products,
-symmetric powers) follow the splitting principle.  Tensor products and
-symmetric powers go through power sums of the formal Chern roots: Newton's
-identities turn the operands' Chern classes into power sums, the derived
-bundle's power sums are sums over its roots (products of the operands' for
-a tensor product, a recursion on Adams operations for a symmetric power),
-and Newton's identities turn them back into Chern classes.  The universal
-tables are cached per (ranks, truncation) in bounded least-recently-used
-caches of TABLE_CACHE_SIZE entries; the tests check them against
-direct products over random integer roots.
+symmetric powers) follow the splitting principle.  Tensor products, twists
+and symmetric powers are computed in the operand's own ring through power
+sums of the formal Chern roots: Newton's identities turn the Chern classes
+into power sums, the derived bundle's power sums are sums over its roots (a
+convolution of the operands' for a tensor product, a recursion on Adams
+operations for a symmetric power), and Newton's identities turn them back
+into Chern classes.  Each operation estimates its work first and refuses
+past WORK_LIMIT; the tests check the operations against direct products
+over random integer roots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import product
 from math import comb
 from operator import add, le
 from types import MappingProxyType
@@ -38,11 +38,10 @@ from ._record import Record, set_field
 from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
 from .exactpoly import Poly, Scalar, _clean, as_scalar
 
-TENSOR_RANK_LIMIT = 64
-SYM_RANK_LIMIT = 64
-# Entries kept per splitting-principle table cache; a full ``verify`` run
-# fills about 50 and a warm degree session about the same.
-TABLE_CACHE_SIZE = 256
+# Largest estimated work (see ``check_work``) of a derived bundle or a class.
+# Python 3.11 on a 2-vCPU x86-64 host does about 10^7 units a second, so
+# this refuses what would run past half a minute.
+WORK_LIMIT = 3 * 10 ** 8
 
 
 class GradedVariable(Record):
@@ -453,95 +452,98 @@ def direct_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
     return FormalBundle(a.rank + b.rank, a.total_chern * b.total_chern)
 
 
+# -- derived bundles through power sums (Macdonald, Symmetric Functions, I.2)
+# Each Newton conversion, convolution and Adams-recursion step is one pass
+# of about (truncation + 1)^2 / 2 products of graded parts.
+
+
+def admitted_monomials(ring: GradedRing) -> int:
+    """How many monomials the ring admits, counted by grade one variable at
+    a time (an unbounded knapsack over the truncation and sector caps)."""
+    limits = [min(cap, ring.truncation) + 1 for cap in ring.limits]
+    grades = sorted(product(*map(range, limits)))
+    counts = dict.fromkeys(grades, 0)
+    counts[grades[0]] = 1
+    for v in ring.variables:
+        step = (v.weight, *(v.weight if v.sector == s else 0 for s in ring.sector_caps))
+        for grade in grades:  # each grade before the grades above it
+            above = tuple(map(add, grade, step))
+            if above in counts:
+                counts[above] += counts[grade]
+    return sum(counts.values())
+
+
+def check_work(ring: GradedRing, steps: int, what: str) -> None:
+    """Refuse, before any product, work past WORK_LIMIT: ``steps`` passes of
+    (truncation + 1)^2 products over the ring's admitted monomials."""
+    work = admitted_monomials(ring) * steps * (ring.truncation + 1) ** 2
+    if work > WORK_LIMIT:
+        raise ResourceLimitError(
+            f"{what} needs an estimated {work} units of work, "
+            f"over the limit {WORK_LIMIT}")
+
+
+def sym_power_steps(k: int) -> int:
+    """Passes of ``sym_power(e, k)``: Newton's identities both ways and the
+    Adams recursion, whose order-i step sums i earlier orders."""
+    return k * (k + 1) // 2 + 2
+
+
+TENSOR_STEPS = 4  # two operands' power sums, their convolution, Newton back
+
+
+def _power_sums(e: FormalBundle) -> list[GradedClass]:
+    """p_0..p_trunc, p_0 = rank: p_d = sum_(i<d) (-1)^(i-1) c_i p_(d-i)
+    + (-1)^(d-1) d c_d, with c_i = 0 past the rank."""
+    ring = e.ring
+    top = min(e.rank, ring.truncation)
+    signed = [e.chern(i) * (-1) ** (i + 1) for i in range(top + 1)]
+    p = [ring.scalar(e.rank)]
+    for d in range(1, ring.truncation + 1):
+        total = signed[d] * d if d <= top else ring.zero()
+        for i in range(1, min(d - 1, top) + 1):
+            total = total + signed[i] * p[d - i]
+        p.append(total)
+    return p
+
+
+def _from_power_sums(p: Sequence[GradedClass]) -> GradedClass:
+    """The total Chern class with power sums p: d c_d = sum_(i=1..d)
+    (-1)^(i-1) c_(d-i) p_i."""
+    ring = p[0].ring
+    c = [ring.one()]
+    for d in range(1, ring.truncation + 1):
+        total = ring.zero()
+        for i in range(1, d + 1):
+            term = c[d - i] * p[i]
+            total = total + term if i % 2 else total - term
+        c.append(total * Fraction(1, d))
+    return sum(c[1:], c[0])
+
+
+def tensor(a: FormalBundle, b: FormalBundle) -> FormalBundle:
+    """Tensor product: p_d = sum_t C(d, t) p_t(A) p_(d-t)(B)."""
+    if a.ring != b.ring:
+        raise RingMismatchError("tensor operands live in different rings")
+    ring = a.ring
+    check_work(ring, TENSOR_STEPS, f"a tensor product of ranks {a.rank} and {b.rank}")
+    pa, pb = _power_sums(a), _power_sums(b)
+    p = [sum((pa[t] * pb[d - t] * comb(d, t) for t in range(d + 1)), ring.zero())
+         for d in range(ring.truncation + 1)]
+    return FormalBundle(a.rank * b.rank, _from_power_sums(p))
+
+
 def tensor_line(e: FormalBundle, line: GradedClass, sign: int) -> FormalBundle:
     """Twist by a line bundle with first Chern class ``sign * line``."""
     if sign not in (1, -1):
         raise InvalidInputError("sign must be +1 or -1")
     if not line.is_zero() and not line.is_homogeneous(1):
         raise InvalidInputError("line class must be homogeneous of degree 1")
-    lam = line if sign == 1 else -line
-    ring = e.ring
-    lam_pow = [ring.one()]
-    for _ in range(ring.truncation):
-        lam_pow.append(lam_pow[-1] * lam)
-    total = ring.zero()
-    for k in range(ring.truncation + 1):
-        part = ring.zero()
-        for i in range(0, min(k, e.rank) + 1):
-            factor = comb(e.rank - i, k - i)
-            if factor == 0:
-                continue
-            part = part + e.chern(i) * lam_pow[k - i] * factor
-        total = total + part
-    return FormalBundle(e.rank, total)
+    return tensor(e, FormalBundle(1, e.ring.one() + (line if sign == 1 else -line)))
 
 
-# -- splitting-principle tables -------------------------------------------
-#
-# Universal expressions for the Chern classes of derived bundles are computed
-# once per (ranks, truncation) in a ring of the operands' Chern classes
-# e<b>_<i> (weight i), then instantiated by substituting the operands' actual
-# Chern classes.  Newton's identities: Macdonald, Symmetric Functions, ch. I.
-
-
-def _chern_ring(sizes: Sequence[int], truncation: int) -> tuple[GradedRing, list[list[str]]]:
-    variables = []
-    names = []
-    for b, size in enumerate(sizes):
-        block = [f"e{b}_{i}" for i in range(1, size + 1)]
-        names.append(block)
-        variables.extend(GradedVariable(n, i) for i, n in enumerate(block, start=1))
-    return GradedRing(variables, truncation), names
-
-
-def _power_sums(ring: GradedRing, names: list[str], rank: int) -> list[GradedClass]:
-    """p_0..p_trunc from Newton's identities, p_0 = rank."""
-    e = [ring.one()] + [ring.variable(n) for n in names]
-    p: list[GradedClass] = [ring.scalar(rank)]
-    for d in range(1, ring.truncation + 1):
-        total = ring.zero()
-        for i in range(1, d):
-            if i <= rank:
-                term = e[i] * p[d - i]
-                total = total + (term if i % 2 == 1 else -term)
-        if d <= rank:
-            tail = e[d] * d
-            total = total + (tail if d % 2 == 1 else -tail)
-        p.append(total)
-    return p
-
-
-def _chern_from_power_sums(ring: GradedRing, p: Sequence[GradedClass]) -> list[GradedClass]:
-    """e_0..e_trunc recovered from power sums via Newton's identities."""
-    e: list[GradedClass] = [ring.one()]
-    for d in range(1, ring.truncation + 1):
-        total = ring.zero()
-        for i in range(1, d + 1):
-            term = e[d - i] * p[i]
-            total = total + (term if i % 2 == 1 else -term)
-        e.append(total * Fraction(1, d))
-    return e
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _tensor_table(ra: int, rb: int, truncation: int) -> tuple:
-    """Tensor-product Chern classes: p_d = sum_t C(d, t) p_t(A) p_{d-t}(B)."""
-    ring, (names_a, names_b) = _chern_ring((ra, rb), truncation)
-    pa = _power_sums(ring, names_a, ra)
-    pb = _power_sums(ring, names_b, rb)
-    pt = [pa[0] * pb[0]]
-    for d in range(1, truncation + 1):
-        total = ring.zero()
-        for t in range(d + 1):
-            total = total + pa[t] * pb[d - t] * comb(d, t)
-        pt.append(total)
-    e = _chern_from_power_sums(ring, pt)
-    return tuple(e[d].terms for d in range(truncation + 1))
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _sym_table(r: int, k: int, truncation: int) -> tuple:
-    """Symmetric-power Chern classes through Adams operations.
+def sym_power(e: FormalBundle, k: int) -> FormalBundle:
+    """k-th symmetric power through Adams operations.
 
     In power-sum coordinates, ch(E) = sum_d p_d / d!, the Adams operation
     psi^j scales p_d by j^d and a product has (ab)_d = sum_t C(d, t) a_t
@@ -549,14 +551,19 @@ def _sym_table(r: int, k: int, truncation: int) -> tuple:
     i ch(S^i E) = sum_{j=1..i} psi^j(ch E) ch(S^(i-j) E) (Macdonald,
     Symmetric Functions, I.2), with O(k truncation^2) products in all.
     """
-    ring, (names,) = _chern_ring((r,), truncation)
-    p = _power_sums(ring, names, r)
+    if not isinstance(k, int) or k < 0:
+        raise InvalidInputError("symmetric power order must be a non-negative integer")
+    if k == 0:
+        return trivial_bundle(e.ring, 1)
+    ring = e.ring
+    check_work(ring, sym_power_steps(k), f"S^{k} of a rank-{e.rank} bundle")
+    p = _power_sums(e)
     zero = ring.zero()
     # sym[i][d]: degree-d power sum of S^i E; S^0 E is the trivial line
-    sym = [[ring.one()] + [zero] * truncation]
+    sym = [[ring.one()] + [zero] * ring.truncation]
     for i in range(1, k + 1):
         ps = []
-        for d in range(truncation + 1):
+        for d in range(ring.truncation + 1):
             total = zero
             for t in range(d + 1):
                 # sum_j j^t p_(d-t)(S^(i-j) E): psi^j scales p_t by j^t
@@ -566,67 +573,4 @@ def _sym_table(r: int, k: int, truncation: int) -> tuple:
                 total = total + p[t] * weighted * comb(d, t)
             ps.append(total * Fraction(1, i))
         sym.append(ps)
-    e = _chern_from_power_sums(ring, sym[k])
-    return tuple(e[d].terms for d in range(truncation + 1))
-
-
-# -- derived bundle operations ----------------------------------------------
-
-
-def _instantiate(table: tuple, operands: Sequence[FormalBundle]) -> GradedClass:
-    ring = operands[0].ring
-    sizes = [b.rank for b in operands]
-    powers: dict[tuple[int, int, int], GradedClass] = {}
-
-    def chern_power(b: int, i: int, e: int) -> GradedClass:
-        key = (b, i, e)
-        if key not in powers:
-            powers[key] = operands[b].chern(i) ** e
-        return powers[key]
-
-    total = ring.zero()
-    for d, entry in enumerate(table):
-        if d > ring.truncation:
-            break
-        for exps, coeff in entry.items():
-            term = ring.scalar(coeff)
-            pos = 0
-            for b, size in enumerate(sizes):
-                for i in range(1, size + 1):
-                    e = exps[pos + i - 1]
-                    if e:
-                        term = term * chern_power(b, i, e)
-                        if term.is_zero():
-                            break
-                pos += size
-                if term.is_zero():
-                    break
-            total = total + term
-    return total
-
-
-def tensor(a: FormalBundle, b: FormalBundle) -> FormalBundle:
-    """Tensor product, through the power sums of the formal Chern roots."""
-    if a.ring != b.ring:
-        raise RingMismatchError("tensor operands live in different rings")
-    if a.rank * b.rank > TENSOR_RANK_LIMIT:
-        raise ResourceLimitError(
-            f"tensor rank {a.rank * b.rank} exceeds the limit {TENSOR_RANK_LIMIT}"
-        )
-    total = _instantiate(_tensor_table(a.rank, b.rank, a.ring.truncation), (a, b))
-    return FormalBundle(a.rank * b.rank, total)
-
-
-def sym_power(e: FormalBundle, k: int) -> FormalBundle:
-    """k-th symmetric power, through the power sums of the formal Chern roots."""
-    if not isinstance(k, int) or k < 0:
-        raise InvalidInputError("symmetric power order must be a non-negative integer")
-    if k == 0:
-        return trivial_bundle(e.ring, 1)
-    rank = comb(e.rank + k - 1, k)
-    if rank > SYM_RANK_LIMIT:
-        raise ResourceLimitError(
-            f"symmetric power rank {rank} exceeds the limit {SYM_RANK_LIMIT}"
-        )
-    total = _instantiate(_sym_table(e.rank, k, e.ring.truncation), (e,))
-    return FormalBundle(rank, total)
+    return FormalBundle(comb(e.rank + k - 1, k), _from_power_sums(sym[k]))

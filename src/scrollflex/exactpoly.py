@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb, prod
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 from operator import add, sub
@@ -618,6 +619,13 @@ def common_divisor(polys: Sequence[Poly], rng=None) -> Poly:
 
 # -- parsing -------------------------------------------------------------
 
+# Limits on one polynomial text: parentheses nested in it, and the
+# estimated size of each product or power it asks for, in terms times
+# 64-bit coefficient words.  Probe files written from the bundled charts
+# are expanded sums, of size 1.
+MAX_PARSE_DEPTH = 100
+MAX_PARSE_SIZE = 10 ** 4
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<op>\*\*|[-+*/^()]))"
 )
@@ -633,7 +641,10 @@ def _tokenize(text: str):
         if m.lastgroup == "name":
             out.append(("name", m.group("name")))
         elif m.lastgroup == "int":
-            out.append(("int", int(m.group("int"))))
+            try:
+                out.append(("int", int(m.group("int"))))
+            except ValueError as exc:  # past Python's limit on digits
+                raise InvalidInputError(f"integer literal too long: {exc}") from None
         else:
             op = m.group("op")
             out.append(("op", "^" if op == "**" else op))
@@ -641,14 +652,49 @@ def _tokenize(text: str):
     return out
 
 
+def _shape(p: Poly) -> tuple[int, list[int], int]:
+    """Terms, degree in each variable and the largest coefficient's bits."""
+    degrees = [max(column) for column in zip(*p.terms)] or [0] * len(p.vars)
+    bits = max((abs(c.numerator).bit_length() + c.denominator.bit_length()
+                for c in p.terms.values()), default=0)
+    return len(p.terms), degrees, bits
+
+
+def _check_size(terms: int, degrees: Iterable[int], bits: int, what: str) -> None:
+    size = min(terms, prod(d + 1 for d in degrees)) * (bits // 64 + 1)
+    if size > MAX_PARSE_SIZE:
+        raise InvalidInputError(
+            f"{what} would have an estimated size {size} "
+            f"(terms times coefficient words), over the limit {MAX_PARSE_SIZE}")
+
+
+def _checked_product(a: Poly, b: Poly) -> Poly:
+    (ta, da, ba), (tb, db, bb) = _shape(a), _shape(b)
+    _check_size(ta * tb, map(add, da, db), ba + bb + min(ta, tb).bit_length(),
+                "a product")
+    return a * b
+
+
+def _checked_power(p: Poly, e: int) -> Poly:
+    # the multinomial coefficients of a t-term power are below t^e
+    t, degrees, bits = _shape(p)
+    if t and e:
+        _check_size(comb(t + e - 1, e), (e * d for d in degrees),
+                    e * (bits + (t - 1).bit_length()), f"a power {e}")
+    return p ** e
+
+
 def parse_poly(text: str, vars: Sequence[str]) -> Poly:
     """Parse ``+ - * / ^`` expressions over the given variables.
 
     Division is restricted to integer literals, keeping coefficients exact.
+    Parentheses nested past MAX_PARSE_DEPTH, and products and powers whose
+    estimated size passes MAX_PARSE_SIZE, are refused before they are built.
     """
     vars = tuple(vars)
     tokens = _tokenize(text)
     pos = 0
+    depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else ("end", None)
@@ -673,7 +719,7 @@ def parse_poly(text: str, vars: Sequence[str]) -> Poly:
             _, op = take()
             rhs = parse_factor()
             if op == "*":
-                node = node * rhs
+                node = _checked_product(node, rhs)
             else:
                 if not rhs.is_constant() or rhs.is_zero():
                     raise InvalidInputError("division only by nonzero integer literals")
@@ -681,13 +727,9 @@ def parse_poly(text: str, vars: Sequence[str]) -> Poly:
         return node
 
     def parse_factor() -> Poly:
-        kind, value = peek()
-        if (kind, value) == ("op", "-"):
-            take()
-            return -parse_factor()
-        if (kind, value) == ("op", "+"):
-            take()
-            return parse_factor()
+        negate = False
+        while peek() in (("op", "-"), ("op", "+")):
+            negate ^= take() == ("op", "-")
         node = parse_base()
         if peek() == ("op", "^"):
             take()
@@ -700,8 +742,8 @@ def parse_poly(text: str, vars: Sequence[str]) -> Poly:
                 raise InvalidInputError("exponent must be an integer literal")
             if neg:
                 raise InvalidInputError("negative exponents are not supported")
-            node = node ** value
-        return node
+            node = _checked_power(node, value)
+        return -node if negate else node
 
     def parse_base() -> Poly:
         kind, value = take()
@@ -710,9 +752,15 @@ def parse_poly(text: str, vars: Sequence[str]) -> Poly:
         if kind == "int":
             return Poly.const(vars, value)
         if (kind, value) == ("op", "("):
+            nonlocal depth
+            depth += 1
+            if depth > MAX_PARSE_DEPTH:
+                raise InvalidInputError(
+                    f"parentheses nested deeper than {MAX_PARSE_DEPTH}")
             node = parse_expr()
             if take() != ("op", ")"):
                 raise InvalidInputError("unbalanced parentheses")
+            depth -= 1
             return node
         raise InvalidInputError(f"unexpected token {value!r}")
 

@@ -22,9 +22,9 @@ from math import comb
 from operator import add
 from typing import Mapping, Sequence, Union
 
-from .chern import (TABLE_CACHE_SIZE, FormalBundle, GradedClass, GradedRing,
-                    GradedVariable, _trusted, bundle_from_classes, dual,
-                    sym_power, tensor, tensor_line)
+from .chern import (TENSOR_STEPS, FormalBundle, GradedClass, GradedRing,
+                    GradedVariable, _trusted, bundle_from_classes, check_work,
+                    dual, sym_power, tensor, tensor_line)
 from ._record import Record, set_field
 from .errors import (IncompleteDataError, InvalidInputError, is_integer,
                      require_fields)
@@ -32,6 +32,9 @@ from .exactpoly import Poly, Scalar, _clean, as_scalar
 from .exactpoly import _trusted as _trusted_poly
 
 BASE_SECTOR = "base"
+# Entries kept per monomial-key cache of the pairing; a full ``verify`` run
+# and a warm degree session each fill about 50.
+TABLE_CACHE_SIZE = 256
 
 
 def max_rank(n: int, m: int, k: int) -> int:
@@ -201,9 +204,13 @@ CLASS_CACHE_SIZE = 128
 
 @lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _class_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
-    """Degree-ell terms of c(E_k)^-1, computed with ``ring`` truncated at ell."""
+    """Degree-ell terms of c(E_k)^-1, computed with ``ring`` truncated at ell;
+    refused past ``chern.WORK_LIMIT`` by one estimate before any product."""
     caps = {sector: min(cap, ell) for sector, cap in ring.sector_caps.items()}
     small = GradedRing(ring.variables, ell, caps)
+    # S^i T_Y for i = 1..k (sym_power_steps summed in closed form), k tensors
+    steps = k * (k + 1) * (k + 2) // 6 + 2 * k + k * TENSOR_STEPS
+    check_work(small, steps, f"the order-{k} class of n={n}, m={m} in codimension {ell}")
     setup = ScrollSetup(n, m, k, max_rank(n, m, k) - 2 + ell)
     inverse = total_chern_E_k(setup, small).series_inverse()
     return tuple(inverse.homogeneous_part(ell).terms.items())

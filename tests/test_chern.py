@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -12,6 +13,8 @@ from scrollflex.chern import (FormalBundle, GradedClass, GradedRing,
 from scrollflex.errors import (InvalidInputError, ResourceLimitError,
                                RingMismatchError)
 from scrollflex.exactpoly import Poly
+
+from .test_properties import _one_plus_product, _root_bundle
 
 
 def ring_b(truncation=3):
@@ -187,10 +190,20 @@ def test_tensor_matches_tensor_line_for_rank_one():
     assert tensor(e, line).total_chern == tensor_line(e, ring.variable("c1"), 1).total_chern
 
 
-def test_tensor_rank_guard():
-    ring = surface_ring()
-    with pytest.raises(ResourceLimitError):
-        tensor(trivial_bundle(ring, 9), trivial_bundle(ring, 9))
+def _root_ring(truncation=4):
+    return GradedRing([GradedVariable("t", 1), GradedVariable("s", 1)], truncation)
+
+
+def test_tensor_rank_81_matches_roots():
+    # past the rank 64 the universal tables used to stop at
+    rng = random.Random(81)
+    ring = _root_ring()
+    a, alpha = _root_bundle(ring, rng, 9)
+    b, beta = _root_bundle(ring, rng, 9)
+    got = tensor(a, b)
+    assert got.rank == 81
+    assert got.total_chern == _one_plus_product(
+        ring, [(x + u, y + v) for x, y in alpha for u, v in beta])
 
 
 # -- symmetric powers --------------------------------------------------------------
@@ -220,10 +233,54 @@ def test_sym_square_rank3():
                               + 2 * c1 ** 3 + 11 * c1 * c2 + 7 * c3)
 
 
-def test_sym_rank_guard():
-    ring = surface_ring()
-    with pytest.raises(ResourceLimitError):
-        sym_power(trivial_bundle(ring, 5), 4)  # rank binom(8, 4) = 70 > 64
+def test_sym_power_rank_70_matches_roots():
+    # S^4 of a rank-5 bundle has rank binom(8, 4) = 70
+    rng = random.Random(70)
+    ring = _root_ring()
+    e, alpha = _root_bundle(ring, rng, 5)
+    got = sym_power(e, 4)
+    assert got.rank == 70
+    assert got.total_chern == _one_plus_product(ring, [
+        tuple(map(sum, zip(*combo)))
+        for combo in itertools.combinations_with_replacement(alpha, 4)])
+
+
+def test_admitted_monomials_counts_the_ring():
+    rings = [surface_ring(), ring_b(5), _root_ring(3),
+             GradedRing([GradedVariable("L", 1), GradedVariable("C1", 1, "base"),
+                         GradedVariable("C2", 2, "base"), GradedVariable("V1", 1, "base"),
+                         GradedVariable("W", 2, "other")], 5, {"base": 2, "other": 2})]
+    for ring in rings:
+        box = itertools.product(*(range(ring.truncation // w + 1) for w in ring.weights))
+        assert chern.admitted_monomials(ring) == sum(map(ring.admits, box)), ring
+
+
+def _too_wide_ring():
+    # 30 weight-one classes at truncation 10 admit C(40, 10) monomials
+    return GradedRing([GradedVariable(f"x{i}", 1) for i in range(30)], 10)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda ring: tensor(trivial_bundle(ring, 2), trivial_bundle(ring, 2)),
+    lambda ring: tensor_line(trivial_bundle(ring, 2), ring.variable("x0"), -1),
+    lambda ring: sym_power(trivial_bundle(ring, 2), 2),
+])
+def test_work_estimate_refuses_before_any_product(monkeypatch, operation):
+    def product(self, other):
+        raise AssertionError("a product ran before the work estimate")
+
+    ring = _too_wide_ring()
+    monkeypatch.setattr(GradedClass, "__mul__", product)
+    with pytest.raises(ResourceLimitError, match="over the limit 300000000"):
+        operation(ring)
+
+
+def test_work_estimate_counts_the_symmetric_power_order():
+    ring = _root_ring(2)
+    e = bundle_from_classes(2, [ring.variable("t"), ring.variable("s") ** 2])
+    assert sym_power(e, 16).rank == 17
+    with pytest.raises(ResourceLimitError, match=r"S\^10000 of a rank-2 bundle"):
+        sym_power(e, 10000)
 
 
 # -- structural invariants ------------------------------------------------------------
@@ -312,12 +369,6 @@ def test_graded_class_refuses_subs():
         cls.subs({"c1": 1}, vars=ring.names)
     # plain polynomials keep their substitution
     assert Poly.variable(ring.names, "c1").subs({"c1": 2}) == 2
-
-
-def test_table_caches_are_bounded():
-    assert chern.TABLE_CACHE_SIZE == 256
-    for table in (chern._tensor_table, chern._sym_table):
-        assert table.cache_info().maxsize == chern.TABLE_CACHE_SIZE
 
 
 def test_serialization_round_trip():

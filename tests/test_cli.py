@@ -228,6 +228,31 @@ def test_jet_probe_past_the_row_limit_is_refused_at_once(tmp_path, capsys):
     assert err.startswith("error:") and "1947792 rows" in err
 
 
+@pytest.mark.parametrize("command", ["class", "degree"])
+@pytest.mark.parametrize("dims", [("40", "39", "2", "898"),
+                                  ("4", "2", "10000", "150025000")])
+def test_oversized_class_is_refused_at_once(capsys, command, dims):
+    # the whole class is estimated before any product: n = 40 has a
+    # 41-variable ring at codimension 40, and k = 10000 needs S^i T_Y for
+    # every i <= k
+    n, m, k, N = dims
+    start = time.perf_counter()
+    code, _, err = run(capsys, command, "--n", n, "--m", m, "--k", k, "--N", N)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert err.startswith("error:") and "over the limit" in err
+
+
+def test_jet_probe_nested_too_deep_errors(tmp_path, capsys):
+    payload = {"variables": ["x"], "coordinates": ["1", "(" * 3000 + "x" + ")" * 3000],
+               "order": 2}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "jet", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "nested deeper than" in err
+
+
 def test_jet_probe_not_json_errors(tmp_path, capsys):
     path = tmp_path / "probe.json"
     path.write_text("{\"variables\": [\"u\"],", encoding="utf-8")

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from scrollflex import exactpoly
 from scrollflex.errors import InvalidInputError
 from scrollflex.exactpoly import (Poly, common_divisor, parse_poly, poly_gcd)
 
@@ -140,6 +142,39 @@ def test_parse_rejects_garbage():
         parse_poly("z + 1", V)
     with pytest.raises(InvalidInputError):
         parse_poly("x / y", V)
+
+
+def test_parse_keeps_signs_and_powers():
+    x, y, w = _vars()
+    assert parse_poly("- -x^2", V) == x ** 2
+    assert parse_poly("-" * 5000 + "x", V) == x  # signs are not nested
+    assert parse_poly("+-(x + y)^2 * -w", V) == (x + y) ** 2 * w
+    assert parse_poly("(x - x)^1000000 + 2^64*x^0", V) == 2 ** 64
+
+
+def test_parse_refuses_nesting_past_the_limit():
+    depth = exactpoly.MAX_PARSE_DEPTH
+    x, y, w = _vars()
+    assert parse_poly("(" * depth + "x" + ")" * depth, V) == x
+    for n in (depth + 1, 3000):
+        with pytest.raises(InvalidInputError, match="nested deeper than 100"):
+            parse_poly("(" * n + "x" + ")" * n, V)
+
+
+@pytest.mark.parametrize("text", [
+    "(x+y+1)^400", "(x+1)^2000", "x^1000000000", "7^1000000000",
+    "((7^1000)^1000)^1000", "(x+y+w+1)^12*(x+y+w+1)^12*(x+y+w+1)^12"])
+def test_parse_refuses_oversized_products_and_powers_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="over the limit 10000"):
+        parse_poly(text, V)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_parse_size_estimate_bounds_the_result():
+    # just under the limit: the estimate is an upper bound of the real size
+    for text, terms in (("(x+y+1)^50", 1326), ("(x+y+w+1)^12", 455)):
+        assert len(parse_poly(text, V).terms) == terms
 
 
 def test_normalized():

@@ -299,4 +299,4 @@ def test_pairing_caches_are_bounded():
     assert scroll._preset_table.cache_info().maxsize == scroll.RING_CACHE_SIZE
     assert scroll._degree_terms.cache_info().maxsize == scroll.CLASS_CACHE_SIZE
     for cache in (scroll._monomial_key, scroll._canonical_key):
-        assert cache.cache_info().maxsize == chern.TABLE_CACHE_SIZE
+        assert cache.cache_info().maxsize == scroll.TABLE_CACHE_SIZE == 256

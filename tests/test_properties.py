@@ -1,24 +1,26 @@
 """Randomized property suites, 500 seeded cases each."""
 
 import itertools
+import json
 import random
+import warnings
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from scrollflex.chern import (SYM_RANK_LIMIT, TENSOR_RANK_LIMIT, FormalBundle,
-                              GradedClass, GradedRing, GradedVariable,
-                              bundle_from_classes, direct_sum, sym_power,
-                              tensor)
-from scrollflex.errors import InvalidInputError
-from scrollflex.exactpoly import Poly
+from scrollflex.chern import (FormalBundle, GradedClass, GradedRing,
+                              GradedVariable, bundle_from_classes, direct_sum,
+                              sym_power, tensor)
+from scrollflex.errors import InvalidInputError, ScrollflexError, load_json
+from scrollflex.exactpoly import Poly, parse_poly
 from scrollflex import jets
 from scrollflex.jets import (BUNDLED_PROBES, JetProbeSpec, bundled_minor_report,
                              jet_matrix, probe_rank, symbolic_jet_matrix)
 from scrollflex.linalg import _bareiss, det_poly, iter_minors, rank_rational
-from scrollflex.scroll import (chern_wu_reduce, max_rank, pushforward,
-                               scroll_ring)
+from scrollflex.scroll import (BASE_PRESETS, NumericalBaseData, ScrollSetup,
+                               chern_wu_reduce, inflection_class, max_rank,
+                               pushforward, scroll_ring)
 
 CASES = 500
 
@@ -142,10 +144,15 @@ def _root_bundle(ring, rng, rank):
     return FormalBundle(rank, _one_plus_product(ring, roots)), roots
 
 
-def _max_sym_base_rank(k):
-    """The largest rank whose k-th symmetric power is within the limit."""
+# Derived ranks drawn by the root suite: every rank up to 64, the largest
+# the retired universal tables took, and ranks past it up to 160.
+RANK_CAPS = (64, 160)
+
+
+def _max_sym_base_rank(k, cap):
+    """The largest rank whose k-th symmetric power has rank at most cap."""
     r = 1
-    while comb(r + k, k) <= SYM_RANK_LIMIT:
+    while comb(r + k, k) <= cap:
         r += 1
     return r
 
@@ -156,16 +163,16 @@ def test_root_consistency_and_whitney_500():
                                     trunc) for trunc in (2, 3, 4)}
     mixed_rings = {trunc: GradedRing([GradedVariable("p", 1), GradedVariable("q", 2)],
                                      trunc) for trunc in (2, 3, 4)}
-    largest = {"tensor": 0, "sym": 0}
+    reached = {"tensor": set(), "sym": set()}
     for case in range(CASES):
         trunc = rng.randint(2, 4)
         mode = case % 3
-        # modes 0 and 1: the power-sum tables against products over roots
+        # modes 0 and 1: derived bundles against products over their roots
         ring = root_rings[trunc] if mode < 2 else mixed_rings[trunc]
         if mode == 0:
             ra = rng.randint(1, 8)
-            rb = rng.choice((rng.randint(1, TENSOR_RANK_LIMIT // ra),
-                             TENSOR_RANK_LIMIT // ra))
+            cap = rng.choice(RANK_CAPS)
+            rb = rng.choice((rng.randint(1, cap // ra), cap // ra))
             a, alpha = _root_bundle(ring, rng, ra)
             b, beta = _root_bundle(ring, rng, rb)
             want = _one_plus_product(
@@ -173,10 +180,10 @@ def test_root_consistency_and_whitney_500():
             got = tensor(a, b)
             assert got.rank == ra * rb
             assert got.total_chern == want, f"case {case}: ranks {ra}, {rb}"
-            largest["tensor"] = max(largest["tensor"], got.rank)
+            reached["tensor"].add(got.rank)
         elif mode == 1:
             k = rng.randint(1, 4)
-            top = _max_sym_base_rank(k)
+            top = _max_sym_base_rank(k, rng.choice(RANK_CAPS))
             r = rng.choice((rng.randint(1, top), top))
             e, alpha = _root_bundle(ring, rng, r)
             want = _one_plus_product(ring, [
@@ -185,7 +192,7 @@ def test_root_consistency_and_whitney_500():
             got = sym_power(e, k)
             assert got.rank == comb(r + k - 1, k)
             assert got.total_chern == want, f"case {case}: rank {r}, k {k}"
-            largest["sym"] = max(largest["sym"], got.rank)
+            reached["sym"].add(got.rank)
         else:
             a = _random_bundle(ring, rng, rng.randint(1, 3))
             b = _random_bundle(ring, rng, rng.randint(1, 3))
@@ -197,7 +204,9 @@ def test_root_consistency_and_whitney_500():
             rhs = direct_sum(tensor(a, c), tensor(b, c))
             assert lhs.rank == rhs.rank
             assert lhs.total_chern == rhs.total_chern
-    assert largest == {"tensor": TENSOR_RANK_LIMIT, "sym": SYM_RANK_LIMIT}
+    for ranks in reached.values():
+        assert max(r for r in ranks if r <= RANK_CAPS[0]) == RANK_CAPS[0]
+        assert max(ranks) > RANK_CAPS[0]
 
 
 @pytest.mark.parametrize("r, k, trunc", [(2, 8, 4), (2, 12, 4), (2, 16, 4),
@@ -214,6 +223,107 @@ def test_sym_power_high_order_against_roots(r, k, trunc):
         got = sym_power(e, k)
         assert got.rank == comb(r + k - 1, k)
         assert got.total_chern == want, f"case {case}"
+
+
+# The benchmark's cold class setups and its frontier ladder, as (n, m, k).
+COLD_SETUPS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 2, 2), (3, 2, 3), (3, 2, 4),
+               (4, 2, 2), (4, 2, 3), (4, 2, 4), (4, 3, 2), (4, 3, 3)]
+LADDER = [(4, 3, 2), (6, 5, 2), (7, 6, 2), (5, 4, 3), (5, 3, 4),
+          (6, 5, 3), (6, 4, 4), (7, 6, 3), (8, 7, 2)]
+# Classes at the top of the range, codimension n; the last four were
+# refused by the rank limits of the retired universal tables.
+TOP_OF_RANGE = [(9, 8, 2), (5, 3, 6), (12, 11, 2), (8, 7, 3), (6, 5, 4), (5, 4, 5)]
+
+
+def _elementary(roots):
+    """e_0..e_len(roots) of integer roots, with plain ints."""
+    e = [1]
+    for x in roots:
+        e = [a + x * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
+def _plain_inverse(terms, ell, m):
+    """The inverse of a unit series in L and s, {(i, j): int} with the
+    L-exponent i and the s-exponent j, truncated at degree ell and s^(m+1)."""
+    inverse = {(0, 0): 1}
+    for d in range(1, ell + 1):
+        for j in range(min(d, m) + 1):
+            inverse[d - j, j] = -sum(
+                c * inverse.get((d - j - a, j - b), 0)
+                for (a, b), c in terms.items() if (a, b) != (0, 0))
+    return inverse
+
+
+def _splitting_principle_class(n, m, k, ell, t_roots, v_roots):
+    """The degree-ell part of c(E_k)^-1 from E_k's explicit Chern roots.
+
+    E_k is the sum of S^(i-1) T (x) V^dual for i = 1..k and S^k T (x) L^-1;
+    a root is (L-coefficient, s-coefficient)."""
+    roots = []
+    for i in range(1, k + 1):
+        for combo in itertools.combinations_with_replacement(t_roots, i - 1):
+            roots += [(0, sum(combo) - v) for v in v_roots]
+    roots += [(-1, sum(combo))
+              for combo in itertools.combinations_with_replacement(t_roots, k)]
+    ring = GradedRing([GradedVariable("L", 1), GradedVariable("s", 1, "base")],
+                      ell, {"base": m})
+    inverse = _plain_inverse(_one_plus_product(ring, roots).terms, ell, m)
+    return ring, {(i, j): c for (i, j), c in inverse.items() if i + j == ell and c}
+
+
+def _oracle_setups(setups):
+    """(n, m, k, N) at every codimension of each setup's range."""
+    out = []
+    for n, m, k in setups:
+        rk = max_rank(n, m, k)
+        out += [(n, m, k, N) for N in range(rk - 1, rk + n - 1)]
+    return out
+
+
+@pytest.mark.parametrize("n, m, k, N", _oracle_setups(COLD_SETUPS + LADDER)
+                         + [(n, m, k, max_rank(n, m, k) + n - 2)
+                            for n, m, k in TOP_OF_RANGE])
+def test_class_against_splitting_principle(n, m, k, N):
+    """The whole of c(E_k)^-1 against E_k's Chern roots: T_Y and V get random
+    integer roots times s, C_i and V_i become their elementary symmetric
+    functions times s^i, and the expected class is expanded as a product
+    over E_k's roots and inverted with plain ints."""
+    setup = ScrollSetup(n, m, k, N)
+    ell = setup.codim
+    rng = random.Random(f"{n},{m},{k},{N}")
+    t_roots = [rng.randint(-3, 3) for _ in range(m)]
+    v_roots = [rng.randint(-3, 3) for _ in range(n - m + 1)]
+    ring, want = _splitting_principle_class(n, m, k, ell, t_roots, v_roots)
+    cls = inflection_class(setup)
+    s, et, ev = ring.variable("s"), _elementary(t_roots), _elementary(v_roots)
+    mapping = {"L": ring.variable("L")}
+    for name in cls.ring.names[1:]:
+        i = int(name[1:])
+        mapping[name] = s ** i * (et[i] if name[0] == "C" else ev[i])
+    assert cls.substitute(ring, mapping).terms == want
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_class_over_an_abelian_base(m):
+    """With c(T_Y) = 1, c(E_k) = c(V^dual)^nu (1 - L)^mu, where nu and mu
+    are the ranks C(m+k-1, k-1) and C(m+k-1, k) of the V^dual and L^-1
+    parts; the class is the degree-ell part of its inverse."""
+    for n, k in [(m + 1, 2), (m + 1, 3), (m + 1, 4), (m + 2, 2)]:
+        ring = scroll_ring(n, m)
+        nu, mu = comb(m + k - 1, k - 1), comb(m + k - 1, k)
+        c_dual = ring.one()
+        for i in range(1, min(n - m + 1, m) + 1):
+            c_dual = c_dual + ring.variable(f"V{i}") * (-1) ** i
+        L = ring.variable("L")
+        inverse = (c_dual ** nu * (1 - L) ** mu).series_inverse()
+        mapping = {name: (ring.zero() if name[0] == "C" else ring.variable(name))
+                   for name in ring.names}
+        rk = max_rank(n, m, k)
+        for N in range(rk - 1, rk + n - 1):
+            setup = ScrollSetup(n, m, k, N)
+            got = inflection_class(setup).substitute(ring, mapping)
+            assert got == inverse.homogeneous_part(setup.codim), (n, m, k, N)
 
 
 def test_chern_wu_idempotence_500():
@@ -547,3 +657,106 @@ def test_scalar_accessors_return_fractions():
         assert all(type(v) is Fraction for v in values), values
     assert type(Poly.const(KERNEL_VARS, 4).constant_value()) is Fraction
     assert type(Poly.zero(KERNEL_VARS).constant_value()) is Fraction
+
+
+# -- input fuzzing ---------------------------------------------------------------
+
+FUZZ_TOKENS = ("x", "y", "z", "q", "x1", "_", "0", "1", "2", "17", "123456789",
+               "+", "-", "*", "/", "^", "**", "(", ")", " ", ".", "#", "1e3",
+               "é", "\n", "^-1", "9" * 5000)
+
+
+def _fuzz_expression(rng, depth=0):
+    """A random polynomial text: mostly well formed, with big powers, deep
+    nesting and stray tokens mixed in."""
+    roll = rng.random()
+    if depth > 4 or roll < 0.3:
+        return rng.choice(FUZZ_TOKENS[:11])
+    if roll < 0.55:
+        op = rng.choice(("+", "-", "*", "/"))
+        return _fuzz_expression(rng, depth + 1) + op + _fuzz_expression(rng, depth + 1)
+    if roll < 0.75:
+        exponent = rng.choice((0, 1, 2, 3, 7, 50, 400, 10 ** 9))
+        return f"({_fuzz_expression(rng, depth + 1)})^{exponent}"
+    if roll < 0.85:
+        n = rng.choice((1, 2, 99, 101, 3000))
+        return "(" * n + _fuzz_expression(rng, depth + 1) + ")" * n
+    return "".join(rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(0, 12)))
+
+
+def test_parse_poly_fuzz_raises_only_typed_errors():
+    rng = random.Random(60221)
+    parsed = 0
+    for case in range(CASES):
+        text = _fuzz_expression(rng)
+        if rng.random() < 0.3:  # drop or duplicate a character
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + text[i + 1:] if rng.random() < 0.5 else text[:i] + text[i - 1:]
+        try:
+            parse_poly(text, ("x", "y", "z"))
+            parsed += 1
+        except ScrollflexError:
+            pass
+    assert 0 < parsed < CASES
+
+
+def _fuzz_json(rng, depth=0):
+    roll = rng.random()
+    if depth > 2 or roll < 0.5:
+        return rng.choice((None, True, False, 0, -1, 2, 10 ** 30, 1.5, float("nan"),
+                           "", "x", "c1^2", "v2", "1", _fuzz_expression(rng, 3)))
+    if roll < 0.75:
+        return [_fuzz_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {rng.choice(("x", "c1^2", "c2", "v1", "1", "")): _fuzz_json(rng, depth + 1)
+            for _ in range(rng.randint(0, 4))}
+
+
+def _mutated(rng, payload):
+    """A copy of a valid payload with a few fields dropped, replaced or added."""
+    payload = dict(payload)
+    for _ in range(rng.randint(1, 3)):
+        key = rng.choice(sorted(payload) + ["extra"])
+        action = rng.random()
+        if action < 0.15:
+            payload.pop(key, None)
+        elif action < 0.5:
+            payload[key] = _fuzz_json(rng)
+        elif isinstance(payload.get(key), (list, dict)) and payload[key]:
+            inner = payload[key]
+            if isinstance(inner, list):
+                inner = list(inner)
+                inner[rng.randrange(len(inner))] = _fuzz_json(rng)
+            else:
+                inner = dict(inner)
+                inner[rng.choice(sorted(inner))] = _fuzz_json(rng)
+            payload[key] = inner
+    return payload
+
+
+def test_data_and_probe_loaders_fuzz_raise_only_typed_errors(tmp_path):
+    """The ``--data`` and probe-file loaders on mutated payloads and on
+    broken files: every failure is a ``ScrollflexError``."""
+    rng = random.Random(1618)
+    data = BASE_PRESETS["p2"].numerical(v=4, y=4).to_payload()
+    probe = BUNDLED_PROBES["cubic-surface-scroll"].build().to_payload()
+    path = tmp_path / "input.json"
+    loaded = 0
+    for case in range(CASES):
+        kind = case % 2
+        payload = _mutated(rng, data if kind else probe)
+        text = json.dumps(payload) if rng.random() < 0.85 else json.dumps(_fuzz_json(rng))
+        if rng.random() < 0.2:  # truncate, or break the encoding
+            text = text[:rng.randrange(len(text) + 1)]
+        raw = text.encode("utf-8") + (b"\xff" if rng.random() < 0.05 else b"")
+        path.write_bytes(raw)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if kind:
+                    NumericalBaseData.from_payload(load_json(path))
+                else:
+                    JetProbeSpec.load(path)
+            loaded += 1
+        except ScrollflexError:
+            pass
+    assert 0 < loaded < CASES
