@@ -1,8 +1,9 @@
 """Hand-transcribed closed forms used as regression oracles.
 
-Every record here is written out coefficient by coefficient, independently
-of the engine in :mod:`scrollflex.scroll`; the test suite checks the two
-sides against each other exactly.  Records never call the engine.
+Every closed form here is written out coefficient by coefficient,
+independently of the engine in :mod:`scrollflex.scroll`; the test suite
+checks the two sides against each other exactly.  The closed forms never
+call the engine.
 
 Scalar conventions for degree polynomials:
 
@@ -21,9 +22,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from math import comb
-from typing import Callable
 
-from ._record import Record, set_field
 from .chern import GradedClass, GradedRing
 from .errors import InvalidInputError
 from .exactpoly import Poly
@@ -280,103 +279,3 @@ def thm_details_exception_degree(case: int, **params):
             raise InvalidInputError(f"degree {c} is not an integer")
         return int(c)
     return value
-
-
-# -- registry ------------------------------------------------------------------
-
-
-class FormulaRecord(Record):
-    __slots__ = ("identifier", "parameters", "kind", "source", "build")
-
-    def __init__(self, identifier: str, parameters: tuple[str, ...], kind: str,
-                 source: str, build: Callable):
-        set_field(self, "identifier", identifier)
-        set_field(self, "parameters", parameters)
-        set_field(self, "kind", kind)        # "class" | "degree" | "integer"
-        set_field(self, "source", source)    # the expression, in plain language
-        set_field(self, "build", build)
-
-    def template_string(self, **params) -> str:
-        return str(self.build(**params))
-
-
-REGISTRY: dict[str, FormulaRecord] = {}
-
-
-def _register(identifier, parameters, kind, source, build):
-    REGISTRY[identifier] = FormulaRecord(identifier, tuple(parameters), kind,
-                                         source, build)
-
-
-_register("threefold-surface-class", ("part",), "class",
-          "graded pieces of the order-2 class, threefold scroll over a surface",
-          threefold_surface_class)
-_register("fourfold-threefold-class", ("codim",), "class",
-          "order-2 classes, fourfold scroll over a threefold",
-          fourfold_threefold_class)
-_register("divisor-class", ("n", "m"), "class",
-          "codimension-one order-2 class over any base",
-          divisor_class)
-_register("divisor-degree-m2", ("n",), "degree",
-          "two expressions for the divisor-case degree over a surface",
-          divisor_degree_m2)
-_register("surface-degree", ("N",), "degree",
-          "order-2 degree for threefold scrolls in ambient dimension 8, 9, 10",
-          surface_degree)
-_register("p2-specialization-n9", (), "degree",
-          "ambient-9 degree specialized to a plane base",
-          p2_specialization_n9)
-_register("k3-form", (), "degree",
-          "ambient-9 degree specialized to a K3 base",
-          k3_form)
-_register("projection-remark", (), "degree",
-          "degree of the residual osculating-projection surface",
-          projection_remark)
-_register("fourfold-degree", ("codim",), "degree",
-          "order-2 degrees, fourfold scroll over a threefold",
-          fourfold_degree)
-_register("abelian-class", ("m", "k", "ell"), "class",
-          "order-k class over an abelian surface or threefold",
-          abelian_class)
-_register("abelian-surface-degree", ("k", "ell"), "degree",
-          "order-k degree over an abelian surface in (d, 2g-2)",
-          abelian_surface_degree)
-_register("abelian-example4", ("k",), "integer",
-          "flex count of the order-two secant scroll family",
-          abelian_example4_degree)
-_register("exception-degree", ("case",), "degree",
-          "divisor-case degrees in the four low-degree exception families",
-          thm_details_exception_degree)
-
-
-def registry_dump() -> list[dict]:
-    """Machine-readable catalogue of every record with a default instance."""
-    defaults = {
-        "threefold-surface-class": {"part": 1},
-        "fourfold-threefold-class": {"codim": 2},
-        "divisor-class": {"n": 3, "m": 2},
-        "divisor-degree-m2": {"n": 3},
-        "surface-degree": {"N": 10},
-        "fourfold-degree": {"codim": 4},
-        "abelian-class": {"m": 2, "k": 2, "ell": 3},
-        "abelian-surface-degree": {"k": 2, "ell": 3},
-        "abelian-example4": {"k": 2},
-        "exception-degree": {"case": 2},
-    }
-    out = []
-    for identifier, record in sorted(REGISTRY.items()):
-        params = defaults.get(identifier, {})
-        built = record.build(**params)
-        if isinstance(built, tuple):
-            template = " | ".join(str(b) for b in built)
-        else:
-            template = str(built)
-        out.append({
-            "identifier": identifier,
-            "parameters": list(record.parameters),
-            "kind": record.kind,
-            "source": record.source,
-            "default_instance": params,
-            "template": template,
-        })
-    return out

@@ -24,7 +24,8 @@ from typing import Mapping, Sequence, Union
 
 from .chern import (TENSOR_STEPS, FormalBundle, GradedClass, GradedRing,
                     GradedVariable, _trusted, bundle_from_classes, check_work,
-                    dual, sym_power, tensor, tensor_line)
+                    direct_sum, dual, sym_power, sym_power_steps, tensor,
+                    tensor_line, trivial_bundle)
 from ._record import Record, set_field
 from .errors import (IncompleteDataError, InvalidInputError, is_integer,
                      require_fields)
@@ -163,18 +164,19 @@ def hyperplane_class(ring: GradedRing) -> GradedClass:
 def total_chern_E_k(setup: ScrollSetup, ring: GradedRing | None = None) -> GradedClass:
     """Total Chern class of the rank-r_k quotient governing order-k osculation.
 
-    The product of the pulled-back factors S^(i-1)T_Y (x) dual(V) for
-    i = 1..k, times S^k T_Y twisted down by the hyperplane class.
+    E_k is the sum of S^(i-1)T_Y (x) dual(V) for i = 1..k and S^k T_Y twisted
+    down by the hyperplane class.  Since the sum of S^i T_Y over i < k is
+    S^(k-1)(T_Y + O) (Macdonald, Symmetric Functions, I.2), c(E_k) is the
+    product of two derived bundles' classes.
     """
     ring = ring or scroll_ring(setup.n, setup.m)
     T = tangent_bundle(ring, setup.m)
-    Vd = dual(tautological_subsheaf_bundle(ring, setup.n, setup.m))
-    total = ring.one()
-    for i in range(1, setup.k + 1):
-        factor = tensor(sym_power(T, i - 1), Vd) if i > 1 else Vd
-        total = total * factor.total_chern
+    first = dual(tautological_subsheaf_bundle(ring, setup.n, setup.m))
+    if setup.k > 1:
+        lower = sym_power(direct_sum(T, trivial_bundle(ring, 1)), setup.k - 1)
+        first = tensor(lower, first)
     last = tensor_line(sym_power(T, setup.k), hyperplane_class(ring), -1)
-    return total * last.total_chern
+    return first.total_chern * last.total_chern
 
 
 def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> GradedClass:
@@ -208,8 +210,10 @@ def _class_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
     refused past ``chern.WORK_LIMIT`` by one estimate before any product."""
     caps = {sector: min(cap, ell) for sector, cap in ring.sector_caps.items()}
     small = GradedRing(ring.variables, ell, caps)
-    # S^i T_Y for i = 1..k (sym_power_steps summed in closed form), k tensors
-    steps = k * (k + 1) * (k + 2) // 6 + 2 * k + k * TENSOR_STEPS
+    # the passes of the calls total_chern_E_k makes
+    steps = sym_power_steps(k) + TENSOR_STEPS
+    if k > 1:
+        steps += sym_power_steps(k - 1) + TENSOR_STEPS
     check_work(small, steps, f"the order-{k} class of n={n}, m={m} in codimension {ell}")
     setup = ScrollSetup(n, m, k, max_rank(n, m, k) - 2 + ell)
     inverse = total_chern_E_k(setup, small).series_inverse()

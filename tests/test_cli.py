@@ -233,8 +233,8 @@ def test_jet_probe_past_the_row_limit_is_refused_at_once(tmp_path, capsys):
                                   ("4", "2", "10000", "150025000")])
 def test_oversized_class_is_refused_at_once(capsys, command, dims):
     # the whole class is estimated before any product: n = 40 has a
-    # 41-variable ring at codimension 40, and k = 10000 needs S^i T_Y for
-    # every i <= k
+    # 41-variable ring at codimension 40, and k = 10000 needs S^9999 and
+    # S^10000 through Adams recursions of order k
     n, m, k, N = dims
     start = time.perf_counter()
     code, _, err = run(capsys, command, "--n", n, "--m", m, "--k", k, "--N", N)

@@ -6,28 +6,6 @@ from scrollflex.exactpoly import Poly
 from scrollflex.scroll import scroll_ring
 
 
-def test_registry_has_every_identifier():
-    expected = {
-        "threefold-surface-class", "fourfold-threefold-class", "divisor-class",
-        "divisor-degree-m2", "surface-degree", "p2-specialization-n9",
-        "k3-form", "projection-remark", "fourfold-degree", "abelian-class",
-        "abelian-surface-degree", "abelian-example4", "exception-degree",
-    }
-    assert expected <= set(formulas.REGISTRY)
-
-
-def test_registry_dump_is_json_ready():
-    import json
-
-    dump = formulas.registry_dump()
-    assert json.loads(json.dumps(dump)) == dump
-    by_id = {row["identifier"]: row for row in dump}
-    assert "19*d" in by_id["abelian-surface-degree"]["template"]
-    for row in dump:
-        assert row["source"]
-        assert row["template"]
-
-
 def test_divisor_class_validation():
     with pytest.raises(InvalidInputError):
         formulas.divisor_class(3, 3)

@@ -230,9 +230,11 @@ COLD_SETUPS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 2, 2), (3, 2, 3), (3, 2, 4),
                (4, 2, 2), (4, 2, 3), (4, 2, 4), (4, 3, 2), (4, 3, 3)]
 LADDER = [(4, 3, 2), (6, 5, 2), (7, 6, 2), (5, 4, 3), (5, 3, 4),
           (6, 5, 3), (6, 4, 4), (7, 6, 3), (8, 7, 2)]
-# Classes at the top of the range, codimension n; the last four were
-# refused by the rank limits of the retired universal tables.
-TOP_OF_RANGE = [(9, 8, 2), (5, 3, 6), (12, 11, 2), (8, 7, 3), (6, 5, 4), (5, 4, 5)]
+# Classes at the top of the range, codimension n; (12, 11, 2) to (5, 4, 5)
+# were refused by the rank limits of the retired universal tables, and the
+# last four reach high orders k.
+TOP_OF_RANGE = [(9, 8, 2), (5, 3, 6), (12, 11, 2), (8, 7, 3), (6, 5, 4), (5, 4, 5),
+                (4, 2, 16), (3, 2, 30), (5, 3, 8), (6, 4, 6)]
 
 
 def _elementary(roots):

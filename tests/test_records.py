@@ -14,7 +14,6 @@ import pytest
 from scrollflex.chern import GradedVariable
 from scrollflex.cli import RunConfig
 from scrollflex.exactpoly import Poly
-from scrollflex.formulas import FormulaRecord
 from scrollflex.jets import (BundledProbe, JetProbeSpec, MinorReport,
                              ProductRankCheck, RankScan)
 from scrollflex.scans import (Bound, Constraint, ExceptionalCondition,
@@ -66,8 +65,6 @@ RECORDS = [
     (lambda i: Constraint("positive", f"reason {i}", _holds),
      ("name", "reason", "holds"), True, True),
     (lambda i: Bound(2, 12 + i, "window"), ("lo", "hi", "reason"), True, True),
-    (lambda i: FormulaRecord("f", ("p",), ("class", "degree")[i], "src", _build),
-     ("identifier", "parameters", "kind", "source", "build"), True, True),
     (lambda i: DegreeResult(6 + i, base_ring(2, 2).zero(),
                             ScrollSetup(3, 2, 2, 10), True),
      ("value", "symbolic", "setup", "asserted"), False, False),

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from scrollflex import scroll
-from scrollflex.chern import GradedClass, dual, tensor_line, sym_power
+from scrollflex.chern import (GradedClass, dual, sym_power, tensor,
+                              tensor_line)
 from scrollflex.errors import IncompleteDataError, InvalidInputError
 from scrollflex.exactpoly import Poly
 from scrollflex.scroll import (BASE_PRESETS, NumericalBaseData, ScrollSetup,
@@ -91,12 +92,36 @@ def test_order_two_factorization():
     setup = ScrollSetup(3, 2, 2, 8)
     ring = scroll_ring(3, 2)
     got = total_chern_E_k(setup, ring)
-    from scrollflex.chern import tensor
     T = tangent_bundle(ring, 2)
     Vd = dual(tautological_subsheaf_bundle(ring, 3, 2))
     last = tensor_line(sym_power(T, 2), hyperplane_class(ring), -1)
     want = Vd.total_chern * tensor(Vd, T).total_chern * last.total_chern
     assert got == want
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (4, 2), (4, 3), (5, 3)])
+def test_total_chern_matches_the_per_order_product(n, m):
+    # c(E_k) as the product over E_k's summands, one derived bundle per order
+    ring = scroll_ring(n, m)
+    T = tangent_bundle(ring, m)
+    Vd = dual(tautological_subsheaf_bundle(ring, n, m))
+    for k in range(1, 7):
+        want = tensor_line(sym_power(T, k), hyperplane_class(ring), -1).total_chern
+        for i in range(1, k + 1):
+            want = want * tensor(sym_power(T, i - 1), Vd).total_chern
+        assert total_chern_E_k(ScrollSetup(n, m, k, n), ring) == want
+
+
+def test_total_chern_makes_two_symmetric_powers_at_any_order(monkeypatch):
+    calls = {"sym_power": 0, "tensor": 0, "tensor_line": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(scroll, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(scroll, name, counted)
+    total_chern_E_k(ScrollSetup(3, 2, 8, 3), scroll_ring(3, 2))
+    assert calls["sym_power"] <= 2
+    assert calls["tensor"] <= 1 and calls["tensor_line"] <= 1
 
 
 # -- Chern-Wu reduction and pushforward -----------------------------------------------
