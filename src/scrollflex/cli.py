@@ -76,8 +76,8 @@ def _emit(config: RunConfig, payload: dict, pretty_lines: list[str]) -> None:
 
 
 def _cmd_rank(config: RunConfig) -> int:
-    value = max_rank(config.n, config.m, config.k)
     breakdown = rank_breakdown(config.n, config.m, config.k)
+    value = max_rank(config.n, config.m, config.k)
     lines = [f"maximal generic jet rank: {value}"]
     lines += [f"  order {h}: {count} rows" for h, count in breakdown]
     _emit(config, {"rank": value, "breakdown": breakdown}, lines)

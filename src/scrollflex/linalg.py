@@ -1,11 +1,17 @@
 """Exact linear algebra: rational ranks and fraction-free polynomial minors.
 
-Both eliminations are Bareiss's: every intermediate entry is a minor of the
-input, so each division is exact and no fraction is ever formed.  Integer
-ranks pivot on the first nonzero entry of the current column; polynomial
-ranks and determinants pivot on the sparsest nonzero entry of the remaining
-submatrix (fewest terms, first in row-major order on ties), which keeps the
-Bareiss products and exact divisions small.
+Ranks and single determinants are Bareiss eliminations: every intermediate
+entry is a minor of the input, so each division is exact and no fraction is
+ever formed.  Integer ranks pivot on the first nonzero entry of the current
+column; polynomial ranks and determinants pivot on the sparsest nonzero
+entry of the remaining submatrix (fewest terms, first in row-major order on
+ties), which keeps the Bareiss products and exact divisions small.
+
+All the r x r minors of a matrix come instead from one cofactor expansion
+whose sub-minors are shared (``iter_minors``).  It divides nothing, and its
+monomials are packed into single integers while it runs.  The 100 minors
+of size 9 of the Bordiga jet matrix cost about 4000 sub-minors this way,
+against 100 separate eliminations.
 """
 
 from __future__ import annotations
@@ -16,9 +22,13 @@ from math import comb, lcm
 from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
-from .exactpoly import Poly
+from .exactpoly import Poly, _clean, _trusted
 
 MINOR_COUNT_LIMIT = 10 ** 5
+# Largest number of sub-minors one iter_minors call may reach.  The bundled
+# probes need at most 238135 (p1-fourth, r = 13); a dense 20 x 20 matrix at
+# r = 18 would reach about 72 million.
+MINOR_KEY_LIMIT = 5 * 10 ** 5
 
 
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
@@ -174,11 +184,86 @@ def minor_count(nrows: int, ncols: int, r: int) -> int:
     return comb(nrows, r) * comb(ncols, r)
 
 
+def _packer(entries: Sequence[Poly], nvars: int, r: int):
+    """Pack and unpack functions for the monomials of r x r minors.
+
+    A minor's exponent of a variable is at most r times the largest entry
+    exponent, so a field one bit wider than that never carries into the
+    next one, and a product of monomials is one integer addition.
+    """
+    top = max((max(e, default=0) for p in entries for e in p.terms),
+              default=0)
+    bits = (r * top).bit_length() + 1
+    shifts = range(0, nvars * bits, bits)
+    mask = (1 << bits) - 1
+
+    def pack(exps):
+        return sum(e << s for e, s in zip(exps, shifts))
+
+    def unpack(packed):
+        return tuple((packed >> s) & mask for s in shifts)
+
+    return pack, unpack
+
+
+def _reachable_keys(nz: list[int], row_sets: list[int], col_sets: list[int],
+                    nrows: int, r: int) -> list[set[int]]:
+    """The keys of the sub-minors the shared expansion uses, level 1 to r.
+
+    A key packs a row set and a column set as ``rows | cols << nrows``.  The
+    minor on rows R and columns (c0, *rest) expands along c0 into the
+    sub-minors on (R - {i}, rest) for the rows i of R with a nonzero entry
+    in column c0 (the bits of ``nz[c0]``), so zero entries reach nothing.
+    Refuses once more than MINOR_KEY_LIMIT keys are reached.
+    """
+    top: set[int] = set()
+    for cols in col_sets:
+        hit = nz[(cols & -cols).bit_length() - 1]
+        shifted = cols << nrows
+        top.update(rows | shifted for rows in row_sets if rows & hit)
+    levels = [top]
+    reached = len(top)
+    full = (1 << nrows) - 1
+    for _ in range(r - 1):
+        below: set[int] = set()
+        add = below.add
+        room = MINOR_KEY_LIMIT - reached
+        for key in levels[-1]:
+            cols = key >> nrows
+            low = cols & -cols
+            hit = key & full & nz[low.bit_length() - 1]
+            base = key ^ (low << nrows)
+            while hit:
+                bit = hit & -hit
+                add(base ^ bit)
+                hit ^= bit
+            if len(below) > room:
+                raise ResourceLimitError(
+                    f"{r}x{r} minors reach over {MINOR_KEY_LIMIT} shared "
+                    f"sub-minors, over the limit")
+        reached += len(below)
+        levels.append(below)
+    levels.reverse()
+    return levels
+
+
 def iter_minors(matrix: Sequence[Sequence[Poly]], r: int,
                 limit: int = MINOR_COUNT_LIMIT):
-    """Yield ((row subset, column subset), r x r minor) over all subsets."""
+    """Yield ((row subset, column subset), r x r minor) over all subsets.
+
+    Every minor comes from one cofactor expansion whose sub-minors are
+    shared: the minor on rows R and columns (c0, *rest) is
+    ``sum_k (-1)^k M[R_k][c0] * minor(R - R_k, rest)``, and each sub-minor,
+    keyed by its row set and column suffix, is computed once.  A pass over
+    the keys alone finds the sub-minors that nonzero entries reach (see
+    ``_reachable_keys``); the levels are then built bottom up over packed
+    monomials (see ``_packer``), keeping only the level below, and zero
+    sub-minors drop out of the level above.
+    """
     nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
+    if r < 1:
+        raise InvalidInputError(f"minor size must be at least 1, got {r}")
     if r > min(nrows, ncols):
         raise InvalidInputError(
             f"minor size {r} exceeds matrix shape {nrows}x{ncols}"
@@ -188,9 +273,62 @@ def iter_minors(matrix: Sequence[Sequence[Poly]], r: int,
         raise ResourceLimitError(
             f"{count} minors of size {r} exceed the limit of {limit}"
         )
-    zero = Poly.zero(matrix[0][0].vars)
-    for rows in itertools.combinations(range(nrows), r):
-        for cols in itertools.combinations(range(ncols), r):
-            sub = [[matrix[i][j] for j in cols] for i in rows]
-            # most jet minors vanish for want of a nonzero row or column
-            yield (rows, cols), zero if _has_zero_line(sub) else det_poly(sub)
+    vars = matrix[0][0].vars
+    pack, unpack = _packer([p for row in matrix for p in row], len(vars), r)
+    # columns[c][i]: the terms of M[i][c] as (packed monomial, coefficient)
+    columns = [[[(pack(e), k) for e, k in row[c].terms.items()]
+                for row in matrix] for c in range(ncols)]
+    nz = [sum(1 << i for i, row in enumerate(matrix) if row[c].terms)
+          for c in range(ncols)]
+    row_subsets = list(itertools.combinations(range(nrows), r))
+    col_subsets = list(itertools.combinations(range(ncols), r))
+    row_sets = [sum(1 << i for i in rows) for rows in row_subsets]
+    col_sets = [sum(1 << c for c in cols) for cols in col_subsets]
+
+    full = (1 << nrows) - 1
+    below: dict[int, dict[int, object]] = {0: {0: 1}}  # the empty minor
+    for keys in _reachable_keys(nz, row_sets, col_sets, nrows, r):
+        level = {}
+        for key in keys:
+            cols = key >> nrows
+            low = cols & -cols
+            c0 = low.bit_length() - 1
+            column = columns[c0]
+            base = key ^ (low << nrows)
+            rows = key & full
+            hit = rows & nz[c0]
+            acc: dict[int, object] = {}
+            get = acc.get
+            while hit:
+                bit = hit & -hit
+                hit ^= bit
+                sub = below.get(base ^ bit)
+                if sub is None:
+                    continue
+                odd = (rows & (bit - 1)).bit_count() & 1
+                for e1, c1 in column[bit.bit_length() - 1]:
+                    if odd:
+                        c1 = -c1
+                    for e2, c2 in sub.items():
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + c1 * c2
+            value = {e: c for e, c in acc.items() if c}
+            if value:
+                level[key] = value
+        below = level
+
+    zero = Poly.zero(vars)
+    monomials: dict[int, tuple[int, ...]] = {}
+    for rows, row_set in zip(row_subsets, row_sets):
+        for cols, col_set in zip(col_subsets, col_sets):
+            value = below.get(row_set | col_set << nrows)
+            if value is None:
+                yield (rows, cols), zero
+                continue
+            terms = {}
+            for e, c in value.items():
+                exps = monomials.get(e)
+                if exps is None:
+                    exps = monomials[e] = unpack(e)
+                terms[exps] = c
+            yield (rows, cols), _trusted(vars, _clean(terms))

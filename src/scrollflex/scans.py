@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm, prod
 from typing import Callable, Mapping
 
 from ._record import Record, set_field
@@ -254,21 +255,28 @@ def _fourfold_on_preset(ell: int, preset, vars: tuple[str, ...]) -> Poly:
 # -- generic scan loop -----------------------------------------------------------
 
 
-def _solve_linear(eq: Poly, solve: str, values: Mapping[str, int]):
-    spec = eq.subs({k: Fraction(v) for k, v in values.items()})
-    a = Fraction(0)
-    b = Fraction(0)
-    i = spec.vars.index(solve)
-    for exps, c in spec.terms.items():
-        if exps[i] == 0:
-            b += c
-        elif exps[i] == 1:
-            a += c
-        else:
-            raise InvalidInputError(f"equation is not linear in {solve}")
-    if a == 0:
-        return ("any", None) if b == 0 else ("none", None)
-    return ("one", -b / a)
+def _integer_parts(eq: Poly, sweep: tuple[str, ...],
+                   solve: str) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """The equation as integer term lists, one per power of ``solve``.
+
+    Entry ``p`` lists ``(coefficient, exponents over sweep)`` for the terms
+    of ``solve^p``, every coefficient times the lcm of the denominators, so
+    the lists evaluate with ints and give the equation up to that factor.
+    """
+    index = [eq.vars.index(name) for name in sweep]
+    at = eq.vars.index(solve)
+    den = lcm(*(c.denominator for c in eq.terms.values()))
+    parts: list[list[tuple[int, tuple[int, ...]]]] = [[], []]
+    for exps, c in eq.terms.items():
+        while len(parts) <= exps[at]:
+            parts.append([])
+        parts[exps[at]].append(((c * den).numerator,
+                                tuple(exps[i] for i in index)))
+    return parts
+
+
+def _evaluate(terms, point) -> int:
+    return sum(c * prod(map(pow, point, exps)) for c, exps in terms)
 
 
 def scan(problem: ScanProblem) -> ScanReport:
@@ -280,21 +288,27 @@ def scan(problem: ScanProblem) -> ScanReport:
     survivors: list[Survivor] = []
     excluded: list[tuple[dict, str]] = []
     notes = list(problem.notes)
+    constant, linear, *higher = _integer_parts(
+        problem.equation, problem.sweep, problem.solve)
     candidates = 0
     for combo in itertools.product(*sweep_ranges):
-        values = dict(zip(problem.sweep, combo))
         candidates += 1
-        kind, solved = _solve_linear(problem.equation, problem.solve, values)
-        if kind == "none":
+        if any(_evaluate(terms, combo) for terms in higher):
+            raise InvalidInputError(
+                f"equation is not linear in {problem.solve}")
+        a = _evaluate(linear, combo)
+        b = _evaluate(constant, combo)
+        if not a:
+            if not b:
+                notes.append(f"equation degenerates at "
+                             f"{dict(zip(problem.sweep, combo))}: every "
+                             f"{problem.solve} solves it")
             continue
-        if kind == "any":
-            notes.append(f"equation degenerates at {values}: every "
-                         f"{problem.solve} solves it")
+        solved, remainder = divmod(-b, a)
+        if remainder:
             continue
-        if solved.denominator != 1:
-            continue
-        point = dict(values)
-        point[problem.solve] = int(solved)
+        point = dict(zip(problem.sweep, combo))
+        point[problem.solve] = solved
         failed = next(
             (c for c in problem.constraints if not c.holds(point)), None)
         if failed is not None:

@@ -27,8 +27,8 @@ from .chern import (TENSOR_STEPS, FormalBundle, GradedClass, GradedRing,
                     direct_sum, dual, sym_power, sym_power_steps, tensor,
                     tensor_line, trivial_bundle)
 from ._record import Record, set_field
-from .errors import (IncompleteDataError, InvalidInputError, is_integer,
-                     require_fields)
+from .errors import (IncompleteDataError, InvalidInputError,
+                     ResourceLimitError, is_integer, require_fields)
 from .exactpoly import Poly, Scalar, _clean, as_scalar
 from .exactpoly import _trusted as _trusted_poly
 
@@ -36,6 +36,9 @@ BASE_SECTOR = "base"
 # Entries kept per monomial-key cache of the pairing; a full ``verify`` run
 # and a warm degree session each fill about 50.
 TABLE_CACHE_SIZE = 256
+# Largest rank report: orders listed by rank_breakdown, digits of max_rank.
+MAX_RANK_ORDERS = 1000
+MAX_RANK_DIGITS = 1000
 
 
 def max_rank(n: int, m: int, k: int) -> int:
@@ -48,7 +51,22 @@ def max_rank(n: int, m: int, k: int) -> int:
 
 
 def rank_breakdown(n: int, m: int, k: int) -> list[tuple[int, int]]:
-    """Per-derivative-order contributions to max_rank: order h -> row count."""
+    """Per-derivative-order contributions to max_rank: order h -> row count.
+
+    Refuses more than MAX_RANK_ORDERS orders, and a rank of more than
+    MAX_RANK_DIGITS digits, before computing any of them.
+    """
+    if k + 1 > MAX_RANK_ORDERS:
+        raise ResourceLimitError(
+            f"k={k} lists {k + 1} orders, over the limit {MAX_RANK_ORDERS}")
+    # comb(a, b) >= max(2, a / b)^b as a >= 2b, and 2^(10 D / 3) > 10^D
+    a, b = m + k, min(m, k)
+    low_bits = max(b, b * (a.bit_length() - b.bit_length() - 1))
+    if (3 * low_bits > 10 * MAX_RANK_DIGITS
+            or max_rank(n, m, k) >= 10 ** MAX_RANK_DIGITS):
+        raise ResourceLimitError(
+            f"the rank for n={n}, m={m}, k={k} has over {MAX_RANK_DIGITS} "
+            f"digits, over the limit")
     out = []
     for h in range(k + 1):
         base = comb(m - 1 + h, h)

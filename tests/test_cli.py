@@ -243,6 +243,44 @@ def test_oversized_class_is_refused_at_once(capsys, command, dims):
     assert err.startswith("error:") and "over the limit" in err
 
 
+@pytest.mark.parametrize("dims,reason", [
+    # k + 1 orders to list; ranks of about 8900 and 1900 digits, and one of
+    # 1002 digits that only the exact value shows
+    (("3", "2", "100000000"), "100000001 orders"),
+    (("1000000", "999999", "3000"), "3001 orders"),
+    (("1000000", "999999", "500"), "over 1000 digits"),
+    (("1" + "0" * 1001, "1", "1"), "over 1000 digits"),
+])
+def test_oversized_rank_is_refused_at_once(capsys, dims, reason):
+    n, m, k = dims
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rank", "--n", n, "--m", m, "--k", k)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.startswith("error:") and reason in err
+
+
+def test_rank_at_the_limits_is_answered(capsys):
+    # 1000 orders, and a rank of 600 digits
+    code, out, _ = run(capsys, "rank", "--n", "1000", "--m", "999",
+                       "--k", "999")
+    assert code == 0
+    assert len(out.splitlines()) == 1001
+    assert len(out.splitlines()[0].split(": ")[1]) == 600
+
+
+def test_jet_negative_minor_size_errors(tmp_path, capsys):
+    payload = {"variables": ["u1", "t"],
+               "coordinates": ["1", "u1", "t", "t*u1"], "order": 2}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "jet", str(path), "--minors", "-3")
+    assert code == 1
+    assert err.startswith("error:") and "at least 1" in err
+    code, out, _ = run(capsys, "jet", str(path), "--minors", "0")
+    assert code == 0 and "common content" not in out
+
+
 def test_jet_probe_nested_too_deep_errors(tmp_path, capsys):
     payload = {"variables": ["x"], "coordinates": ["1", "(" * 3000 + "x" + ")" * 3000],
                "order": 2}

@@ -1,12 +1,14 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from scrollflex.errors import ResourceLimitError
+from scrollflex.errors import InvalidInputError, ResourceLimitError
 from scrollflex.exactpoly import Poly, parse_poly
-from scrollflex.linalg import (_find_pivot, det_poly, iter_minors, rank_poly,
-                               rank_rational)
+from scrollflex.linalg import (_bareiss, _find_pivot, det_poly, iter_minors,
+                               rank_poly, rank_rational)
 
 V = ("x", "y")
 
@@ -85,11 +87,70 @@ def test_iter_minors_guard():
         list(iter_minors(m, 15, limit=10))
 
 
+def _sparse_entry(rng, vars):
+    # zero half the time; otherwise up to three terms with int or Fraction
+    # coefficients, some of them integral Fractions
+    terms = {}
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(0, 2) for _ in vars)
+            num = rng.randint(-4, 4)
+            terms[exps] = (Fraction(num, rng.choice((1, 1, 2, 3)))
+                           if rng.random() < 0.4 else num)
+    return Poly(vars, terms)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_iter_minors_match_bareiss_with_coefficient_types(seed):
+    rng = random.Random(9000 + seed)
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+    m = [[_sparse_entry(rng, V) for _ in range(ncols)] for _ in range(nrows)]
+    if seed % 3 == 0:
+        m[rng.randrange(nrows)] = [Poly.zero(V)] * ncols
+    if seed % 4 == 1:
+        dead = rng.randrange(ncols)
+        for row in m:
+            row[dead] = Poly.zero(V)
+    for r in range(1, min(nrows, ncols) + 1):
+        keys = [(rows, cols)
+                for rows in itertools.combinations(range(nrows), r)
+                for cols in itertools.combinations(range(ncols), r)]
+        minors = list(iter_minors(m, r))
+        assert [key for key, _ in minors] == keys
+        for (rows, cols), value in minors:
+            full = _bareiss([[m[i][j] for j in cols] for i in rows])
+            assert value.vars == full.vars and value == full, (seed, rows, cols)
+            assert ({e: type(c) for e, c in value.terms.items()}
+                    == {e: type(c) for e, c in full.terms.items()})
+
+
+def test_iter_minors_refuses_too_many_shared_subminors_at_once():
+    # a dense 20 x 20 matrix has only 36100 minors of size 18, but they
+    # share 72 million sub-minors; the key pass refuses before any product
+    x, y = Poly.variables(V)
+    m = [[x + i * j + 1 for j in range(20)] for i in range(20)]
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="sub-minors"):
+        next(iter_minors(m, 18))
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("r", [0, -3])
+def test_iter_minors_refuses_sizes_below_one(r):
+    x, y = Poly.variables(V)
+    with pytest.raises(InvalidInputError, match="at least 1"):
+        next(iter_minors([[x, y], [y, x]], r))
+
+
 def test_iter_minors_values():
     x, y = Poly.variables(V)
     m = [[x, y], [y, x]]
     minors = dict(iter_minors(m, 2))
     assert minors[((0, 1), (0, 1))] == x ** 2 - y ** 2
+    # a ring without variables has one monomial, the empty one
+    c = [[Poly.const((), 2), Poly.const((), Fraction(1, 3))],
+         [Poly.const((), 5), Poly.zero(())]]
+    assert dict(iter_minors(c, 2))[((0, 1), (0, 1))] == Fraction(-5, 3)
 
 
 def test_pivot_is_the_sparsest_entry_left():

@@ -537,28 +537,31 @@ def test_rank_rational_matches_fraction_elimination_500():
         assert rank_rational(m) == _fraction_rank(m), f"case {case}"
 
 
-# Minor size per bundled probe at which every minor's full elimination
-# stays well under half a second.
+# Minor sizes per bundled probe at which every minor's full elimination
+# stays well under half a second: the smallest and largest sizes, and the
+# ones in between with few minors.
 STRUCTURAL_ZERO_SIZES = {
-    "segre-1-1": 3, "segre-2-1": 4, "segre-2-2": 2, "segre-3-1": 2,
-    "p1-cube": 7, "p1-fourth": 15, "p1-fifth": 1, "flag-threefold": 8,
-    "cubic-scroll-times-p1": 9, "veronese": 4, "two-summand-plane-scroll": 8,
-    "cubic-surface-scroll": 4, "bordiga": 2,
+    "segre-1-1": (3, 1, 2, 4), "segre-2-1": (4, 1, 2, 3, 5, 6),
+    "segre-2-2": (2, 1), "segre-3-1": (2, 1), "p1-cube": (7, 1, 2, 8),
+    "p1-fourth": (15, 1), "p1-fifth": (1,), "flag-threefold": (8, 1, 2, 9),
+    "cubic-scroll-times-p1": (9, 1, 2, 10), "veronese": (4, 1, 2, 3, 5, 6),
+    "two-summand-plane-scroll": (8, 1, 2, 9),
+    "cubic-surface-scroll": (4, 1, 2, 3, 5), "bordiga": (2, 1, 9, 10),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_PROBES))
 def test_structural_zero_minors_equal_full_bareiss(name):
     matrix = symbolic_jet_matrix(BUNDLED_PROBES[name].build())
-    size = STRUCTURAL_ZERO_SIZES[name]
-    keys = [(rows, cols)
-            for rows in itertools.combinations(range(len(matrix)), size)
-            for cols in itertools.combinations(range(len(matrix[0])), size)]
-    minors = list(iter_minors(matrix, size))
-    assert [key for key, _ in minors] == keys
-    for (rows, cols), value in minors:
-        full = _bareiss([[matrix[i][j] for j in cols] for i in rows])
-        assert value == full, (name, rows, cols)
+    for size in STRUCTURAL_ZERO_SIZES[name]:
+        keys = [(rows, cols)
+                for rows in itertools.combinations(range(len(matrix)), size)
+                for cols in itertools.combinations(range(len(matrix[0])), size)]
+        minors = list(iter_minors(matrix, size))
+        assert [key for key, _ in minors] == keys
+        for (rows, cols), value in minors:
+            full = _bareiss([[matrix[i][j] for j in cols] for i in rows])
+            assert value == full, (name, rows, cols)
 
 
 # The minor requests of the jet benchmark: (probe, minor size).

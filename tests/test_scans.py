@@ -1,3 +1,8 @@
+import itertools
+import json
+import random
+from fractions import Fraction
+
 import pytest
 
 from scrollflex import scans
@@ -141,3 +146,122 @@ def test_q3_positivity_screen_records_boundary_points():
     report = run_family("Q3", ell=2)
     assert any(p == {"x": 2, "y": 0} for p, why in report.excluded
                if "positive-c2" in why)
+
+
+# -- the integer scan loop against the substitution route it replaced --------
+
+
+def _solve_linear(eq, solve, values):
+    # the per-candidate solve the scan loop used before: substitute, then
+    # read off the coefficients of solve^0 and solve^1
+    spec = eq.subs({k: Fraction(v) for k, v in values.items()})
+    a = Fraction(0)
+    b = Fraction(0)
+    i = spec.vars.index(solve)
+    for exps, c in spec.terms.items():
+        if exps[i] == 0:
+            b += c
+        elif exps[i] == 1:
+            a += c
+        else:
+            raise InvalidInputError(f"equation is not linear in {solve}")
+    if a == 0:
+        return ("any", None) if b == 0 else ("none", None)
+    return ("one", -b / a)
+
+
+def _oracle_payload(problem):
+    ranges = [range(problem.bounds[n].lo,
+                    max(problem.bounds[n].hi + 1, problem.bounds[n].lo))
+              for n in problem.sweep]
+    survivors, excluded, notes = [], [], list(problem.notes)
+    candidates = 0
+    for combo in itertools.product(*ranges):
+        values = dict(zip(problem.sweep, combo))
+        candidates += 1
+        kind, solved = _solve_linear(problem.equation, problem.solve, values)
+        if kind == "none":
+            continue
+        if kind == "any":
+            notes.append(f"equation degenerates at {values}: every "
+                         f"{problem.solve} solves it")
+            continue
+        if solved.denominator != 1:
+            continue
+        point = dict(values)
+        point[problem.solve] = int(solved)
+        failed = next((c for c in problem.constraints if not c.holds(point)),
+                      None)
+        if failed is not None:
+            excluded.append({"point": point,
+                             "constraint": f"{failed.name}: {failed.reason}"})
+        else:
+            survivors.append({"point": point,
+                              "annotation": problem.annotate(point)})
+    return candidates, survivors, excluded, notes
+
+
+def _same_as_oracle(problem):
+    payload = json.loads(json.dumps(scan(problem).to_payload()))
+    candidates, survivors, excluded, notes = _oracle_payload(problem)
+    assert payload["candidates"] == candidates
+    assert payload["survivors"] == survivors
+    assert payload["excluded"] == excluded
+    assert payload["notes"] == notes
+    for s in scan(problem).survivors:
+        assert all(type(v) is int for v in s.point.values())
+
+
+@pytest.mark.parametrize("family,params", [
+    ("P2_N10", {}), ("P2_N9", {}),
+    *(("P3", {"ell": ell}) for ell in (2, 3, 4)),
+    *(("Q3", {"ell": ell}) for ell in (2, 3, 4)),
+    *(("Fe", {"e": e}) for e in range(4)),
+    *(("ProductsBxP1", {"q": q}) for q in (1, 2, 3)),
+])
+@pytest.mark.parametrize("scale", (1, 2))
+def test_scan_loop_matches_substitution_oracle(family, params, scale):
+    problem = build_problem(family, **params)
+    _same_as_oracle(problem.scaled(scale) if scale != 1 else problem)
+
+
+def _random_problem(rng, higher, a_window):
+    vars = ("a", "b", "d")
+    a, b, d = Poly.variables(vars)
+
+    def coefficient():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6)))
+
+    def form():
+        return (coefficient() * a * a + coefficient() * a * d
+                + coefficient() * d + coefficient() * a + coefficient())
+
+    # the b coefficient vanishes on the line a = 3 or everywhere, and the
+    # b^2 one (when present) on a = 3 only
+    lead = rng.choice((form() * (a - 3), form() * 0, form(),
+                       Poly.const(vars, rng.choice((1, -2, Fraction(3, 4))))))
+    equation = lead * b + form() * (a - 3 if rng.random() < 0.3 else 1)
+    if higher:
+        equation = equation + (a - 3) * b * b * coefficient()
+    return scans.ScanProblem(
+        "random", {}, equation, ("a", "d"), "b",
+        {"a": scans.Bound(*a_window, "window"), "d": scans.Bound(-3, 5, "window")},
+        (scans.Constraint("odd-b", "b must be odd", lambda p: p["b"] % 2),),
+        lambda p: "small" if abs(p["b"]) < 3 else None)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_scan_loop_matches_oracle_on_random_linear_equations(seed):
+    rng = random.Random(31 + seed)
+    # with a b^2 term, the window a = 3 only is where it vanishes throughout
+    higher = seed % 4 == 3
+    problem = _random_problem(rng, higher, (3, 3) if seed % 8 == 7 else (-4, 6))
+    try:
+        expected = _oracle_payload(problem)
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError, match="not linear in b"):
+            scan(problem)
+        return
+    got = scan(problem).to_payload()
+    assert (got["candidates"], got["survivors"], got["excluded"],
+            got["notes"]) == expected
