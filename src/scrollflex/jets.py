@@ -42,7 +42,9 @@ class JetProbeSpec(Record):
     """A chart to probe: variables, coordinate functions, order and sampling.
 
     ``variables`` is a list or tuple of names and ``coordinates`` one of
-    polynomials or strings parsed over those names.
+    polynomials or strings parsed over those names.  More sampled rows
+    (trials times jet rows) than ``DEFAULT_TRIALS`` trials of a
+    ``MAX_JET_ROWS``-row matrix are refused with ``ResourceLimitError``.
     """
 
     __slots__ = ("variables", "coordinates", "order", "trials", "seed", "height")
@@ -67,6 +69,11 @@ class JetProbeSpec(Record):
             raise InvalidInputError("sampling height must be >= 1")
         if not coordinates:
             raise InvalidInputError("need at least one coordinate function")
+        rows = comb(len(variables) + order, order)
+        if trials * rows > MAX_JET_ROWS * DEFAULT_TRIALS:
+            raise ResourceLimitError(
+                f"{trials} trials of {rows} rows are over the limit of "
+                f"{MAX_JET_ROWS * DEFAULT_TRIALS} sampled jet rows")
         variables = tuple(variables)
         coords = []
         for c in coordinates:
@@ -356,7 +363,7 @@ def inflection_equations(spec: JetProbeSpec, size: int) -> MinorReport:
     if not live:
         content = Poly.zero(spec.coordinates[0].vars)
     else:
-        content = common_divisor(live, random.Random(spec.seed))
+        content = common_divisor(live)
     return MinorReport(spec, size, minors, content, len(live))
 
 

@@ -3,9 +3,11 @@
 Ranks and single determinants are Bareiss eliminations: every intermediate
 entry is a minor of the input, so each division is exact and no fraction is
 ever formed.  Integer ranks pivot on the first nonzero entry of the current
-column; polynomial ranks and determinants pivot on the sparsest nonzero
-entry of the remaining submatrix (fewest terms, first in row-major order on
-ties), which keeps the Bareiss products and exact divisions small.
+column.  Polynomial rank and determinant share one elimination
+(``_eliminate``), which returns the rank and the signed last pivot; it
+pivots on the sparsest nonzero entry of the remaining submatrix (fewest
+terms, first in row-major order on ties), which keeps the Bareiss products
+and exact divisions small.
 
 All the r x r minors of a matrix come instead from one cofactor expansion
 whose sub-minors are shared (``iter_minors``).  It divides nothing, and its
@@ -91,73 +93,23 @@ def _find_pivot(m, step):
     return best
 
 
-def rank_poly(rows: Sequence[Sequence[Poly]]) -> int:
-    """Rank over the rational function field, by fraction-free elimination.
+def _eliminate(rows: Sequence[Sequence[Poly]]) -> tuple[int, Poly | None]:
+    """Rank and signed last pivot of a polynomial matrix, by Bareiss.
 
-    Bareiss one-step elimination: every intermediate entry is a minor of the
-    original matrix, and the division by the previous pivot is exact.  Each
-    step pivots on the sparsest nonzero entry left (see ``_find_pivot``).
+    One-step fraction-free elimination: every intermediate entry is a minor
+    of the input, and the division by the previous pivot is exact.  Each
+    step pivots on the sparsest nonzero entry left (see ``_find_pivot``),
+    and every row or column swap flips the sign.  For a square matrix of
+    full rank the signed last pivot is the determinant.
     """
-    m = [list(row) for row in rows]
-    if not m or not m[0]:
-        return 0
-    prev = None
-    rank = 0
-    steps = min(len(m), len(m[0]))
-    for step in range(steps):
-        loc = _find_pivot(m, step)
-        if loc is None:
-            break
-        pi, pj = loc
-        if pi != step:
-            m[pi], m[step] = m[step], m[pi]
-        if pj != step:
-            for row in m:
-                row[pj], row[step] = row[step], row[pj]
-        pivot = m[step][step]
-        for i in range(step + 1, len(m)):
-            for j in range(step + 1, len(m[0])):
-                num = m[i][j] * pivot - m[i][step] * m[step][j]
-                m[i][j] = num if prev is None else num.exact_div(prev)
-            m[i][step] = Poly.zero(pivot.vars)
-        prev = pivot
-        rank += 1
-    return rank
-
-
-def _has_zero_line(rows: Sequence[Sequence[Poly]]) -> bool:
-    return (any(all(p.is_zero() for p in row) for row in rows)
-            or any(all(p.is_zero() for p in col) for col in zip(*rows)))
-
-
-def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix (fraction-free Bareiss).
-
-    A matrix with an all-zero row or column is singular, so it is answered
-    without elimination.  Otherwise each step pivots on the sparsest nonzero
-    entry left (see ``_find_pivot``), and every row or column swap flips the
-    sign.
-    """
-    n = len(rows)
-    if n == 0:
-        raise InvalidInputError("determinant of an empty matrix")
-    if any(len(r) != n for r in rows):
-        raise InvalidInputError("determinant needs a square matrix")
-    if _has_zero_line(rows):
-        return Poly.zero(rows[0][0].vars)
-    return _bareiss(rows)
-
-
-def _bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
-    n = len(rows)
-    vars = rows[0][0].vars
     m = [list(row) for row in rows]
     sign = 1
     prev = None
-    for step in range(n - 1):
+    rank = 0
+    for step in range(min(len(m), len(m[0]) if m else 0)):
         loc = _find_pivot(m, step)
         if loc is None:
-            return Poly.zero(vars)
+            break
         pi, pj = loc
         if pi != step:
             m[pi], m[step] = m[step], m[pi]
@@ -168,16 +120,33 @@ def _bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
             sign = -sign
         top = m[step]
         pivot = top[step]
-        for i in range(step + 1, n):
+        for i in range(step + 1, len(m)):
             row = m[i]
             lead = row[step]
-            for j in range(step + 1, n):
+            for j in range(step + 1, len(top)):
                 num = row[j] * pivot
                 if not (lead.is_zero() or top[j].is_zero()):
                     num = num - lead * top[j]
                 row[j] = num if prev is None else num.exact_div(prev)
         prev = pivot
-    return m[n - 1][n - 1] * sign
+        rank += 1
+    return rank, None if prev is None else prev * sign
+
+
+def rank_poly(rows: Sequence[Sequence[Poly]]) -> int:
+    """Rank over the rational function field (see ``_eliminate``)."""
+    return _eliminate(rows)[0]
+
+
+def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square polynomial matrix (see ``_eliminate``)."""
+    n = len(rows)
+    if n == 0:
+        raise InvalidInputError("determinant of an empty matrix")
+    if any(len(r) != n for r in rows):
+        raise InvalidInputError("determinant needs a square matrix")
+    rank, last = _eliminate(rows)
+    return last if rank == n else Poly.zero(rows[0][0].vars)
 
 
 def minor_count(nrows: int, ncols: int, r: int) -> int:

@@ -228,6 +228,31 @@ def test_jet_probe_past_the_row_limit_is_refused_at_once(tmp_path, capsys):
     assert err.startswith("error:") and "1947792 rows" in err
 
 
+def test_jet_sampling_past_the_row_budget_is_refused_at_once(tmp_path, capsys):
+    payload = {"variables": ["u1", "t"],
+               "coordinates": ["1", "u1", "t", "t*u1"], "order": 2}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jet", str(path), "--trials", "100000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.startswith("error:") and "100000000 trials of 6 rows" in err
+
+
+@pytest.mark.parametrize("seed", ["0", "170"])
+def test_jet_minor_content_does_not_depend_on_the_seed(tmp_path, capsys, seed):
+    payload = {"variables": ["x", "y"], "order": 1,
+               "coordinates": ["1", "x", "(x+2)*(x*y^2 + 2*y)",
+                               "2*x*y^3 + 9*x*y^2 + 3*y^2 + 18*y"]}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, _ = run(capsys, "jet", str(path), "--minors", "3", "--seed", seed)
+    assert code == 0
+    assert "common content of 3x3 minors: x*y + 1\n" in out
+    assert "reduced locus: x*y + 1 = 0" in out
+
+
 @pytest.mark.parametrize("command", ["class", "degree"])
 @pytest.mark.parametrize("dims", [("40", "39", "2", "898"),
                                   ("4", "2", "10000", "150025000")])

@@ -122,7 +122,37 @@ def test_common_divisor_monomial_and_zero_skipping():
     x, y, w = _vars()
     polys = [y * (x ** 2 - y) * 2, y ** 2 * (x + w) * 3, y * w ** 2 * 5,
              Poly.zero(V)]
-    assert common_divisor(polys, random.Random(0)) == y
+    assert common_divisor(polys) == y
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_common_divisor_keeps_a_planted_factor(seed):
+    rng = random.Random(4000 + seed)
+    x, y, w = _vars()
+
+    def rand_poly(factors):
+        p = Poly.const(V, rng.choice([-3, -1, 1, 2]))
+        for _ in range(factors):
+            p = p * (rng.choice([x, y, w]) * rng.choice([x, y, w, 1])
+                     + rng.randint(-3, 3))
+        return p
+
+    planted = x * y + rng.choice([1, -2]) + rng.choice([0, w])
+    polys = [planted * rand_poly(rng.randint(0, 2))
+             for _ in range(rng.randint(2, 6))] + [Poly.zero(V)]
+    g = common_divisor(polys)
+    assert g.divisible_by(planted)
+    assert all(p.divisible_by(g) for p in polys)
+    assert g == g.normalized()
+
+
+def test_shift_down_divides_by_a_monomial():
+    x, y, w = _vars()
+    p = 3 * x ** 2 * y - x * y * w
+    assert p.shift_down((1, 1, 0)) == 3 * x - w
+    for exps in [(1, 1), (1, 1, 0, 0), (-1, 0, 0), (2, 0, 0)]:
+        with pytest.raises(InvalidInputError):
+            p.shift_down(exps)
 
 
 def test_parse_round_trip():

@@ -102,6 +102,22 @@ def test_minor_content_bordiga_divisible_by_y():
     assert exps["y"] >= 1
 
 
+# Coordinates whose 3x3 jet minors share the factor x*y + 1; its leading
+# coefficients vanish at x = 0 and y = 0, where a sampled gcd-degree bound
+# drops (spec seeds 170 and 265 led the sampled route there).
+CONTENT_PROBE = {"variables": ["x", "y"], "order": 1,
+                 "coordinates": ["1", "x", "(x+2)*(x*y^2 + 2*y)",
+                                 "2*x*y^3 + 9*x*y^2 + 3*y^2 + 18*y"]}
+
+
+@pytest.mark.parametrize("seed", [0, 170, 265])
+def test_minor_content_is_exact_at_every_seed(seed):
+    spec = JetProbeSpec.from_payload(dict(CONTENT_PROBE, seed=seed))
+    report = inflection_equations(spec, 3)
+    assert str(report.content) == "x*y + 1"
+    assert all(m.divisible_by(report.content) for m in report.minors)
+
+
 def test_minor_size_guard():
     spec = BUNDLED_PROBES["segre-2-1"].build()
     with pytest.raises(InvalidInputError):
@@ -164,6 +180,16 @@ def test_spec_validation():
     with pytest.warns(UserWarning, match=r"\(u1\)") as seen:
         JetProbeSpec.from_payload(payload)
     assert seen[0].filename == __file__
+
+
+def test_sampled_rows_are_bounded():
+    # 21 rows (two variables at order 5) take DEFAULT_TRIALS * 5000 / 21
+    # trials at most
+    one = (Poly.const(("u", "v"), 1),)
+    budget = jets.MAX_JET_ROWS * jets.DEFAULT_TRIALS
+    assert JetProbeSpec(("u", "v"), one, 5, trials=budget // 21).trials == 1904
+    with pytest.raises(ResourceLimitError, match="1905 trials of 21 rows"):
+        JetProbeSpec(("u", "v"), one, 5, trials=budget // 21 + 1)
 
 
 def test_probe_rank_report_fields():

@@ -17,7 +17,7 @@ from scrollflex.exactpoly import Poly, parse_poly
 from scrollflex import jets
 from scrollflex.jets import (BUNDLED_PROBES, JetProbeSpec, bundled_minor_report,
                              jet_matrix, probe_rank, symbolic_jet_matrix)
-from scrollflex.linalg import _bareiss, det_poly, iter_minors, rank_rational
+from scrollflex.linalg import det_poly, iter_minors, rank_rational
 from scrollflex.scroll import (BASE_PRESETS, NumericalBaseData, ScrollSetup,
                                chern_wu_reduce, inflection_class, max_rank,
                                pushforward, scroll_ring)
@@ -560,7 +560,7 @@ def test_structural_zero_minors_equal_full_bareiss(name):
         minors = list(iter_minors(matrix, size))
         assert [key for key, _ in minors] == keys
         for (rows, cols), value in minors:
-            full = _bareiss([[matrix[i][j] for j in cols] for i in rows])
+            full = det_poly([[matrix[i][j] for j in cols] for i in rows])
             assert value == full, (name, rows, cols)
 
 
