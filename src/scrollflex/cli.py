@@ -206,7 +206,8 @@ def _cmd_jet(config: RunConfig) -> int:
     ]
     if config.minors:
         report = jets.inflection_equations(spec, config.minors)
-        payload["minors"] = report.to_payload()
+        if config.format == "structured":  # pretty output never shows the minors
+            payload["minors"] = report.to_payload()
         lines.append(f"common content of {config.minors}x{config.minors} minors: "
                      f"{report.content}")
         lines.append(f"reduced locus: {report.reduced_locus}")

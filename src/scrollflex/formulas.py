@@ -222,18 +222,13 @@ def abelian_surface_degree(k: int, ell: int) -> Poly:
     return cd * d + cg * g2
 
 
-def abelian_example4_degree(k: int, n: int = 3, p: int | None = None) -> int:
-    """Flex count for the order-two secant scroll over a quotient abelian surface.
-
-    Only the threefold family carries the tabulated quintic in k; its
-    polarization type is p = (k+1)^2 + 2 unless overridden.
+def abelian_example4_degree(k: int) -> int:
+    """Flex count for the order-two secant threefold scroll over a quotient
+    abelian surface: a quintic in k at polarization type p = (k+1)^2 + 2.
     """
-    if n != 3:
-        raise InvalidInputError("the quintic flex-count polynomial is for n = 3")
     if k < 2:
         raise InvalidInputError("the family needs k >= 2")
-    if p is None:
-        p = (k + 1) ** 2 + 2
+    p = (k + 1) ** 2 + 2
     value = Fraction(p, 2) * (k ** 5 + 5 * k ** 4 + 13 * k ** 3
                               + 19 * k ** 2 + 16 * k + 6)
     if value.denominator != 1:

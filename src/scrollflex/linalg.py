@@ -216,8 +216,7 @@ def _reachable_keys(nz: list[int], row_sets: list[int], col_sets: list[int],
     return levels
 
 
-def iter_minors(matrix: Sequence[Sequence[Poly]], r: int,
-                limit: int = MINOR_COUNT_LIMIT):
+def iter_minors(matrix: Sequence[Sequence[Poly]], r: int):
     """Yield ((row subset, column subset), r x r minor) over all subsets.
 
     Every minor comes from one cofactor expansion whose sub-minors are
@@ -238,9 +237,9 @@ def iter_minors(matrix: Sequence[Sequence[Poly]], r: int,
             f"minor size {r} exceeds matrix shape {nrows}x{ncols}"
         )
     count = minor_count(nrows, ncols, r)
-    if count > limit:
+    if count > MINOR_COUNT_LIMIT:
         raise ResourceLimitError(
-            f"{count} minors of size {r} exceed the limit of {limit}"
+            f"{count} minors of size {r} exceed the limit of {MINOR_COUNT_LIMIT}"
         )
     vars = matrix[0][0].vars
     pack, unpack = _packer([p for row in matrix for p in row], len(vars), r)

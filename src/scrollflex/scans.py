@@ -131,41 +131,6 @@ class ExceptionalCondition(Record, frozen=False):
         self.side_conditions = side_conditions
         self.verified = verified
 
-    def check(self, **values) -> tuple[bool, str]:
-        """Feasibility screen for concrete parameter values."""
-        point = {k: Fraction(v) for k, v in values.items()}
-        if self.family == "Fe":
-            d, e = point["d"], point.get("e", Fraction(0))
-            if d % 2 != 0:
-                return False, "d must be even (parity of the hyperbola)"
-            if d < 10:
-                return False, ("d >= 10: degree 8 is ruled out by the genus "
-                               "classification")
-            if (9 * d - 32) % 20 != 0:
-                return False, "b = e + (9d - 32)/20 must be an integer"
-            b = e + (9 * d - 32) / 20
-            if b < 2 * e + 2:
-                return False, "b >= 2e + 2 (ample restriction to the minimal section)"
-            return True, f"b = {b}"
-        if self.family == "ProductsBxP1":
-            d, q = point["d"], point["q"]
-            if (9 * d + 32 * (q - 1)) % 20 != 0:
-                return False, "b = (9d + 32(q - 1))/20 must be an integer"
-            b = (9 * d + 32 * (q - 1)) / 20
-            if b < 5:
-                return False, "b >= 5 (no irrational surface scroll has degree < 5)"
-            return True, f"b = {b}"
-        raise InvalidInputError(f"no feasibility screen for family {self.family}")
-
-    def to_payload(self) -> dict:
-        return {
-            "family": self.family,
-            "fixed": dict(self.fixed),
-            "relation": self.relation,
-            "side_conditions": list(self.side_conditions),
-            "verified": self.verified,
-        }
-
 
 # -- helpers -------------------------------------------------------------------
 
@@ -478,13 +443,23 @@ def _threefold_base_problem(family: str, ell: int) -> ScanProblem:
     )
 
 
+def _fe_hyperbola(a, b, d, e):
+    """Degree-zero equation over the Hirzebruch surface F_e in ambient 9;
+    ``e`` is an int for a scan or a polynomial variable for the family."""
+    return 12 * e * a ** 2 - 24 * a * b + 34 * (2 - e) * a + 68 * b - (9 * d + 104)
+
+
+def _bxp1_hyperbola(a, b, d, q):
+    """Degree-zero equation over B x P^1, B of genus ``q`` (int or variable)."""
+    return 24 * a * b + 68 * (q - 1) * a - 68 * b + 9 * d - 104 * (q - 1)
+
+
 def _fe_problem(e: int) -> ScanProblem:
     if e < 0:
         raise InvalidInputError("the Hirzebruch invariant e must be >= 0")
     vars = ("a", "b", "d")
     a, b, d = Poly.variables(vars)
-    transcribed = (12 * e * a ** 2 - 24 * a * b + 34 * (2 - e) * a + 68 * b
-                   - (9 * d + 104))
+    transcribed = _fe_hyperbola(a, b, d, e)
     degree_form = (9 * d + 12 * (2 * b - a * e) * a
                    + 34 * (a * e - 2 * a - 2 * b) + 104)
     engine = symbolic_degree(ScrollSetup(3, 2, 2, 9),
@@ -532,8 +507,7 @@ def _bxp1_problem(q: int) -> ScanProblem:
         raise InvalidInputError("the base curve genus q must be >= 1")
     vars = ("a", "b", "d")
     a, b, d = Poly.variables(vars)
-    transcribed = (24 * a * b + 68 * (q - 1) * a - 68 * b + 9 * d
-                   - 104 * (q - 1))
+    transcribed = _bxp1_hyperbola(a, b, d, q)
     degree_form = (9 * d + 24 * a * b + 68 * (q - 1) * a - 68 * b
                    + 104 * (1 - q))
     engine = symbolic_degree(ScrollSetup(3, 2, 2, 9),
@@ -597,10 +571,9 @@ def exceptional_condition(family: str, **params) -> ExceptionalCondition:
     if family == "Fe":
         vars = ("a", "b", "d", "e")
         a, b, d, ev = Poly.variables(vars)
-        hyperbola = (12 * ev * a ** 2 - 24 * a * b + 34 * (2 - ev) * a
-                     + 68 * b - (9 * d + 104))
         b_value = ev + d * Fraction(9, 20) - Fraction(32, 20)
-        residue = hyperbola.subs({"a": Poly.const(vars, 2), "b": b_value})
+        residue = _fe_hyperbola(a, b, d, ev).subs(
+            {"a": Poly.const(vars, 2), "b": b_value})
         return ExceptionalCondition(
             "Fe", {"a": 2}, "9d - 32 = 20(b - e)",
             ("d even", "d >= 10", "b - 2e >= 2"),
@@ -609,10 +582,9 @@ def exceptional_condition(family: str, **params) -> ExceptionalCondition:
     if family == "ProductsBxP1":
         vars = ("a", "b", "d", "q")
         a, b, d, qv = Poly.variables(vars)
-        hyperbola = (24 * a * b + 68 * (qv - 1) * a - 68 * b + 9 * d
-                     - 104 * (qv - 1))
         b_value = d * Fraction(9, 20) + (qv - 1) * Fraction(32, 20)
-        residue = hyperbola.subs({"a": Poly.const(vars, 2), "b": b_value})
+        residue = _bxp1_hyperbola(a, b, d, qv).subs(
+            {"a": Poly.const(vars, 2), "b": b_value})
         return ExceptionalCondition(
             "ProductsBxP1", {"a": 2}, "9d + 32(q - 1) = 20b",
             ("b >= 5",),

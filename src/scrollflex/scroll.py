@@ -267,7 +267,7 @@ def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:
     return done
 
 
-def pushforward(x: GradedClass, r: int, target: GradedRing | None = None) -> GradedClass:
+def pushforward(x: GradedClass, r: int) -> GradedClass:
     """Fiber integration to Y through the Segre classes of V.
 
     pi_*(beta L^(r-1+i)) = beta s_i, with s = 1 / c(V^dual) (Fulton,
@@ -278,7 +278,7 @@ def pushforward(x: GradedClass, r: int, target: GradedRing | None = None) -> Gra
     m = ring.sector_caps.get(BASE_SECTOR)
     if m is None:
         raise InvalidInputError("pushforward needs a scroll ring with a base sector")
-    return _integrate(ring, x.terms.items(), r, target or base_ring(m, r))
+    return _integrate(ring, x.terms.items(), r, base_ring(m, r))
 
 
 @lru_cache(maxsize=RING_CACHE_SIZE)

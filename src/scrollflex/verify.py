@@ -1,24 +1,31 @@
 """Full regression table: engine output against every transcribed form.
 
-Each check is a pure function returning (ok, detail).  ``run_checks``
-executes them one after another in sorted order, timing each, and is
-the backing for both the command-line ``verify`` command and the
-acceptance test suite.
+Each check is a pure function returning (ok, detail).  Most rows come from
+shared runners: a class or a degree class against its closed form, a
+preset's numbers against a count, an exception family over a curve, and
+the scans.  A runner looks its closed form up in
+:mod:`scrollflex.formulas` when it runs, so ``build_checks`` only lists
+the rows.  ``run_checks`` executes them one after another in sorted
+order, timing each, and is the backing for both the command-line
+``verify`` command and the acceptance test suite.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from functools import lru_cache
 from math import comb
 from typing import Callable
 
 from . import formulas, jets, scans
 from ._record import Record
+from .chern import GradedRing, GradedVariable
 from .exactpoly import Poly
-from .scroll import (BASE_PRESETS, ScrollSetup, degree_class,
-                     degree_of_inflection, graded_to_poly, inflection_class,
-                     max_rank, scroll_ring, symbolic_degree, total_chern_E_k)
+from .scroll import (BASE_PRESETS, ScrollSetup, chern_wu_reduce, degree_class,
+                     degree_of_inflection, evaluate_symbolic, graded_to_poly,
+                     hyperplane_class, inflection_class, max_rank, pushforward,
+                     scroll_ring, symbolic_degree, total_chern_E_k)
 
 
 class CheckResult(Record, frozen=False):
@@ -44,58 +51,71 @@ def _eq(got, want) -> tuple[bool, str]:
     return False, f"got {got}, want {want}"
 
 
-# -- engine-vs-record comparisons ---------------------------------------------
+# -- shared runners -------------------------------------------------------------
+
+
+def _formula(name: str, *args):
+    """The closed form ``formulas.<name>(*args, *more)``, looked up when it runs."""
+    return lambda *more: getattr(formulas, name)(*args, *more)
 
 
 def _setup_for_codim(n: int, m: int, k: int, ell: int) -> ScrollSetup:
     return ScrollSetup(n, m, k, max_rank(n, m, k) - 2 + ell)
 
 
-def _check_threefold_class(part):
-    def run():
-        ring = scroll_ring(3, 2)
-        got = inflection_class(_setup_for_codim(3, 2, 2, part), ring)
-        return _eq(got, formulas.threefold_surface_class(part, ring))
-    return run
-
-
-def _check_fourfold_class(codim):
-    def run():
-        ring = scroll_ring(4, 3)
-        got = inflection_class(_setup_for_codim(4, 3, 2, codim), ring)
-        return _eq(got, formulas.fourfold_threefold_class(codim, ring))
-    return run
-
-
-def _check_divisor_class(n, m):
+def _class_row(n, m, ell, want):
+    """The order-2 class of codimension ``ell`` against ``want(ring)``."""
     def run():
         ring = scroll_ring(n, m)
-        got = inflection_class(_setup_for_codim(n, m, 2, 1), ring)
-        return _eq(got, formulas.divisor_class(n, m, ring))
+        got = inflection_class(_setup_for_codim(n, m, 2, ell), ring)
+        return _eq(got, want(ring))
     return run
 
 
-def _surface_degree_engine(N) -> Poly:
-    cls = degree_class(_setup_for_codim(3, 2, 2, N - 8 + 1))
-    return graded_to_poly(cls, formulas.SURFACE_VARS)
+def _engine_degree(n: int, m: int, ell: int) -> Poly:
+    vars = formulas.SURFACE_VARS if m == 2 else formulas.FOURFOLD_VARS
+    return graded_to_poly(degree_class(_setup_for_codim(n, m, 2, ell)), vars)
 
 
-def _check_surface_degree(N):
+def _degree_row(n, m, ell, want):
+    """The order-2 degree class against ``want()`` in raw base monomials."""
     def run():
-        got = _surface_degree_engine(N)
-        want = formulas.surface_degree(N).subs(formulas.degree_substitution_m2())
+        got = _engine_degree(n, m, ell)
+        subs = (formulas.degree_substitution_m2() if m == 2
+                else formulas.degree_substitution_m3_r2())
+        return _eq(got, want().subs(subs))
+    return run
+
+
+def _number_row(preset, values, k, ell, want):
+    """The degree over a preset surface, on the preset's numbers, against
+    ``want()``."""
+    def run():
+        data = BASE_PRESETS[preset].numerical(**values)
+        got = degree_of_inflection(_setup_for_codim(3, 2, k, ell), data).value
+        return _eq(got, want())
+    return run
+
+
+def _curve_row(case, names, forms):
+    """A divisor-case exception family over a ruled surface on a curve of
+    genus q (c1^2 = 8(1 - q), c2 = 4(1 - q)); ``forms(q, *names)`` gives
+    c1.v1, v1^2, v2 and the scroll degree d."""
+    def run():
+        vars = ("q", *names)
+        gens = Poly.variables(vars)
+        c1v1, v1v1, v2, d = forms(*gens)
+        q = gens[0]
+        assignments = {"c1^2": (1 - q) * 8, "c2": (1 - q) * 4,
+                       "c1*v1": c1v1, "v1^2": v1v1, "v2": v2}
+        got = symbolic_degree(ScrollSetup(3, 2, 2, 8), assignments, vars)
+        want = formulas.thm_details_exception_degree(case).subs(
+            {"d": d, **dict(zip(vars, gens))}, vars=vars)
         return _eq(got, want)
     return run
 
 
-def _check_fourfold_degree(codim):
-    def run():
-        cls = degree_class(_setup_for_codim(4, 3, 2, codim))
-        got = graded_to_poly(cls, formulas.FOURFOLD_VARS)
-        want = formulas.fourfold_degree(codim).subs(
-            formulas.degree_substitution_m3_r2())
-        return _eq(got, want)
-    return run
+# -- single rows -----------------------------------------------------------------
 
 
 def _check_p2_specialization():
@@ -116,8 +136,6 @@ def _check_k3_form():
 def _check_projection_remark():
     # residual class 3L - C1 dotted with L^2 over a product scroll with both
     # summands the base hyperplane bundle: v1 = 2H, v2 = H^2, c1 = -K
-    from .scroll import chern_wu_reduce, pushforward, hyperplane_class
-
     ring = scroll_ring(3, 2)
     residual = 3 * hyperplane_class(ring) - ring.variable("C1")
     cls = pushforward(residual * hyperplane_class(ring) ** 2, 2)
@@ -125,7 +143,6 @@ def _check_projection_remark():
     h2, hk, d = Poly.variables(vars)
     assignments = {"v1^2": h2 * 4, "v2": h2, "c1*v1": hk * -2,
                    "c1^2": Poly.zero(vars), "c2": Poly.zero(vars)}
-    from .scroll import evaluate_symbolic
     got = evaluate_symbolic(cls, assignments, vars)
     want = formulas.projection_remark().subs({"d": h2 * 3, "hk": hk}, vars=vars)
     return _eq(got, want)
@@ -145,8 +162,6 @@ def _abelian_inverse(m: int, n: int, k: int):
 
 def _check_abelian_class(m, n, k):
     def run():
-        import warnings
-
         ring, inverse = _abelian_inverse(m, n, k)
         for ell in range(1, n + 1):
             got = inverse.homogeneous_part(ell)
@@ -172,28 +187,6 @@ def _check_abelian_degree(n, k):
     return run
 
 
-def _check_example4(k, p):
-    def run():
-        want = formulas.abelian_example4_degree(k)
-        data = BASE_PRESETS["abelian-surface"].numerical(d=3 * p, g2=4 * p)
-        setup = _setup_for_codim(3, 2, k, 3)
-        got = degree_of_inflection(setup, data).value
-        return _eq(got, want)
-    return run
-
-
-def _check_veronese_projection():
-    data = BASE_PRESETS["p2"].numerical(v=4, y=4)
-    got = degree_of_inflection(ScrollSetup(3, 2, 2, 10), data).value
-    return _eq(got, 6)
-
-
-def _check_k3_number():
-    data = BASE_PRESETS["k3"].numerical(d=7, g2=8)
-    got = degree_of_inflection(ScrollSetup(3, 2, 2, 9), data).value
-    return _eq(got, 15)
-
-
 def _check_exception_case1():
     data = BASE_PRESETS["p2"].numerical(v=3, y=2)
     setup = ScrollSetup(3, 2, 2, 8)
@@ -214,41 +207,9 @@ def _check_exception_case2():
     return True, "degree 3d - 12 on the quartic-determinant plane family"
 
 
-def _check_exception_case3():
-    vars = ("q", "f", "g")
-    q, f, g = Poly.variables(vars)
-    assignments = {
-        "c1^2": (1 - q) * 8, "c2": (1 - q) * 4,
-        "c1*v1": f * 2 + g * 2 - q * 4 + 4,
-        "v1^2": f * 4 + g * 4, "v2": f + g,
-    }
-    got = symbolic_degree(ScrollSetup(3, 2, 2, 8), assignments, vars)
-    d = f * 3 + g * 3
-    want = formulas.thm_details_exception_degree(3).subs(
-        {"d": d, "q": q, "f": f, "g": g}, vars=vars)
-    return _eq(got, want)
-
-
-def _check_exception_case4():
-    vars = ("q", "f", "A", "M")
-    q, f, A, M = Poly.variables(vars)
-    assignments = {
-        "c1^2": (1 - q) * 8, "c2": (1 - q) * 4,
-        "c1*v1": f * 3 + A * 2 + M * 2 - q * 6 + 6,
-        "v1^2": f * 9 + A * 6 + M * 6, "v2": f * 2 + A + M * 2,
-    }
-    got = symbolic_degree(ScrollSetup(3, 2, 2, 8), assignments, vars)
-    d = f * 7 + A * 5 + M * 4
-    want = formulas.thm_details_exception_degree(4).subs(
-        {"d": d, "q": q, "f": f, "A": A, "M": M}, vars=vars)
-    return _eq(got, want)
-
-
 def _check_example5_class():
     # specialize the divisor-case class to the two-summand plane scroll:
     # C1 -> 3H, V1 -> 3H, and the negative section is L - 2H
-    from .chern import GradedRing, GradedVariable
-
     ring = scroll_ring(3, 2)
     cls = inflection_class(ScrollSetup(3, 2, 2, 8), ring)
     target = GradedRing([GradedVariable("L", 1),
@@ -267,8 +228,7 @@ def _check_divisor_two_expressions(n):
         subs = formulas.degree_substitution_m2()
         if first.subs(subs) != second.subs(subs):
             return False, "the two expressions disagree under the substitutions"
-        got = _surface_degree_engine(8) if n == 3 else graded_to_poly(
-            degree_class(_setup_for_codim(n, 2, 2, 1)), formulas.SURFACE_VARS)
+        got = _engine_degree(n, 2, 1)
         if got != first.subs(subs):
             return False, f"engine gives {got}, records give {first.subs(subs)}"
         return True, "both expressions match the engine"
@@ -288,8 +248,6 @@ def _check_tag13_abelian_specialization():
 
 
 def _check_reduce_order_invariance():
-    from .scroll import chern_wu_reduce, hyperplane_class, pushforward
-
     for (n, m, k, ell) in ((3, 2, 2, 2), (3, 2, 2, 3), (4, 3, 2, 3)):
         setup = _setup_for_codim(n, m, k, ell)
         ring = scroll_ring(n, m)
@@ -318,54 +276,42 @@ def _check_example4_identity():
 # -- scans and jets -------------------------------------------------------------
 
 
-def _check_scan(family, expect_survivors, expect_verdict, **params):
+def _points(report) -> list[tuple]:
+    return sorted(tuple(sorted(s.point.items())) for s in report.survivors)
+
+
+def _scan_row(family, expect_survivors, expect_verdict, **params):
     def run():
-        report = scans.run_family(family, **params)
-        got = sorted(tuple(sorted(s.point.items())) for s in report.survivors)
+        problem = scans.build_problem(family, **params)
+        report = scans.scan(problem)
+        got = _points(report)
         want = sorted(tuple(sorted(p.items())) for p in expect_survivors)
         if got != want:
             return False, f"survivors {got}, want {want}"
         if report.verdict != expect_verdict:
             return False, f"verdict {report.verdict!r}, want {expect_verdict!r}"
-        doubled = scans.run_family(family, scale=2, **params)
-        got2 = sorted(tuple(sorted(s.point.items())) for s in doubled.survivors)
-        if got2 != got:
+        if _points(scans.scan(problem.scaled(2))) != got:
             return False, "survivor set changes when bounds are doubled"
         return True, f"verdict {report.verdict!r}, stable under doubled bounds"
     return run
 
 
-def _check_fe_window(e):
+def _window_row(family, param, value, on_family):
+    """A hyperbola scan: its a = 2 condition verifies, each survivor with
+    a = 2 passes ``on_family(point, value)`` and each other one is annotated."""
     def run():
-        report = scans.run_family("Fe", e=e)
-        condition = scans.exceptional_condition("Fe", e=e)
-        if not condition.verified:
-            return False, "condition fails its substitution identity"
-        for s in report.survivors:
-            if s.point["a"] == 2:
-                if 9 * s.point["d"] - 32 != 20 * (s.point["b"] - e):
-                    return False, f"survivor {s.point} violates the relation"
-            elif not s.annotation:
-                return False, f"unexplained survivor {s.point}"
-        if report.verdict != "exceptional condition":
-            return False, f"verdict {report.verdict!r}"
-        return True, f"{len(report.survivors)} windowed survivors, all on the family"
-    return run
-
-
-def _check_bxp1_window(q):
-    def run():
-        report = scans.run_family("ProductsBxP1", q=q)
-        condition = scans.exceptional_condition("ProductsBxP1", q=q)
-        if not condition.verified:
+        problem = scans.build_problem(family, **{param: value})
+        report = scans.scan(problem)
+        if not problem.exceptional.verified:
             return False, "condition fails its substitution identity"
         for s in report.survivors:
             if s.point["a"] != 2:
-                return False, f"survivor off the a = 2 family: {s.point}"
-            if 9 * s.point["d"] + 32 * (q - 1) != 20 * s.point["b"]:
+                if not s.annotation:
+                    return False, f"unexplained survivor {s.point}"
+            elif not on_family(s.point, value):
                 return False, f"survivor {s.point} violates the relation"
-            if s.point["b"] < 5:
-                return False, f"survivor {s.point} has b < 5"
+        if report.verdict != "exceptional condition":
+            return False, f"verdict {report.verdict!r}"
         return True, f"{len(report.survivors)} windowed survivors, all on the family"
     return run
 
@@ -406,13 +352,26 @@ def _check_bordiga_minors():
     return True, f"all {report.nonzero_minors} minors divisible by y; gcd {report.content}"
 
 
-def _check_product_identity(name, builder, fiber_dim):
+def _check_product_identity(builder, fiber_dim):
     def run():
         check = jets.product_rank_identity(builder(), fiber_dim)
         if not check.holds:
             return False, f"predicted {check.predicted}, direct {check.direct}"
         return True, f"rank {check.direct} from both sides"
     return run
+
+
+def _check_rnc_products():
+    for degree in (3, 4):
+        for order in (2, 3):
+            if order > degree:
+                continue
+            base = jets.rational_normal_curve_chart(degree, order=order)
+            check = jets.product_rank_identity(base, 1)
+            if not check.holds:
+                return False, (f"degree {degree}, order {order}: predicted "
+                               f"{check.predicted}, direct {check.direct}")
+    return True, "identity holds on rational normal curve bases"
 
 
 def _check_jet_bound_examples():
@@ -433,20 +392,21 @@ def _check_jet_bound_examples():
 
 def build_checks() -> list[Check]:
     checks: list[Check] = []
-
-    for part in (1, 2, 3):
-        checks.append((f"class-threefold-surface-l{part}",
-                       _check_threefold_class(part)))
-    for codim in (2, 3, 4):
-        checks.append((f"class-fourfold-threefold-l{codim}",
-                       _check_fourfold_class(codim)))
-    for m in range(2, 6):
-        for n in range(m + 1, 7):
-            checks.append((f"class-divisor-n{n}-m{m}", _check_divisor_class(n, m)))
-    for N in (8, 9, 10):
-        checks.append((f"degree-threefold-ambient{N}", _check_surface_degree(N)))
-    for codim in (1, 2, 3, 4):
-        checks.append((f"degree-fourfold-l{codim}", _check_fourfold_degree(codim)))
+    checks += [(f"class-threefold-surface-l{part}",
+                _class_row(3, 2, part, _formula("threefold_surface_class", part)))
+               for part in (1, 2, 3)]
+    checks += [(f"class-fourfold-threefold-l{codim}",
+                _class_row(4, 3, codim, _formula("fourfold_threefold_class", codim)))
+               for codim in (2, 3, 4)]
+    checks += [(f"class-divisor-n{n}-m{m}",
+                _class_row(n, m, 1, _formula("divisor_class", n, m)))
+               for m in range(2, 6) for n in range(m + 1, 7)]
+    checks += [(f"degree-threefold-ambient{N}",
+                _degree_row(3, 2, N - 7, _formula("surface_degree", N)))
+               for N in (8, 9, 10)]
+    checks += [(f"degree-fourfold-l{codim}",
+                _degree_row(4, 3, codim, _formula("fourfold_degree", codim)))
+               for codim in (1, 2, 3, 4)]
     checks.append(("degree-plane-ambient9", _check_p2_specialization))
     checks.append(("degree-k3-ambient9", _check_k3_form))
     checks.append(("degree-projection-residual", _check_projection_remark))
@@ -456,17 +416,26 @@ def build_checks() -> list[Check]:
                        _check_abelian_class(2, 4, k)))
         checks.append((f"class-abelian-threefold-k{k}",
                        _check_abelian_class(3, 5, k)))
-    for k in (1, 2, 3):
         checks.append((f"degree-abelian-surface-k{k}", _check_abelian_degree(4, k)))
 
-    checks.append(("numeric-secant-family-k2", _check_example4(2, 11)))
-    checks.append(("numeric-secant-family-k3", _check_example4(3, 18)))
-    checks.append(("numeric-veronese-projection", _check_veronese_projection))
-    checks.append(("numeric-k3-floor", _check_k3_number))
+    for k in (2, 3):
+        p = (k + 1) ** 2 + 2  # polarization type of the secant family
+        checks.append((f"numeric-secant-family-k{k}", _number_row(
+            "abelian-surface", {"d": 3 * p, "g2": 4 * p}, k, 3,
+            _formula("abelian_example4_degree", k))))
+    checks.append(("numeric-veronese-projection",
+                   _number_row("p2", {"v": 4, "y": 4}, 2, 3, lambda: 6)))
+    checks.append(("numeric-k3-floor",
+                   _number_row("k3", {"d": 7, "g2": 8}, 2, 2, lambda: 15)))
     checks.append(("numeric-exception-case1", _check_exception_case1))
     checks.append(("numeric-exception-case2", _check_exception_case2))
-    checks.append(("numeric-exception-case3", _check_exception_case3))
-    checks.append(("numeric-exception-case4", _check_exception_case4))
+    checks.append(("numeric-exception-case3", _curve_row(
+        3, ("f", "g"), lambda q, f, g: (
+            f * 2 + g * 2 - q * 4 + 4, f * 4 + g * 4, f + g, f * 3 + g * 3))))
+    checks.append(("numeric-exception-case4", _curve_row(
+        4, ("f", "A", "M"), lambda q, f, A, M: (
+            f * 3 + A * 2 + M * 2 - q * 6 + 6, f * 9 + A * 6 + M * 6,
+            f * 2 + A + M * 2, f * 7 + A * 5 + M * 4))))
     checks.append(("numeric-negative-section-class", _check_example5_class))
 
     for n in (3, 4, 5, 6):
@@ -477,23 +446,24 @@ def build_checks() -> list[Check]:
     checks.append(("consistency-reduction-order", _check_reduce_order_invariance))
     checks.append(("consistency-secant-quintic", _check_example4_identity))
 
-    checks.append(("scan-plane-ambient10",
-                   _check_scan("P2_N10", [], "empty")))
+    checks.append(("scan-plane-ambient10", _scan_row("P2_N10", [], "empty")))
     checks.append(("scan-plane-ambient9",
-                   _check_scan("P2_N9", [{"v": 4, "d": 10}],
-                               "empty after geometric exclusions")))
+                   _scan_row("P2_N9", [{"v": 4, "d": 10}],
+                             "empty after geometric exclusions")))
     checks.append(("scan-p3-l2",
-                   _check_scan("P3", [{"x": 4, "y": 5}],
-                               "empty after geometric exclusions", ell=2)))
-    checks.append(("scan-p3-l3", _check_scan("P3", [], "empty", ell=3)))
-    checks.append(("scan-p3-l4", _check_scan("P3", [], "empty", ell=4)))
-    for ell in (2, 3, 4):
-        checks.append((f"scan-quadric-l{ell}",
-                       _check_scan("Q3", [], "empty", ell=ell)))
-    for e in (0, 1, 2):
-        checks.append((f"scan-hirzebruch-e{e}", _check_fe_window(e)))
-    for q in (1, 2):
-        checks.append((f"scan-product-q{q}", _check_bxp1_window(q)))
+                   _scan_row("P3", [{"x": 4, "y": 5}],
+                             "empty after geometric exclusions", ell=2)))
+    checks += [(f"scan-p3-l{ell}", _scan_row("P3", [], "empty", ell=ell))
+               for ell in (3, 4)]
+    checks += [(f"scan-quadric-l{ell}", _scan_row("Q3", [], "empty", ell=ell))
+               for ell in (2, 3, 4)]
+    checks += [(f"scan-hirzebruch-e{e}", _window_row(
+        "Fe", "e", e, lambda p, e: 9 * p["d"] - 32 == 20 * (p["b"] - e)))
+               for e in (0, 1, 2)]
+    checks += [(f"scan-product-q{q}", _window_row(
+        "ProductsBxP1", "q", q,
+        lambda p, q: 9 * p["d"] + 32 * (q - 1) == 20 * p["b"] and p["b"] >= 5))
+               for q in (1, 2)]
 
     for name in jets.BUNDLED_PROBES:
         checks.append((f"jet-rank-{name}", _check_jet_rank(name)))
@@ -501,25 +471,12 @@ def build_checks() -> list[Check]:
     checks.append(("jet-minors-cubic-scroll", _check_cubic_scroll_minors))
     checks.append(("jet-minors-bordiga", _check_bordiga_minors))
     checks.append(("jet-product-veronese",
-                   _check_product_identity("veronese", jets.veronese_chart, 1)))
+                   _check_product_identity(jets.veronese_chart, 1)))
     checks.append(("jet-product-cubic-scroll",
-                   _check_product_identity("cubic-scroll", jets.f1_cubic_chart, 1)))
+                   _check_product_identity(jets.f1_cubic_chart, 1)))
     checks.append(("jet-product-rational-curves", _check_rnc_products))
     checks.append(("jet-row-bound", _check_jet_bound_examples))
     return checks
-
-
-def _check_rnc_products():
-    for degree in (3, 4):
-        for order in (2, 3):
-            if order > degree:
-                continue
-            base = jets.rational_normal_curve_chart(degree, order=order)
-            check = jets.product_rank_identity(base, 1)
-            if not check.holds:
-                return False, (f"degree {degree}, order {order}: predicted "
-                               f"{check.predicted}, direct {check.direct}")
-    return True, "identity holds on rational normal curve bases"
 
 
 def run_checks(filter: str | None = None,

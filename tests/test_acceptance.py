@@ -7,6 +7,9 @@ fixed independently of the engine: closed forms are hand-transcribed in
 hand from the defining equations before being frozen here.
 """
 
+import json
+from pathlib import Path
+
 from scrollflex import jets, scans, verify
 from scrollflex.exactpoly import Poly
 from scrollflex.scroll import BASE_PRESETS, ScrollSetup, symbolic_degree
@@ -26,6 +29,14 @@ def _report(criterion: str, results) -> None:
     for r in bad:
         print(f"      {r.row()}")
     assert not bad, f"{criterion}: {len(bad)} failing checks"
+
+
+def test_verify_ids_are_unique_and_match_the_pinned_table():
+    pinned = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    want = json.loads(pinned.read_text(encoding="utf-8"))["verify_ids"]
+    ids = [ident for ident, _ in verify.build_checks()]
+    assert len(ids) == len(set(ids)) == 84
+    assert sorted(ids) == sorted(want)
 
 
 def test_criterion_1_engine_versus_transcriptions():

@@ -130,6 +130,28 @@ def test_jet_command(tmp_path, capsys):
     assert "common content" in out and "t" in out
 
 
+def test_pretty_jet_minors_skip_the_minors_payload(tmp_path, capsys, monkeypatch):
+    from scrollflex import jets
+
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"variables": ["u1", "t"], "order": 2,
+                                "coordinates": ["1", "u1", "t", "t*u1", "t*u1^2"]}),
+                    encoding="utf-8")
+    built = jets.MinorReport.to_payload
+
+    def refuse(report):
+        raise AssertionError("pretty output built the minors payload")
+
+    monkeypatch.setattr(jets.MinorReport, "to_payload", refuse)
+    code, out, _ = run(capsys, "jet", str(path), "--minors", "5")
+    assert code == 0 and "common content of 5x5 minors" in out
+    monkeypatch.setattr(jets.MinorReport, "to_payload", built)
+    code, out, _ = run(capsys, "jet", str(path), "--minors", "5",
+                       "--format", "structured")
+    minors = json.loads(out)["result"]["minors"]
+    assert code == 0 and minors["size"] == 5 and minors["minors"]
+
+
 def test_jet_seed_override(tmp_path, capsys):
     spec_payload = {
         "variables": ["u1", "t"],

@@ -38,9 +38,7 @@ def test_abelian_degree_headline_value():
 
 def test_example4_values():
     assert formulas.abelian_example4_degree(2) == 1815
-    assert formulas.abelian_example4_degree(3, p=18) == 11016
-    with pytest.raises(InvalidInputError):
-        formulas.abelian_example4_degree(2, n=4)
+    assert formulas.abelian_example4_degree(3) == 11016
     with pytest.raises(InvalidInputError):
         formulas.abelian_example4_degree(1)
 

@@ -88,12 +88,6 @@ def test_hirzebruch_condition():
     cond = exceptional_condition("Fe", e=0)
     assert cond.fixed == {"a": 2}
     assert cond.verified
-    ok, reason = cond.check(d=8, e=0)
-    assert not ok and "degree 8" in reason
-    ok, reason = cond.check(d=28, e=0)
-    assert ok and "b = 11" in reason
-    ok, reason = cond.check(d=13, e=0)
-    assert not ok and "even" in reason
 
 
 @pytest.mark.parametrize("q", (1, 2))
@@ -110,10 +104,6 @@ def test_product_window(q):
 def test_product_condition():
     cond = exceptional_condition("ProductsBxP1", q=2)
     assert cond.verified
-    ok, reason = cond.check(d=12, q=2)
-    assert ok and "b = 7" in reason
-    ok, reason = cond.check(d=4, q=1)
-    assert not ok
 
 
 def test_unknown_family_rejected():
