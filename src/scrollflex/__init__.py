@@ -14,8 +14,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "chern": ("FormalBundle", "GradedClass", "GradedRing", "GradedVariable",
-              "bundle_from_classes", "direct_sum", "dual", "series_inverse",
-              "sym_power", "tensor", "tensor_line", "trivial_bundle"),
+              "bundle_from_classes", "direct_sum", "dual", "sym_power",
+              "tensor", "tensor_line", "trivial_bundle"),
     "errors": ("IncompleteDataError", "InternalConsistencyError",
                "InvalidInputError", "ResourceLimitError", "RingMismatchError",
                "ScrollflexError"),

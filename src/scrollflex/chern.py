@@ -32,7 +32,7 @@ from itertools import product
 from math import comb
 from operator import add, le
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from ._record import Record, set_field
 from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
@@ -213,12 +213,6 @@ class GradedClass(Poly):
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get(tuple(0 for _ in self.ring.names), 0))
 
-    def degree(self) -> int | None:
-        """Top weighted degree present, or None for the zero class."""
-        if not self.terms:
-            return None
-        return max(self.ring.monomial_degree(e) for e in self.terms)
-
     def homogeneous_part(self, d: int) -> "GradedClass":
         return self._new({
             e: c for e, c in self.terms.items()
@@ -233,16 +227,6 @@ class GradedClass(Poly):
 
     def is_homogeneous(self, d: int) -> bool:
         return all(self.ring.monomial_degree(e) == d for e in self.terms)
-
-    def coefficient(self, monomial: Union[str, Sequence[int]]) -> Fraction:
-        if isinstance(monomial, str):
-            exps = [0] * len(self.ring.names)
-            if monomial.strip() != "1":
-                for factor in monomial.split("*"):
-                    name, _, power = factor.strip().partition("^")
-                    exps[self.ring.index(name)] += int(power) if power else 1
-            monomial = exps
-        return Fraction(self.terms.get(tuple(monomial), 0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -392,10 +376,6 @@ def _trusted(ring: GradedRing, terms: dict) -> GradedClass:
     out.ring = ring
     out.terms = terms
     return out
-
-
-def series_inverse(x: GradedClass) -> GradedClass:
-    return x.series_inverse()
 
 
 class FormalBundle:

@@ -129,12 +129,6 @@ class Poly:
             raise InvalidInputError(f"{self} is not constant")
         return Fraction(self.terms.get(tuple(0 for _ in self.vars), 0))
 
-    def total_degree(self) -> int:
-        """Largest total degree among terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
         if not self.terms:

@@ -2,9 +2,10 @@
 
 Each family couples a degree-zero equation (transcribed where a printed
 form exists, derived otherwise) with feasibility constraints and finite,
-justified enumeration bounds.  Before a scan runs, the equation is
-re-derived from the engine through the matching base preset and compared
-with the transcription; any mismatch aborts with an internal consistency
+justified enumeration bounds.  Before a scan runs, the equation is derived
+twice more through the family's base preset, once from the closed form in
+:mod:`scrollflex.formulas` (``_on_preset``) and once from the engine, and
+the three are compared; any mismatch aborts with an internal consistency
 error.  Surviving points that the source arguments exclude geometrically
 are annotated, never dropped.
 """
@@ -12,17 +13,17 @@ are annotated, never dropped.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Mapping
 
 from ._record import Record, set_field
 from .errors import InternalConsistencyError, InvalidInputError
-from .exactpoly import Poly
-from .formulas import (degree_substitution_m2, fourfold_degree,
-                       p2_specialization_n9, surface_degree)
+from .exactpoly import Poly, parse_poly
+from .formulas import fourfold_degree, p2_specialization_n9, surface_degree
 from .scroll import (BASE_PRESETS, SCAN_FAMILIES as FAMILIES, ScrollSetup,
-                     symbolic_degree)
+                     canonical_monomial, symbolic_degree)
 
 MARGIN = 5  # safety cushion over every derived enumeration bound
 
@@ -119,66 +120,36 @@ class ScanReport(Record, frozen=False):
 
 class ExceptionalCondition(Record, frozen=False):
     """Parametric survivor family of a hyperbola scan: a = 2 plus a linear
-    relation among the remaining invariants, verified by substitution."""
+    relation among the remaining invariants, verified against the family's
+    printed equation."""
 
-    __slots__ = ("family", "fixed", "relation", "side_conditions", "verified")
+    __slots__ = ("family", "relation", "verified")
 
-    def __init__(self, family: str, fixed: dict[str, int], relation: str,
-                 side_conditions: tuple[str, ...], verified: bool):
+    def __init__(self, family: str, relation: str, verified: bool):
         self.family = family
-        self.fixed = fixed
         self.relation = relation
-        self.side_conditions = side_conditions
         self.verified = verified
 
 
 # -- helpers -------------------------------------------------------------------
 
 
-def _eval_uni(coeffs, x: int) -> Fraction:
-    total = Fraction(0)
-    for i, c in enumerate(coeffs):
-        total += c * x ** i
-    return total
-
-
-def _cauchy_bound(coeffs) -> int:
-    lead = coeffs[-1]
-    if not lead:
-        raise InvalidInputError("zero leading coefficient")
-    worst = max((abs(c / lead) for c in coeffs[:-1]), default=Fraction(0))
-    return int(worst) + 2
-
-
 def _positivity_bound(poly: Poly, var: str, lo: int, threshold) -> int:
     """Largest integer >= lo at which the eventually-negative univariate
     polynomial still reaches the threshold; lo - 1 when it never does."""
     index = poly.vars.index(var)
-    deg = poly.degree_in(var)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for exps, c in poly.terms.items():
-        if sum(exps) != exps[index]:
-            raise InvalidInputError(f"positivity form must be univariate in {var}")
-        coeffs[exps[index]] += c
-    if coeffs[-1] >= 0:
+    if any(sum(exps) != exps[index] for exps in poly.terms):
+        raise InvalidInputError(f"positivity form must be univariate in {var}")
+    shifted = poly - threshold
+    top = max(shifted.terms, key=lambda exps: exps[index], default=None)
+    if top is None or shifted.terms[top] >= 0:
         raise InvalidInputError("positivity bound needs a negative leading term")
-    shifted = list(coeffs)
-    shifted[0] -= Fraction(threshold)
-    hi = max(lo, _cauchy_bound(shifted))
-    best = lo - 1
-    for x in range(lo, hi + 1):
-        if _eval_uni(coeffs, x) >= threshold:
-            best = x
-    return best
-
-
-def _linear_coefficient(poly: Poly, name: str) -> Fraction:
-    i = poly.vars.index(name)
-    total = Fraction(0)
-    for exps, c in poly.terms.items():
-        if exps[i] == 1 and sum(exps) == 1:
-            total += c
-    return total
+    # Cauchy's bound on the real roots of the shifted polynomial
+    hi = 2 + int(max((abs(Fraction(c) / shifted.terms[top])
+                      for exps, c in shifted.terms.items() if exps != top),
+                     default=0))
+    return max((x for x in range(lo, max(lo, hi) + 1)
+                if shifted.eval_at({var: x}) >= 0), default=lo - 1)
 
 
 def _require_equal(label: str, *polys: Poly) -> None:
@@ -190,30 +161,27 @@ def _require_equal(label: str, *polys: Poly) -> None:
         )
 
 
-def _monomial_key(mono: dict[str, int]) -> str:
-    parts = []
-    for name in sorted(mono, key=lambda s: (s[0], int(s[1:]))):
-        e = mono[name]
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+def _on_preset(form: Poly, preset: str, vars: tuple[str, ...],
+               rename: Mapping[str, Poly] | None = None, **values) -> Poly:
+    """A ``formulas`` degree polynomial on a base preset's table.
 
-
-def _fourfold_on_preset(ell: int, preset, vars: tuple[str, ...]) -> Poly:
-    """Degree-zero form A d + B y + R(x) on a threefold preset, d kept symbolic."""
-    raw = fourfold_degree(ell)
-    table = preset.assignments()
-    x, y, d = Poly.variables(vars)
-    slots = {"x": x, "y": y}
+    Each base monomial of ``form`` becomes its entry in the preset's table at
+    ``values``, over ``vars`` with the free slots renamed by ``rename``; the
+    scroll degree ``d`` stays symbolic.
+    """
+    table = BASE_PRESETS[preset].assignments(**values)
     out = Poly.zero(vars)
-    for exps, coeff in raw.terms.items():
-        mono = {n: e for n, e in zip(raw.vars, exps) if e}
-        if mono == {"d": 1}:
-            out = out + d * coeff
-            continue
-        key = _monomial_key(mono)
-        if key not in table:
-            raise InternalConsistencyError(f"preset {preset.name} lacks {key}")
-        out = out + table[key].subs(slots, vars=vars) * coeff
+    for exps, coeff in form.terms.items():
+        mono = dict(zip(form.vars, exps))
+        if mono.pop("d"):
+            term = Poly.variable(vars, "d")
+        else:
+            key = canonical_monomial(
+                "*".join(f"{name}^{e}" for name, e in mono.items() if e) or "1")
+            if key not in table:
+                raise InternalConsistencyError(f"preset {preset} lacks {key}")
+            term = table[key].subs(rename or {}, vars=vars)
+        out = out + term * coeff
     return out
 
 
@@ -300,10 +268,9 @@ def _p2_n10_problem() -> ScanProblem:
     vars = ("x", "y")
     x, y = Poly.variables(vars)
     transcribed = 19 * y - (46 * x ** 2 - 297 * x + 534)
-    template = surface_degree(10).subs(degree_substitution_m2())
-    closed = template.subs(
-        {"c1": Poly.const(vars, 3), "c2": Poly.const(vars, 3), "v1": x, "v2": y},
-        vars=vars)
+    xyd = ("x", "y", "d")
+    closed = _on_preset(surface_degree(10), "p2", xyd, {"v": Poly.variable(xyd, "x")})
+    closed = closed.subs({"d": x ** 2 - y}, vars=vars)
     engine = symbolic_degree(ScrollSetup(3, 2, 2, 10),
                              BASE_PRESETS["p2"].assignments(), ("v", "y"))
     engine = engine.subs({"v": x, "y": y}, vars=vars)
@@ -311,9 +278,7 @@ def _p2_n10_problem() -> ScanProblem:
 
     # the arc: the parabola meets the region y <= x^2 - 8 only while
     # 27 x^2 - 297 x + 686 <= 0
-    quad = [Fraction(686), Fraction(-297), Fraction(27)]
-    hi = max((xx for xx in range(2, _cauchy_bound(quad) + 1)
-              if _eval_uni(quad, xx) <= 0), default=2)
+    hi = _positivity_bound(-(27 * x ** 2 - 297 * x + 686), "x", 2, 0)
     constraints = (
         Constraint("ample-on-lines", "c1(V) restricted to a line has degree >= 2",
                    lambda p: p["x"] >= 2),
@@ -386,15 +351,15 @@ def _threefold_base_problem(family: str, ell: int) -> ScanProblem:
     """Fourfold scrolls over projective 3-space or the quadric threefold."""
     if ell not in (2, 3, 4):
         raise InvalidInputError("codimension must be 2, 3 or 4 for these scans")
-    preset = BASE_PRESETS["p3" if family == "P3" else "q3"]
+    preset = "p3" if family == "P3" else "q3"
     vars = ("x", "y", "d")
     x, y, d = Poly.variables(vars)
     d_of_xy = (x ** 3 - 2 * x * y) if family == "P3" else (2 * x ** 3 - 2 * x * y)
 
-    derived = _fourfold_on_preset(ell, preset, vars)
+    derived = _on_preset(fourfold_degree(ell), preset, vars)
     transcribed = _p3_printed(ell, vars) if family == "P3" else derived
     engine = symbolic_degree(ScrollSetup(4, 3, 2, 12 + ell),
-                             preset.assignments(), ("x", "y"))
+                             BASE_PRESETS[preset].assignments(), ("x", "y"))
     engine = engine.subs({"x": x, "y": y}, vars=vars)
     _require_equal(f"{family} codim {ell}",
                    transcribed.subs({"d": d_of_xy}),
@@ -402,24 +367,21 @@ def _threefold_base_problem(family: str, ell: int) -> ScanProblem:
                    engine)
 
     # positivity: A d + B y = R(x) with A, B > 0 and d, y >= 1 forces R >= A + B
-    coeff_d = _linear_coefficient(transcribed, "d")
-    coeff_y = _linear_coefficient(transcribed, "y")
+    coeff_d = transcribed.coefficient((0, 0, 1))  # over (x, y, d)
+    coeff_y = transcribed.coefficient((0, 1, 0))
     if coeff_d <= 0 or coeff_y <= 0:
         raise InternalConsistencyError("expected positive d and y coefficients")
     rhs = -(transcribed - coeff_d * d - coeff_y * y)
     hi = _positivity_bound(rhs, "x", 2, coeff_d + coeff_y)
 
     which = "projective 3-space" if family == "P3" else "the quadric threefold"
-    chern_wu = ((lambda p: p["x"] ** 3 - 2 * p["x"] * p["y"] >= 1)
-                if family == "P3"
-                else (lambda p: 2 * p["x"] ** 3 - 2 * p["x"] * p["y"] >= 1))
     constraints = (
         Constraint("ample-on-lines", "c1(V) restricted to a line has degree >= 2",
                    lambda p: p["x"] >= 2),
         Constraint("positive-c2", "a very ample rank-2 bundle has c2 >= 1",
                    lambda p: p["y"] >= 1),
         Constraint("chern-wu-positivity", "the scroll degree d must be positive",
-                   chern_wu),
+                   lambda p: d_of_xy.eval_at(p) >= 1),
     )
 
     def annotate(p):
@@ -454,21 +416,46 @@ def _bxp1_hyperbola(a, b, d, q):
     return 24 * a * b + 68 * (q - 1) * a - 68 * b + 9 * d - 104 * (q - 1)
 
 
+def _hyperbola_problem(family: str, value: int,
+                       constraints: tuple[Constraint, ...],
+                       annotate: Callable[[Mapping[str, int]], str | None],
+                       note_tail: str = "") -> ScanProblem:
+    """Threefold scrolls over a ruled surface in ambient 9 (det V = a s + b f,
+    c2(V) = v1^2 - d); ``annotate`` explains the survivors off a = 2."""
+    _, param, _, (preset, printed, _) = _FAMILIES[family]
+    vars = ("a", "b", "d")
+    a, b, d = Poly.variables(vars)
+    transcribed = printed(a, b, d, value)
+    closed = _on_preset(surface_degree(9), preset, vars, **{param: value})
+    table = BASE_PRESETS[preset].assignments(**{param: value})
+    engine = symbolic_degree(ScrollSetup(3, 2, 2, 9), table, ("a", "b", "v2"))
+    engine = engine.subs({"v2": table["v1^2"].subs({}, vars=vars) - d},
+                         vars=vars)
+    _require_equal(f"{family} {param}={value}", transcribed, closed, engine)
+
+    condition = exceptional_condition(family)
+
+    def annotate_all(p):
+        if p["a"] == 2:
+            return f"uniform type (1, 1) on fibers: {condition.relation}"
+        return annotate(p)
+
+    return ScanProblem(
+        family, {param: value}, transcribed, ("a", "d"), "b",
+        {"a": Bound(2, 12, "integer points cluster next to the vertical "
+                           "asymptote a = 17/6; the window checks a wide strip"),
+         "d": Bound(7, 48, "exploration window; the symbolic condition covers "
+                           "every degree")},
+        constraints, annotate_all,
+        notes=("survivors form the parametric family a = 2, "
+               f"{condition.relation}{note_tail}",),
+        exceptional=condition,
+    )
+
+
 def _fe_problem(e: int) -> ScanProblem:
     if e < 0:
         raise InvalidInputError("the Hirzebruch invariant e must be >= 0")
-    vars = ("a", "b", "d")
-    a, b, d = Poly.variables(vars)
-    transcribed = _fe_hyperbola(a, b, d, e)
-    degree_form = (9 * d + 12 * (2 * b - a * e) * a
-                   + 34 * (a * e - 2 * a - 2 * b) + 104)
-    engine = symbolic_degree(ScrollSetup(3, 2, 2, 9),
-                             BASE_PRESETS["fe"].assignments(e=e),
-                             ("a", "b", "v2"))
-    engine = engine.subs({"v2": a * (2 * b - a * e) - d, "a": a, "b": b},
-                         vars=vars)
-    _require_equal(f"Fe e={e}", -transcribed, degree_form, engine)
-
     constraints = (
         Constraint("ample-on-fibers", "a = deg V on a fiber >= 2",
                    lambda p: p["a"] >= 2),
@@ -483,39 +470,17 @@ def _fe_problem(e: int) -> ScanProblem:
     )
 
     def annotate(p):
-        if p["a"] == 2:
-            return "uniform type (1, 1) on fibers: 9d - 32 = 20(b - e)"
         if e == 0 and p["b"] == 2:
             return ("ruling swap on the quadric surface: exchanging the two "
                     "rulings carries this point into the a = 2 family")
         return None
 
-    return ScanProblem(
-        "Fe", {"e": e}, transcribed, ("a", "d"), "b",
-        {"a": Bound(2, 12, "integer points cluster next to the vertical "
-                           "asymptote a = 17/6; the window checks a wide strip"),
-         "d": Bound(7, 48, "exploration window; the symbolic condition covers "
-                           "every degree")},
-        constraints, annotate,
-        notes=("survivors form the parametric family a = 2, 9d - 32 = 20(b - e)",),
-        exceptional=exceptional_condition("Fe", e=e),
-    )
+    return _hyperbola_problem("Fe", e, constraints, annotate)
 
 
 def _bxp1_problem(q: int) -> ScanProblem:
     if q < 1:
         raise InvalidInputError("the base curve genus q must be >= 1")
-    vars = ("a", "b", "d")
-    a, b, d = Poly.variables(vars)
-    transcribed = _bxp1_hyperbola(a, b, d, q)
-    degree_form = (9 * d + 24 * a * b + 68 * (q - 1) * a - 68 * b
-                   + 104 * (1 - q))
-    engine = symbolic_degree(ScrollSetup(3, 2, 2, 9),
-                             BASE_PRESETS["bxp1"].assignments(q=q),
-                             ("a", "b", "v2"))
-    engine = engine.subs({"v2": 2 * a * b - d, "a": a, "b": b}, vars=vars)
-    _require_equal(f"BxP1 q={q}", transcribed, degree_form, engine)
-
     constraints = (
         Constraint("ample-on-fibers", "a = deg V on a rational fiber >= 2",
                    lambda p: p["a"] >= 2),
@@ -525,37 +490,36 @@ def _bxp1_problem(q: int) -> ScanProblem:
         Constraint("degree-bound", "d >= 7, one above the codimension in ambient 9",
                    lambda p: p["d"] >= 7),
     )
+    return _hyperbola_problem("ProductsBxP1", q, constraints, lambda p: None,
+                              ", with b >= 5")
 
-    def annotate(p):
-        if p["a"] == 2:
-            return "uniform type (1, 1) on fibers: 9d + 32(q - 1) = 20b"
-        return None
 
-    return ScanProblem(
-        "ProductsBxP1", {"q": q}, transcribed, ("a", "d"), "b",
-        {"a": Bound(2, 12, "integer points cluster next to the vertical "
-                           "asymptote a = 17/6; the window checks a wide strip"),
-         "d": Bound(7, 48, "exploration window; the symbolic condition covers "
-                           "every degree")},
-        constraints, annotate,
-        notes=("survivors form the parametric family a = 2, "
-               "9d + 32(q - 1) = 20b, with b >= 5",),
-        exceptional=exceptional_condition("ProductsBxP1", q=q),
-    )
+# Each family's builder and the one parameter it takes, with its default (no
+# parameter: None).  A hyperbola family also names its base preset, its
+# printed equation in (a, b, d, parameter) and its a = 2 relation.
+_FAMILIES = {
+    "P2_N10": (_p2_n10_problem, None, None, None),
+    "P2_N9": (_p2_n9_problem, None, None, None),
+    "Fe": (_fe_problem, "e", 0, ("fe", _fe_hyperbola, "9d - 32 = 20(b - e)")),
+    "ProductsBxP1": (_bxp1_problem, "q", 1,
+                     ("bxp1", _bxp1_hyperbola, "9d + 32(q - 1) = 20b")),
+    "P3": (lambda ell: _threefold_base_problem("P3", ell), "ell", 4, None),
+    "Q3": (lambda ell: _threefold_base_problem("Q3", ell), "ell", 4, None),
+}
 
 
 def build_problem(family: str, **params) -> ScanProblem:
-    if family == "P2_N10":
-        return _p2_n10_problem()
-    if family == "P2_N9":
-        return _p2_n9_problem()
-    if family in ("P3", "Q3"):
-        return _threefold_base_problem(family, int(params.get("ell", 4)))
-    if family == "Fe":
-        return _fe_problem(int(params.get("e", 0)))
-    if family == "ProductsBxP1":
-        return _bxp1_problem(int(params.get("q", 1)))
-    raise InvalidInputError(f"unknown scan family {family!r} (have {FAMILIES})")
+    if family not in _FAMILIES:
+        raise InvalidInputError(f"unknown scan family {family!r} (have {FAMILIES})")
+    build, param, default, _ = _FAMILIES[family]
+    foreign = sorted(set(params) - {param})
+    if foreign:
+        takes = f"takes only {param}" if param else "takes no parameter"
+        raise InvalidInputError(
+            f"scan family {family} {takes}, not {', '.join(foreign)}")
+    if param is None:
+        return build()
+    return build(int(params.get(param, default)))
 
 
 def run_family(family: str, scale: int = 1, **params) -> ScanReport:
@@ -565,31 +529,20 @@ def run_family(family: str, scale: int = 1, **params) -> ScanReport:
     return scan(problem)
 
 
-def exceptional_condition(family: str, **params) -> ExceptionalCondition:
-    """The a = 2 linear condition of the two hyperbola families, verified
-    by substituting it back into the family's degree-zero equation."""
-    if family == "Fe":
-        vars = ("a", "b", "d", "e")
-        a, b, d, ev = Poly.variables(vars)
-        b_value = ev + d * Fraction(9, 20) - Fraction(32, 20)
-        residue = _fe_hyperbola(a, b, d, ev).subs(
-            {"a": Poly.const(vars, 2), "b": b_value})
-        return ExceptionalCondition(
-            "Fe", {"a": 2}, "9d - 32 = 20(b - e)",
-            ("d even", "d >= 10", "b - 2e >= 2"),
-            residue.is_zero(),
+def exceptional_condition(family: str) -> ExceptionalCondition:
+    """The a = 2 relation of a hyperbola family, verified: at a = 2 the
+    family's printed equation is a nonzero multiple of it, for every value
+    of the family's parameter."""
+    _, param, _, hyperbola = _FAMILIES.get(family, (None,) * 4)
+    if hyperbola is None:
+        raise InvalidInputError(
+            f"family {family!r} has no parametric exceptional condition"
         )
-    if family == "ProductsBxP1":
-        vars = ("a", "b", "d", "q")
-        a, b, d, qv = Poly.variables(vars)
-        b_value = d * Fraction(9, 20) + (qv - 1) * Fraction(32, 20)
-        residue = _bxp1_hyperbola(a, b, d, qv).subs(
-            {"a": Poly.const(vars, 2), "b": b_value})
-        return ExceptionalCondition(
-            "ProductsBxP1", {"a": 2}, "9d + 32(q - 1) = 20b",
-            ("b >= 5",),
-            residue.is_zero(),
-        )
-    raise InvalidInputError(
-        f"family {family!r} has no parametric exceptional condition"
-    )
+    _, printed, relation = hyperbola
+    vars = ("a", "b", "d", param)
+    _, b, d, p = Poly.variables(vars)
+    # lhs - rhs of the relation; a number before a name or "(" multiplies it
+    lhs, rhs = (parse_poly(re.sub(r"(?<=\d)(?=[A-Za-z(])", "*", side.strip()),
+                           vars) for side in relation.split("="))
+    return ExceptionalCondition(family, relation, (lhs - rhs).normalized()
+                                == printed(2, b, d, p).normalized())

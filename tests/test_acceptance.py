@@ -99,9 +99,8 @@ def test_criterion_4_diophantine_scans():
         report = scans.run_family("Q3", ell=ell)
         doubled = scans.run_family("Q3", ell=ell, scale=2)
         assert report.verdict == doubled.verdict == "empty"
-    for e in (0, 1):
-        assert scans.exceptional_condition("Fe", e=e).verified
-    assert scans.exceptional_condition("ProductsBxP1", q=1).verified
+    assert scans.exceptional_condition("Fe").verified
+    assert scans.exceptional_condition("ProductsBxP1").verified
     _report("criterion-4 diophantine scans", results)
 
 

@@ -108,6 +108,14 @@ def test_scan_command_structured(capsys):
     assert payload["survivors"][0]["point"] == {"v": 4, "d": 10}
 
 
+@pytest.mark.parametrize("argv", [("Fe", "--q", "3"), ("P3", "--e", "2"),
+                                  ("P2_N9", "--l", "3")])
+def test_scan_refuses_a_parameter_its_family_does_not_take(capsys, argv):
+    code, out, err = run(capsys, "scan", *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: scan family ") and "Traceback" not in err
+
+
 def test_scan_missing_data_message(capsys):
     code, out, _ = run(capsys, "scan", "Q3", "--l", "3")
     assert code == 0

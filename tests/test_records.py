@@ -84,10 +84,8 @@ RECORDS = [
     (lambda i: ScanReport("P2_N9", {}, 10 + i, [], [], "empty", {}, ()),
      ("family", "params", "candidates", "survivors", "excluded", "verdict",
       "bounds", "notes"), False, False),
-    (lambda i: ExceptionalCondition("Fe", {"a": 2}, "9d - 32 = 20(b - e)",
-                                    ("d even",), i == 0),
-     ("family", "fixed", "relation", "side_conditions", "verified"),
-     False, False),
+    (lambda i: ExceptionalCondition("Fe", "9d - 32 = 20(b - e)", i == 0),
+     ("family", "relation", "verified"), False, False),
     (lambda i: CheckResult("class-x", i == 0, "= 1", 0.5),
      ("identifier", "ok", "detail", "elapsed_ms"), False, False),
 ]

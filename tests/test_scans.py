@@ -8,6 +8,7 @@ import pytest
 from scrollflex import scans
 from scrollflex.errors import InternalConsistencyError, InvalidInputError
 from scrollflex.exactpoly import Poly
+from scrollflex.formulas import degree_substitution_m2, surface_degree
 from scrollflex.scans import build_problem, exceptional_condition, run_family, scan
 
 
@@ -85,8 +86,8 @@ def test_hirzebruch_window(e):
 
 
 def test_hirzebruch_condition():
-    cond = exceptional_condition("Fe", e=0)
-    assert cond.fixed == {"a": 2}
+    cond = exceptional_condition("Fe")
+    assert cond.relation == "9d - 32 = 20(b - e)"
     assert cond.verified
 
 
@@ -102,7 +103,7 @@ def test_product_window(q):
 
 
 def test_product_condition():
-    cond = exceptional_condition("ProductsBxP1", q=2)
+    cond = exceptional_condition("ProductsBxP1")
     assert cond.verified
 
 
@@ -111,6 +112,104 @@ def test_unknown_family_rejected():
         build_problem("nope")
     with pytest.raises(InvalidInputError):
         exceptional_condition("P3")
+
+
+@pytest.mark.parametrize("family,foreign", [
+    ("Fe", {"q": 3}), ("P3", {"e": 2}), ("Q3", {"q": 1}),
+    ("ProductsBxP1", {"e": 1}), ("P2_N9", {"ell": 3}), ("P2_N10", {"e": 0}),
+    ("Fe", {"e": 1, "q": 1}),
+])
+def test_a_parameter_the_family_does_not_take_is_refused(family, foreign):
+    with pytest.raises(InvalidInputError, match=f"scan family {family} takes"):
+        build_problem(family, **foreign)
+    with pytest.raises(InvalidInputError):
+        run_family(family, **foreign)
+
+
+def test_exceptional_condition_takes_only_the_family():
+    with pytest.raises(TypeError):
+        exceptional_condition("Fe", e=0)
+
+
+def test_exceptional_condition_verifies_the_printed_relation(monkeypatch):
+    build, param, default, (preset, printed, _) = scans._FAMILIES["Fe"]
+    monkeypatch.setitem(scans._FAMILIES, "Fe", (
+        build, param, default, (preset, printed, "9d - 32 = 20(b + e)")))
+    assert not exceptional_condition("Fe").verified
+
+
+@pytest.mark.parametrize("family,params", [
+    ("Fe", {"e": 0}), ("Fe", {"e": 3}), ("ProductsBxP1", {"q": 1}),
+    ("ProductsBxP1", {"q": 4}),
+])
+def test_hyperbola_note_and_annotation_print_the_relation(family, params):
+    problem = build_problem(family, **params)
+    relation = problem.exceptional.relation
+    assert relation in problem.notes[0]
+    assert relation in problem.annotate({"a": 2, "b": 7, "d": 12})
+    report = scan(problem)
+    assert all(relation in s.annotation for s in report.survivors
+               if s.point["a"] == 2)
+
+
+def _plus_d(original):
+    def patched(*args):
+        form = original(*args)
+        return form + Poly.variable(form.vars, "d")
+    return patched
+
+
+# each family's closed side, and the module name it is looked up under
+@pytest.mark.parametrize("family,params,source", [
+    ("P2_N10", {}, "surface_degree"),
+    ("P2_N9", {}, "p2_specialization_n9"),
+    ("P3", {"ell": 2}, "fourfold_degree"),
+    ("P3", {"ell": 4}, "fourfold_degree"),
+    ("Q3", {"ell": 3}, "fourfold_degree"),
+    ("Fe", {"e": 1}, "surface_degree"),
+    ("ProductsBxP1", {"q": 2}, "surface_degree"),
+])
+def test_a_closed_form_slip_trips_the_three_way_guard(monkeypatch, family,
+                                                      params, source):
+    build_problem(family, **params)
+    monkeypatch.setattr(scans, source, _plus_d(getattr(scans, source)))
+    with pytest.raises(InternalConsistencyError):
+        build_problem(family, **params)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("P2_N10", {}), ("P2_N9", {}), ("P3", {"ell": 3}), ("Q3", {"ell": 2}),
+    ("Fe", {"e": 2}), ("ProductsBxP1", {"q": 3}),
+])
+def test_an_engine_slip_trips_the_three_way_guard(monkeypatch, family, params):
+    original = scans.symbolic_degree
+    monkeypatch.setattr(scans, "symbolic_degree",
+                        lambda *args: original(*args) + 1)
+    with pytest.raises(InternalConsistencyError):
+        build_problem(family, **params)
+
+
+def test_closed_sides_match_the_forms_they_replace():
+    # the closed sides typed out by hand before they were derived on presets
+    vars = ("a", "b", "d")
+    a, b, d = Poly.variables(vars)
+    for e in range(6):
+        typed = (9 * d + 12 * (2 * b - a * e) * a
+                 + 34 * (a * e - 2 * a - 2 * b) + 104)
+        assert scans._on_preset(surface_degree(9), "fe", vars, e=e) == typed
+    for q in range(1, 5):
+        typed = (9 * d + 24 * a * b + 68 * (q - 1) * a - 68 * b
+                 + 104 * (1 - q))
+        assert scans._on_preset(surface_degree(9), "bxp1", vars, q=q) == typed
+    xy = ("x", "y")
+    x, y = Poly.variables(xy)
+    xyd = ("x", "y", "d")
+    plane = scans._on_preset(surface_degree(10), "p2", xyd,
+                             {"v": Poly.variable(xyd, "x")})
+    assert plane.subs({"d": x ** 2 - y}, vars=xy) == (
+        surface_degree(10).subs(degree_substitution_m2()).subs(
+            {"c1": Poly.const(xy, 3), "c2": Poly.const(xy, 3), "v1": x,
+             "v2": y}, vars=xy))
 
 
 def test_corrupted_equation_trips_consistency_guard():
