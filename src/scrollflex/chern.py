@@ -8,9 +8,12 @@ lower-dimensional base use this to vanish above the base dimension.
 There is one sparse-polynomial kernel, ``exactpoly.Poly``, and the grading
 is a truncation policy on top of it: ``GradedClass`` subclasses ``Poly``
 over the ring's names, keeps its arithmetic and coefficient contract (an
-``int`` while integral), drops non-admitted terms on construction, and
-multiplies by groups of equal grade so that it never forms a term above the
-truncation or a sector cap.
+``int`` while integral) and drops non-admitted terms on construction.
+Its product, its series inverse and the bundle calculus below run on one
+private packed kernel: a class is packed into homogeneous parts keyed by
+packed-int monomials (see ``GradedRing``), parts are multiplied grade group
+by grade group, and a pair of groups whose summed grade passes the
+truncation or a sector cap is skipped whole, so no such term is formed.
 
 :class:`FormalBundle` pairs a rank with a total Chern class of constant term
 one.  Derived bundles (duals, twists by line classes, tensor products,
@@ -30,13 +33,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb
-from operator import add, le
+from operator import add, lshift, mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ._record import Record, set_field
 from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
-from .exactpoly import Poly, Scalar, _clean, as_scalar
+from .exactpoly import Poly, Scalar, _canon, _clean, as_scalar
 
 # Largest estimated work (see ``check_work``) of a derived bundle or a class.
 # Python 3.11 on a 2-vCPU x86-64 host does about 10^7 units a second, so
@@ -64,10 +67,19 @@ class GradedRing:
 
     Rings are shared between callers (the scroll layer caches them), so
     ``sector_caps`` is a read-only view and the hash is computed once.
+
+    The ring also fixes the layout of the packed kernel.  A monomial key
+    holds exponent i in bits [i w, (i + 1) w), w = max(1, truncation bit
+    length), so the first variable (``L`` on a scroll) sits in the low field.
+    A grade holds each capped sector's degree in a w-bit field, in the order
+    of ``sector_caps``, and the total degree above them.  Keys and grades
+    add under products; an admitted product keeps every field at most the
+    truncation, so no field carries into the next.
     """
 
     __slots__ = ("variables", "names", "weights", "truncation", "sector_caps",
-                 "limits", "_index", "_sector_idx", "_hash")
+                 "limits", "_index", "_hash", "_mask", "_shifts",
+                 "_grade_steps", "_fields", "_top")
 
     def __init__(self, variables: Sequence[GradedVariable], truncation: int,
                  sector_caps: Mapping[str, int] | None = None):
@@ -84,12 +96,17 @@ class GradedRing:
             if not any(v.sector == sector for v in self.variables):
                 raise InvalidInputError(f"sector cap for unused sector {sector!r}")
         self._index = {name: i for i, name in enumerate(self.names)}
-        self._sector_idx = tuple(
-            tuple(i for i, v in enumerate(self.variables) if v.sector == sector)
-            for sector in self.sector_caps
-        )
-        # bounds on ``grade``: the truncation, then each sector cap
+        # the truncation, then each sector cap
         self.limits = (truncation, *self.sector_caps.values())
+        w = max(1, truncation.bit_length())
+        self._mask = (1 << w) - 1
+        self._top = top = w * len(self.sector_caps)
+        self._shifts = range(0, w * len(self.names), w)
+        self._grade_steps = tuple(
+            (v.weight << top) + sum(v.weight << (w * j) for j, sector
+                                    in enumerate(self.sector_caps) if v.sector == sector)
+            for v in self.variables)
+        self._fields = tuple((w * j, cap) for j, cap in enumerate(self.sector_caps.values()))
         self._hash = hash((self.variables, self.truncation,
                            tuple(sorted(self.sector_caps.items()))))
 
@@ -102,13 +119,14 @@ class GradedRing:
     def monomial_degree(self, exps: Sequence[int]) -> int:
         return sum(w * e for w, e in zip(self.weights, exps))
 
-    def grade(self, exps: Sequence[int]) -> tuple[int, ...]:
-        """Weighted degree of a monomial, then its degree in each capped sector."""
-        degrees = [w * e for w, e in zip(self.weights, exps)]
-        return (sum(degrees), *(sum(degrees[i] for i in idx) for idx in self._sector_idx))
-
     def admits(self, exps: Sequence[int]) -> bool:
-        return all(map(le, self.grade(exps), self.limits))
+        return self._admits_grade(sum(map(mul, self._grade_steps, exps)))
+
+    def _admits_grade(self, grade: int) -> bool:
+        # a sector field past w bits means a total degree past the truncation
+        if grade >> self._top > self.truncation:
+            return False
+        return all(grade >> shift & self._mask <= cap for shift, cap in self._fields)
 
     def monomial_string(self, exps: Sequence[int]) -> str:
         parts = []
@@ -170,8 +188,8 @@ class GradedClass(Poly):
     Sums, negation, powers, equality of terms, hashing and printing are
     ``Poly``'s, and so is the coefficient contract: a stored coefficient is
     an ``int`` while integral.  The grading adds a truncation policy: the
-    constructor drops the terms the ring does not admit, and the product
-    never forms them.
+    constructor drops the terms the ring does not admit, and the product,
+    a packed-part product on the module's kernel, never forms them.
     """
 
     __slots__ = ("ring",)
@@ -219,12 +237,6 @@ class GradedClass(Poly):
             if self.ring.monomial_degree(e) == d
         })
 
-    def graded_parts(self) -> dict[int, "GradedClass"]:
-        parts: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            parts.setdefault(self.ring.monomial_degree(e), {})[e] = c
-        return {d: self._new(parts[d]) for d in sorted(parts)}
-
     def is_homogeneous(self, d: int) -> bool:
         return all(self.ring.monomial_degree(e) == d for e in self.terms)
 
@@ -238,35 +250,16 @@ class GradedClass(Poly):
                 f"{ring if ring is not None else other.vars!r}"
             )
 
-    def _groups(self) -> list:
-        """Terms grouped by ``ring.grade`` of their monomials."""
-        groups: dict[tuple[int, ...], list] = {}
-        grade = self.ring.grade
-        for e, c in self.terms.items():
-            groups.setdefault(grade(e), []).append((e, c))
-        return list(groups.items())
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._new(_clean({e: k * other for e, k in self.terms.items()}))
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        # grades add under products, so a pair of groups whose summed grade
-        # passes a limit contributes only terms the ring does not admit
-        limits = self.ring.limits
-        out: dict[tuple[int, ...], Scalar] = {}
-        get = out.get
-        right = other._groups()
-        for g1, left in self._groups():
-            for g2, terms in right:
-                if any(a + b > cap for a, b, cap in zip(g1, g2, limits)):
-                    continue
-                for e1, c1 in left:
-                    for e2, c2 in terms:
-                        exps = tuple(map(add, e1, e2))
-                        out[exps] = get(exps, 0) + c1 * c2
-        return self._new(_clean(out))
+        ring = self.ring
+        out: dict = {}
+        _mul_into(ring, out, _pack(ring, self.terms), _pack(ring, other.terms))
+        return self._new(_unpack(ring, [out]))
 
     __rmul__ = __mul__
 
@@ -285,22 +278,22 @@ class GradedClass(Poly):
     def series_inverse(self) -> "GradedClass":
         """Multiplicative inverse of a class with constant term one.
 
-        Built degree by degree from the graded parts x_i of the class:
-        inv_0 = 1 and inv_d = -(x_1 inv_{d-1} + ... + x_d inv_0).
+        Built degree by degree from the packed graded parts x_i of the
+        class: inv_0 = 1 and inv_d = -(x_1 inv_{d-1} + ... + x_d inv_0).
         """
         if self.constant_term != 1:
             raise InvalidInputError(
                 f"series inverse needs constant term 1, got {self.constant_term}"
             )
-        parts = self.graded_parts()
-        inv = [self.ring.one()]
-        for d in range(1, self.ring.truncation + 1):
-            total = self.ring.zero()
+        ring = self.ring
+        parts = _parts(ring, self.terms)
+        inv = [parts[0]]
+        for d in range(1, ring.truncation + 1):
+            total: dict = {}
             for i in range(1, d + 1):
-                if i in parts:
-                    total = total + parts[i] * inv[d - i]
-            inv.append(-total)
-        return sum(inv[1:], inv[0])
+                _mul_into(ring, total, parts[i], inv[d - i], -1)
+            inv.append(_tidy(total))
+        return self._new(_unpack(ring, inv))
 
     def alternate_signs(self) -> "GradedClass":
         """Negate every odd-degree graded piece (Chern classes of a dual)."""
@@ -376,6 +369,105 @@ def _trusted(ring: GradedRing, terms: dict) -> GradedClass:
     out.ring = ring
     out.terms = terms
     return out
+
+
+# -- the packed kernel --------------------------------------------------------
+# A packed class maps a grade to a dict from monomial key to coefficient, in
+# the ring's layout (see ``GradedRing``); coefficients follow the ``Poly``
+# contract once tidied.  Grades add under products, so a product visits
+# pairs of grade groups and skips a pair whose summed grade the ring does
+# not admit without looking at its terms.
+
+
+def _pack(ring: GradedRing, terms: Mapping) -> dict:
+    """Tuple-keyed terms as a packed class, coefficients as they are."""
+    shifts, grades = ring._shifts, ring._grade_steps
+    out: dict = {}
+    for exps, c in terms.items():
+        g = sum(map(mul, grades, exps))
+        group = out.get(g)
+        if group is None:
+            group = out[g] = {}
+        group[sum(map(lshift, exps, shifts))] = c
+    return out
+
+
+def _parts(ring: GradedRing, terms: Mapping) -> list:
+    """The packed homogeneous parts of degree 0..truncation."""
+    parts: list = [{} for _ in range(ring.truncation + 1)]
+    for g, group in _pack(ring, terms).items():
+        parts[g >> ring._top][g] = group
+    return parts
+
+
+def _unpack(ring: GradedRing, packed: Sequence[dict]) -> dict:
+    """Tuple-keyed canonical terms of packed classes with disjoint grades."""
+    mask, shifts = ring._mask, ring._shifts
+    out = {}
+    for part in packed:
+        for group in part.values():
+            for key, c in group.items():
+                if c:
+                    out[tuple(key >> s & mask for s in shifts)] = (
+                        c if type(c) is int else _canon(c))
+    return out
+
+
+def _tidy(x: dict) -> dict:
+    """Drop zero coefficients and empty groups; store the rest canonically."""
+    out = {}
+    for g, group in x.items():
+        group = _clean(group)
+        if group:
+            out[g] = group
+    return out
+
+
+def _constant(value: Scalar) -> dict:
+    return {0: {0: value}} if value else {}
+
+
+def _add_into(out: dict, x: dict, scale: Scalar) -> None:
+    """out += scale * x."""
+    for g, group in x.items():
+        acc = out.get(g)
+        if acc is None:
+            acc = out[g] = {}
+        get = acc.get
+        for k, c in group.items():
+            acc[k] = get(k, 0) + c * scale
+
+
+def _mul_into(ring: GradedRing, out: dict, x: dict, y: dict, scale: Scalar = 1) -> None:
+    """out += scale * x * y, forming only the terms the ring admits."""
+    admits = ring._admits_grade
+    for g1, left in x.items():
+        for g2, right in y.items():
+            g = g1 + g2
+            if not admits(g):
+                continue
+            acc = out.get(g)
+            if acc is None:
+                acc = out[g] = {}
+            get = acc.get
+            pairs = right.items()
+            for k1, c1 in left.items():
+                c1 *= scale
+                for k2, c2 in pairs:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+
+
+def _divide(x: dict, d: int) -> dict:
+    """x / d in place, with ``divmod`` while the quotient is whole."""
+    for group in x.values():
+        for k, c in group.items():
+            if type(c) is int:
+                q, r = divmod(c, d)
+                group[k] = Fraction(c, d) if r else q
+            else:
+                group[k] = _canon(c / d)
+    return x
 
 
 class FormalBundle:
@@ -472,33 +564,33 @@ def sym_power_steps(k: int) -> int:
 TENSOR_STEPS = 4  # two operands' power sums, their convolution, Newton back
 
 
-def _power_sums(e: FormalBundle) -> list[GradedClass]:
-    """p_0..p_trunc, p_0 = rank: p_d = sum_(i<d) (-1)^(i-1) c_i p_(d-i)
-    + (-1)^(d-1) d c_d, with c_i = 0 past the rank."""
+def _power_sums(e: FormalBundle) -> list:
+    """Packed p_0..p_trunc, p_0 = rank: p_d = sum_(i<d) (-1)^(i-1) c_i
+    p_(d-i) + (-1)^(d-1) d c_d, with c_i = 0 past the rank."""
     ring = e.ring
     top = min(e.rank, ring.truncation)
-    signed = [e.chern(i) * (-1) ** (i + 1) for i in range(top + 1)]
-    p = [ring.scalar(e.rank)]
+    c = _parts(ring, e.total_chern.terms)
+    p = [_constant(e.rank)]
     for d in range(1, ring.truncation + 1):
-        total = signed[d] * d if d <= top else ring.zero()
+        total: dict = {}
+        if d <= top:
+            _add_into(total, c[d], (-1) ** (d + 1) * d)
         for i in range(1, min(d - 1, top) + 1):
-            total = total + signed[i] * p[d - i]
-        p.append(total)
+            _mul_into(ring, total, c[i], p[d - i], (-1) ** (i + 1))
+        p.append(_tidy(total))
     return p
 
 
-def _from_power_sums(p: Sequence[GradedClass]) -> GradedClass:
-    """The total Chern class with power sums p: d c_d = sum_(i=1..d)
-    (-1)^(i-1) c_(d-i) p_i."""
-    ring = p[0].ring
-    c = [ring.one()]
+def _from_power_sums(ring: GradedRing, p: Sequence[dict]) -> GradedClass:
+    """The total Chern class with packed power sums p: d c_d =
+    sum_(i=1..d) (-1)^(i-1) c_(d-i) p_i."""
+    c = [_constant(1)]
     for d in range(1, ring.truncation + 1):
-        total = ring.zero()
+        total: dict = {}
         for i in range(1, d + 1):
-            term = c[d - i] * p[i]
-            total = total + term if i % 2 else total - term
-        c.append(total * Fraction(1, d))
-    return sum(c[1:], c[0])
+            _mul_into(ring, total, c[d - i], p[i], 1 if i % 2 else -1)
+        c.append(_divide(_tidy(total), d))
+    return _trusted(ring, _unpack(ring, c))
 
 
 def tensor(a: FormalBundle, b: FormalBundle) -> FormalBundle:
@@ -508,9 +600,13 @@ def tensor(a: FormalBundle, b: FormalBundle) -> FormalBundle:
     ring = a.ring
     check_work(ring, TENSOR_STEPS, f"a tensor product of ranks {a.rank} and {b.rank}")
     pa, pb = _power_sums(a), _power_sums(b)
-    p = [sum((pa[t] * pb[d - t] * comb(d, t) for t in range(d + 1)), ring.zero())
-         for d in range(ring.truncation + 1)]
-    return FormalBundle(a.rank * b.rank, _from_power_sums(p))
+    p = []
+    for d in range(ring.truncation + 1):
+        total: dict = {}
+        for t in range(d + 1):
+            _mul_into(ring, total, pa[t], pb[d - t], comb(d, t))
+        p.append(_tidy(total))
+    return FormalBundle(a.rank * b.rank, _from_power_sums(ring, p))
 
 
 def tensor_line(e: FormalBundle, line: GradedClass, sign: int) -> FormalBundle:
@@ -538,19 +634,18 @@ def sym_power(e: FormalBundle, k: int) -> FormalBundle:
     ring = e.ring
     check_work(ring, sym_power_steps(k), f"S^{k} of a rank-{e.rank} bundle")
     p = _power_sums(e)
-    zero = ring.zero()
     # sym[i][d]: degree-d power sum of S^i E; S^0 E is the trivial line
-    sym = [[ring.one()] + [zero] * ring.truncation]
+    sym = [[_constant(1)] + [{}] * ring.truncation]
     for i in range(1, k + 1):
         ps = []
         for d in range(ring.truncation + 1):
-            total = zero
+            total: dict = {}
             for t in range(d + 1):
                 # sum_j j^t p_(d-t)(S^(i-j) E): psi^j scales p_t by j^t
-                weighted = zero
+                weighted: dict = {}
                 for j in range(1, i + 1):
-                    weighted = weighted + sym[i - j][d - t] * j ** t
-                total = total + p[t] * weighted * comb(d, t)
-            ps.append(total * Fraction(1, i))
+                    _add_into(weighted, sym[i - j][d - t], j ** t)
+                _mul_into(ring, total, p[t], _tidy(weighted), comb(d, t))
+            ps.append(_divide(_tidy(total), i))
         sym.append(ps)
-    return FormalBundle(comb(e.rank + k - 1, k), _from_power_sums(sym[k]))
+    return FormalBundle(comb(e.rank + k - 1, k), _from_power_sums(ring, sym[k]))

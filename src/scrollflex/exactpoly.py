@@ -546,7 +546,8 @@ _TOKEN_RE = re.compile(
 def _tokenize(text: str):
     pos = 0
     out = []
-    while pos < len(text):
+    end = len(text.rstrip())  # each token takes the blanks before it
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
             raise InvalidInputError(f"cannot parse polynomial near {text[pos:pos+12]!r}")

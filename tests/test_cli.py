@@ -138,6 +138,17 @@ def test_jet_command(tmp_path, capsys):
     assert "common content" in out and "t" in out
 
 
+def test_jet_coordinates_may_end_in_blanks(tmp_path, capsys):
+    results = []
+    for coordinates in (["1", "u1", "t", "t*u1", "t*u1^2"],
+                        ["1 ", "u1 ", "t", "t*u1", "t*u1^2 "]):
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps({"variables": ["u1", "t"], "order": 2, "seed": 3,
+                                    "coordinates": coordinates}), encoding="utf-8")
+        results.append(run(capsys, "jet", str(path), "--trials", "2"))
+    assert results[0][0] == 0 and results[1] == results[0]
+
+
 def test_pretty_jet_minors_skip_the_minors_payload(tmp_path, capsys, monkeypatch):
     from scrollflex import jets
 

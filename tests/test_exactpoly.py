@@ -165,6 +165,15 @@ def test_parse_round_trip():
     assert parse_poly("-(x + y)*(x - y)", V) == y ** 2 - x ** 2
 
 
+def test_parse_ignores_blanks_at_either_end():
+    x, y, w = _vars()
+    for text in ("x + 1 ", " x + 1", "\tx + 1\n", "  x +  1  "):
+        assert parse_poly(text, V) == x + 1
+    assert parse_poly("x^2 ", V) == x ** 2
+    with pytest.raises(InvalidInputError):
+        parse_poly("x + ", V)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(InvalidInputError):
         parse_poly("x +", V)

@@ -1,0 +1,243 @@
+"""The packed kernel of ``chern`` against a tuple-keyed oracle.
+
+The oracle is the product and the series inverse that ``GradedClass`` used
+before packing: terms grouped by grade (total degree, then the degree in
+each capped sector), pairs of groups past a limit skipped.  The power-sum
+recursions of ``tensor`` and ``sym_power`` are written again on top of it.
+Results are compared term by term with their coefficient types, since the
+kernel promises an ``int`` while a coefficient is integral.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from scrollflex.chern import (FormalBundle, GradedClass, GradedRing,
+                              GradedVariable, sym_power, tensor)
+
+
+# -- the tuple-keyed oracle -----------------------------------------------------
+
+
+def _grade(ring, exps):
+    degrees = [w * e for w, e in zip(ring.weights, exps)]
+    return (sum(degrees), *(
+        sum(d for d, v in zip(degrees, ring.variables) if v.sector == sector)
+        for sector in ring.sector_caps))
+
+
+def _groups(cls):
+    groups = {}
+    for e, c in cls.terms.items():
+        groups.setdefault(_grade(cls.ring, e), []).append((e, c))
+    return list(groups.items())
+
+
+def oracle_mul(a, b):
+    ring = a.ring
+    out = {}
+    right = _groups(b)
+    for g1, left in _groups(a):
+        for g2, terms in right:
+            if any(x + y > cap for x, y, cap in zip(g1, g2, ring.limits)):
+                continue
+            for e1, c1 in left:
+                for e2, c2 in terms:
+                    exps = tuple(map(sum, zip(e1, e2)))
+                    out[exps] = out.get(exps, 0) + c1 * c2
+    return GradedClass(ring, out)
+
+
+def oracle_inverse(x):
+    ring = x.ring
+    inv = [ring.one()]
+    for d in range(1, ring.truncation + 1):
+        total = ring.zero()
+        for i in range(1, d + 1):
+            total = total + oracle_mul(x.homogeneous_part(i), inv[d - i])
+        inv.append(-total)
+    return sum(inv[1:], inv[0])
+
+
+def oracle_power_sums(e):
+    ring = e.ring
+    top = min(e.rank, ring.truncation)
+    signed = [e.chern(i) * (-1) ** (i + 1) for i in range(top + 1)]
+    p = [ring.scalar(e.rank)]
+    for d in range(1, ring.truncation + 1):
+        total = signed[d] * d if d <= top else ring.zero()
+        for i in range(1, min(d - 1, top) + 1):
+            total = total + oracle_mul(signed[i], p[d - i])
+        p.append(total)
+    return p
+
+
+def oracle_from_power_sums(p):
+    ring = p[0].ring
+    c = [ring.one()]
+    for d in range(1, ring.truncation + 1):
+        total = ring.zero()
+        for i in range(1, d + 1):
+            term = oracle_mul(c[d - i], p[i])
+            total = total + term if i % 2 else total - term
+        c.append(total * Fraction(1, d))
+    return sum(c[1:], c[0])
+
+
+def oracle_tensor(a, b):
+    ring = a.ring
+    pa, pb = oracle_power_sums(a), oracle_power_sums(b)
+    p = [sum((oracle_mul(pa[t], pb[d - t]) * comb(d, t) for t in range(d + 1)),
+             ring.zero()) for d in range(ring.truncation + 1)]
+    return FormalBundle(a.rank * b.rank, oracle_from_power_sums(p))
+
+
+def oracle_sym_power(e, k):
+    ring = e.ring
+    p = oracle_power_sums(e)
+    zero = ring.zero()
+    sym = [[ring.one()] + [zero] * ring.truncation]
+    for i in range(1, k + 1):
+        ps = []
+        for d in range(ring.truncation + 1):
+            total = zero
+            for t in range(d + 1):
+                weighted = zero
+                for j in range(1, i + 1):
+                    weighted = weighted + sym[i - j][d - t] * j ** t
+                total = total + oracle_mul(p[t], weighted) * comb(d, t)
+            ps.append(total * Fraction(1, i))
+        sym.append(ps)
+    return FormalBundle(comb(e.rank + k - 1, k), oracle_from_power_sums(sym[k]))
+
+
+# -- random classes and bundles ---------------------------------------------------
+
+
+def _typed(cls):
+    return sorted((e, type(c).__name__, c) for e, c in cls.terms.items())
+
+
+def _monomials(ring, degree):
+    """Every monomial of ``ring`` of weighted degree ``degree`` that it admits."""
+    ranges = [range(degree // w + 1) for w in ring.weights]
+    return [e for e in itertools.product(*ranges)
+            if ring.monomial_degree(e) == degree and ring.admits(e)]
+
+
+def _coefficient(rng, fractions):
+    c = rng.randint(-5, 5)
+    return Fraction(c, rng.randint(1, 3)) if fractions else c
+
+
+def _random_part(ring, rng, degree, fractions, density=0.6):
+    return GradedClass(ring, {e: _coefficient(rng, fractions)
+                              for e in _monomials(ring, degree) if rng.random() < density})
+
+
+def _random_class(ring, rng, fractions):
+    return sum((_random_part(ring, rng, d, fractions, 0.4)
+                for d in range(ring.truncation + 1)), ring.zero())
+
+
+def _random_bundle(ring, rng, rank, fractions):
+    total = ring.one()
+    for d in range(1, min(rank, ring.truncation) + 1):
+        total = total + _random_part(ring, rng, d, fractions)
+    return FormalBundle(rank, total)
+
+
+def _random_ring(rng, capped):
+    nvars = rng.randint(1, 3)
+    sectors = [rng.choice((None, "base")) for _ in range(nvars)]
+    truncation = rng.randint(1, 4)
+    caps = None
+    if capped:
+        sectors[0] = "base"
+        caps = {"base": rng.randint(0, truncation)}
+    return GradedRing([GradedVariable(f"x{i}", rng.randint(1, 2), sectors[i])
+                       for i in range(nvars)], truncation, caps)
+
+
+CASES = [(seed, capped, fractions) for seed in range(12)
+         for capped in (False, True) for fractions in (False, True)]
+
+
+@pytest.mark.parametrize("seed, capped, fractions", CASES)
+def test_product_and_inverse_match_the_oracle(seed, capped, fractions):
+    rng = random.Random(f"kernel {seed} {capped} {fractions}")
+    ring = _random_ring(rng, capped)
+    a = _random_class(ring, rng, fractions)
+    b = _random_class(ring, rng, fractions)
+    assert _typed(a * b) == _typed(oracle_mul(a, b))
+    assert _typed(b * a) == _typed(oracle_mul(a, b))
+    assert _typed(a * a * a) == _typed(oracle_mul(oracle_mul(a, a), a))
+    unit = ring.one() + a - a.homogeneous_part(0)
+    assert _typed(unit.series_inverse()) == _typed(oracle_inverse(unit))
+
+
+@pytest.mark.parametrize("seed, capped, fractions", CASES)
+def test_tensor_and_symmetric_powers_match_the_oracle(seed, capped, fractions):
+    rng = random.Random(f"bundles {seed} {capped} {fractions}")
+    ring = _random_ring(rng, capped)
+    a = _random_bundle(ring, rng, rng.randint(0, 3), fractions)
+    b = _random_bundle(ring, rng, rng.randint(1, 3), fractions)
+    got, want = tensor(a, b), oracle_tensor(a, b)
+    assert got.rank == want.rank
+    assert _typed(got.total_chern) == _typed(want.total_chern)
+    k = rng.randint(1, 4)
+    got, want = sym_power(a, k), oracle_sym_power(a, k)
+    assert got.rank == want.rank
+    assert _typed(got.total_chern) == _typed(want.total_chern)
+
+
+# -- the edges of the packed fields ------------------------------------------------------
+
+
+def _edge_ring(truncation):
+    """L in the low field, then C1 and C2 in a sector capped one below the
+    truncation (at zero for truncation 0)."""
+    return GradedRing([GradedVariable("L", 1), GradedVariable("C1", 1, "base"),
+                       GradedVariable("C2", 2, "base")],
+                      truncation, {"base": max(0, truncation - 1)})
+
+
+@pytest.mark.parametrize("truncation", [0, 1, 2, 3, 4, 7, 8, 15, 16])
+def test_pure_powers_fill_their_field_and_stop_at_the_limits(truncation):
+    ring = _edge_ring(truncation)
+    cap = ring.sector_caps["base"]
+    for name, limit in (("L", truncation), ("C1", cap)):
+        x = ring.variable(name) if truncation else ring.zero()
+        i = ring.index(name)
+        for t in range(truncation + 2):
+            power = x ** t
+            want = {tuple(t if j == i else 0 for j in range(3)): 1} if t <= limit else {}
+            assert power.terms == want, (name, t)
+            assert _typed(power) == _typed(oracle_mul(x ** (t // 2), x ** (t - t // 2)))
+        # 1 / (1 - x) is the sum of the powers the ring admits
+        geometric = {tuple(t if j == i else 0 for j in range(3)): 1
+                     for t in range(limit + 1)}
+        assert (ring.one() - x).series_inverse().terms == geometric
+        assert _typed((ring.one() - x).series_inverse()) == _typed(
+            oracle_inverse(ring.one() - x))
+
+
+@pytest.mark.parametrize("truncation", [0, 1, 2, 3, 4, 7, 8, 15, 16])
+def test_mixed_products_at_the_field_edges_match_the_oracle(truncation):
+    ring = _edge_ring(truncation)
+    if not truncation:
+        assert _typed(ring.scalar(3) * ring.scalar(Fraction(1, 3))) == [((0, 0, 0), "int", 1)]
+        return
+    L, C1, C2 = (ring.variable(name) for name in ("L", "C1", "C2"))
+    x = ring.one() + L - C1 * Fraction(1, 2) + C2 * 3
+    y = ring.one() - L * 2 + C1
+    assert _typed(x * y) == _typed(oracle_mul(x, y))
+    assert _typed(x ** truncation) == _typed(oracle_mul(x ** (truncation - 1), x))
+    assert _typed(x.series_inverse()) == _typed(oracle_inverse(x))
+    line = FormalBundle(1, ring.one() + L)
+    pair = FormalBundle(2, ring.one() + C1 + C2)
+    assert tensor(line, pair) == oracle_tensor(line, pair)
+    assert sym_power(pair, 3) == oracle_sym_power(pair, 3)
