@@ -1,11 +1,15 @@
 """Plain slotted records, the base of the package's value types.
 
 A record class lists its fields in ``__slots__``, in constructor order, and
-writes its own ``__init__``.  Two records of the same class are equal when
-their fields are, and the repr is ``Name(field=value, ...)``.  A record is
-read-only and hashed by its fields, unless its class is declared with
-``frozen=False``: then it is mutable and unhashable.  A read-only record's
-``__init__`` stores its fields with ``set_field``.
+the defaults of its optional fields in ``_defaults``.  ``Record.__init__``
+binds positional and keyword arguments to those fields as a signature
+would, and raises ``TypeError`` for a missing field, an unknown or repeated
+keyword or too many positional arguments.  Only a record that checks or
+converts its input writes its own ``__init__``; it stores its fields with
+``set_field``.  Two records of the same class are equal when their fields
+are, and the repr is ``Name(field=value, ...)``.  A record is read-only and
+hashed by its fields, unless its class is declared with ``frozen=False``:
+then it is mutable and unhashable.
 """
 
 from operator import attrgetter
@@ -15,9 +19,10 @@ set_field = object.__setattr__
 
 
 class Record:
-    """Field-wise equality, hashing and repr over ``__slots__``."""
+    """Field-wise construction, equality, hashing and repr over ``__slots__``."""
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -27,6 +32,27 @@ class Record:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
             cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} "
+                            f"arguments but {len(args)} were given")
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__qualname__}() missing "
+                                f"argument {name!r}")
+            set_field(self, name, value)
+        for name in kwargs:
+            problem = ("got multiple values for argument" if name in fields
+                       else "got an unexpected keyword argument")
+            raise TypeError(f"{type(self).__qualname__}() {problem} {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

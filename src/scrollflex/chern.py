@@ -151,8 +151,10 @@ class GradedRing:
 
     def variable(self, name: str) -> "GradedClass":
         i = self.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return GradedClass(self, {exps: 1})
+        if not self._admits_grade(self._grade_steps[i]):
+            return self.zero()
+        exps = (0,) * i + (1,) + (0,) * (len(self.names) - i - 1)
+        return _trusted(self, {exps: 1})
 
     # -- identity ------------------------------------------------------
 

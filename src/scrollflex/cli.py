@@ -18,7 +18,7 @@ import os
 import sys
 import warnings
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import ScrollflexError, load_json
 from .scroll import (BASE_PRESETS, SCAN_FAMILIES, NumericalBaseData,
                      ScrollSetup, chern_wu_reduce, degree_class,
@@ -33,18 +33,7 @@ class RunConfig(Record):
 
     __slots__ = ("command", "n", "m", "k", "N", "base", "data", "family", "ell",
                  "e", "q", "spec", "minors", "format", "seed", "trials", "filter")
-
-    def __init__(self, command: str, n: int | None = None, m: int | None = None,
-                 k: int | None = None, N: int | None = None, base: str | None = None,
-                 data: str | None = None, family: str | None = None,
-                 ell: int | None = None, e: int | None = None, q: int | None = None,
-                 spec: str | None = None, minors: int | None = None,
-                 format: str = "pretty", seed: int | None = None,
-                 trials: int | None = None, filter: str | None = None):
-        values = (command, n, m, k, N, base, data, family, ell, e, q, spec,
-                  minors, format, seed, trials, filter)
-        for name, value in zip(self.__slots__, values):
-            set_field(self, name, value)
+    _defaults = {**dict.fromkeys(__slots__[1:]), "format": "pretty"}
 
     def to_payload(self) -> dict:
         return {name: value for name, value in zip(self.__slots__, self._values(self))

@@ -195,26 +195,24 @@ def symbolic_jet_matrix(spec: JetProbeSpec) -> JetMatrix:
     return tuple(rows)
 
 
-_SHARED_MATRICES = 64
-_shared: dict[tuple, JetMatrix] = {}
-
-
 def _shared_jet_matrix(spec: JetProbeSpec) -> JetMatrix:
     """The symbolic jet matrix, built once per (variables, coordinates, order).
 
     Sampling settings are not part of the key, so a rank probe and the
     minors of the same chart share one build.  The matrix is immutable;
-    callers that eliminate in place copy it first.  The least recently
-    used of ``_SHARED_MATRICES`` entries is dropped.
+    callers that eliminate in place copy it first.
     """
-    key = (spec.variables, spec.coordinates, spec.order)
-    matrix = _shared.pop(key, None)
-    if matrix is None:
-        matrix = symbolic_jet_matrix(spec)
-        if len(_shared) >= _SHARED_MATRICES:
-            del _shared[next(iter(_shared))]
-    _shared[key] = matrix
-    return matrix
+    return _chart_jet_matrix(spec.variables, spec.coordinates, spec.order)
+
+
+@lru_cache(maxsize=64)
+def _chart_jet_matrix(variables: tuple[str, ...], coordinates: tuple[Poly, ...],
+                      order: int) -> JetMatrix:
+    # the fields come from a checked spec, so the chart skips the checks
+    chart = object.__new__(JetProbeSpec)
+    Record.__init__(chart, variables, coordinates, order, DEFAULT_TRIALS, 0,
+                    DEFAULT_HEIGHT)
+    return symbolic_jet_matrix(chart)
 
 
 def jet_matrix(spec: JetProbeSpec, point: Sequence[Fraction]) -> list[list[Fraction]]:
@@ -270,17 +268,11 @@ def _random_point(spec: JetProbeSpec, rng: random.Random) -> tuple[Fraction, ...
 
 
 class RankScan(Record, frozen=False):
-    """Result of a sampled generic-rank computation."""
+    """Result of a sampled generic-rank computation: the largest rank, the
+    rank at each trial and the number of jet rows."""
 
     __slots__ = ("spec", "rank", "per_trial", "rows", "note")
-
-    def __init__(self, spec: JetProbeSpec, rank: int, per_trial: tuple[int, ...],
-                 rows: int, note: str = "generic rank with confidence: sampled"):
-        self.spec = spec
-        self.rank = rank
-        self.per_trial = per_trial
-        self.rows = rows
-        self.note = note
+    _defaults = {"note": "generic rank with confidence: sampled"}
 
     def to_payload(self) -> dict:
         return {
@@ -318,14 +310,6 @@ class MinorReport(Record, frozen=False):
     """All r x r minors of the symbolic jet matrix with their common content."""
 
     __slots__ = ("spec", "size", "minors", "content", "nonzero_minors")
-
-    def __init__(self, spec: JetProbeSpec, size: int, minors: list[Poly],
-                 content: Poly, nonzero_minors: int):
-        self.spec = spec
-        self.size = size
-        self.minors = minors
-        self.content = content
-        self.nonzero_minors = nonzero_minors
 
     @property
     def reduced_locus(self) -> str:
@@ -368,14 +352,12 @@ def inflection_equations(spec: JetProbeSpec, size: int) -> MinorReport:
 
 
 class ProductRankCheck(Record, frozen=False):
-    __slots__ = ("base_rank_low", "base_rank_high", "predicted", "direct")
+    """The product rank identity at order k: ``base_rank_low`` and
+    ``base_rank_high`` are the base's ranks at orders k - 1 and k,
+    ``predicted`` the rank they give for base x P^s, and ``direct`` the
+    rank probed on the product chart."""
 
-    def __init__(self, base_rank_low: int, base_rank_high: int, predicted: int,
-                 direct: int):
-        self.base_rank_low = base_rank_low      # order k-1 on the base
-        self.base_rank_high = base_rank_high    # order k on the base
-        self.predicted = predicted
-        self.direct = direct
+    __slots__ = ("base_rank_low", "base_rank_high", "predicted", "direct")
 
     @property
     def holds(self) -> bool:
@@ -530,16 +512,11 @@ def bordiga_chart(order: int = 2, **kw) -> JetProbeSpec:
 
 
 class BundledProbe(Record):
-    __slots__ = ("name", "build", "expected_rank", "description", "scroll_dims")
+    """A named chart builder with its known generic rank; ``scroll_dims`` is
+    (n, m) when the chart is a scroll, else ``None``."""
 
-    def __init__(self, name: str, build: callable, expected_rank: int,
-                 description: str, scroll_dims: tuple[int, int] | None = None):
-        set_field(self, "name", name)
-        set_field(self, "build", build)
-        set_field(self, "expected_rank", expected_rank)
-        set_field(self, "description", description)
-        # (n, m) when the chart is a scroll
-        set_field(self, "scroll_dims", scroll_dims)
+    __slots__ = ("name", "build", "expected_rank", "description", "scroll_dims")
+    _defaults = {"scroll_dims": None}
 
 
 BUNDLED_PROBES: dict[str, BundledProbe] = {}

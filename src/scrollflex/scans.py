@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Mapping
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import InternalConsistencyError, InvalidInputError
 from .exactpoly import Poly, parse_poly
 from .formulas import fourfold_degree, p2_specialization_n9, surface_degree
@@ -29,44 +29,23 @@ MARGIN = 5  # safety cushion over every derived enumeration bound
 
 
 class Constraint(Record):
-    __slots__ = ("name", "reason", "holds")
+    """A named feasibility screen: ``holds(point)`` is false where the
+    geometry excludes the integer point, for the stated ``reason``."""
 
-    def __init__(self, name: str, reason: str,
-                 holds: Callable[[Mapping[str, int]], bool]):
-        set_field(self, "name", name)
-        set_field(self, "reason", reason)
-        set_field(self, "holds", holds)
+    __slots__ = ("name", "reason", "holds")
 
 
 class Bound(Record):
     __slots__ = ("lo", "hi", "reason")
 
-    def __init__(self, lo: int, hi: int, reason: str):
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
-        set_field(self, "reason", reason)
-
 
 class ScanProblem(Record, frozen=False):
+    """A family's scan: ``equation`` == 0, linear in the ``solve`` variable,
+    swept over the ``sweep`` variables within their ``bounds``."""
+
     __slots__ = ("family", "params", "equation", "sweep", "solve", "bounds",
                  "constraints", "annotate", "notes", "exceptional")
-
-    def __init__(self, family: str, params: dict, equation: Poly,
-                 sweep: tuple[str, ...], solve: str, bounds: dict[str, Bound],
-                 constraints: tuple[Constraint, ...],
-                 annotate: Callable[[Mapping[str, int]], str | None],
-                 notes: tuple[str, ...] = (),
-                 exceptional: ExceptionalCondition | None = None):
-        self.family = family
-        self.params = params
-        self.equation = equation        # == 0, linear in the solve variable
-        self.sweep = sweep
-        self.solve = solve
-        self.bounds = bounds
-        self.constraints = constraints
-        self.annotate = annotate
-        self.notes = notes
-        self.exceptional = exceptional
+    _defaults = {"notes": (), "exceptional": None}
 
     def scaled(self, factor: int) -> "ScanProblem":
         bounds = {
@@ -81,27 +60,15 @@ class ScanProblem(Record, frozen=False):
 
 class Survivor(Record, frozen=False):
     __slots__ = ("point", "annotation")
-
-    def __init__(self, point: dict[str, int], annotation: str | None = None):
-        self.point = point
-        self.annotation = annotation
+    _defaults = {"annotation": None}
 
 
 class ScanReport(Record, frozen=False):
+    """The outcome of a scan; ``excluded`` lists the integer points killed by
+    a named screen, with the screen's name."""
+
     __slots__ = ("family", "params", "candidates", "survivors", "excluded",
                  "verdict", "bounds", "notes")
-
-    def __init__(self, family: str, params: dict, candidates: int,
-                 survivors: list[Survivor], excluded: list[tuple[dict, str]],
-                 verdict: str, bounds: dict[str, Bound], notes: tuple[str, ...]):
-        self.family = family
-        self.params = params
-        self.candidates = candidates
-        self.survivors = survivors
-        self.excluded = excluded        # integer points killed by a named screen
-        self.verdict = verdict
-        self.bounds = bounds
-        self.notes = notes
 
     def to_payload(self) -> dict:
         return {
@@ -124,11 +91,6 @@ class ExceptionalCondition(Record, frozen=False):
     printed equation."""
 
     __slots__ = ("family", "relation", "verified")
-
-    def __init__(self, family: str, relation: str, verified: bool):
-        self.family = family
-        self.relation = relation
-        self.verified = verified
 
 
 # -- helpers -------------------------------------------------------------------
@@ -522,11 +484,8 @@ def build_problem(family: str, **params) -> ScanProblem:
     return build(int(params.get(param, default)))
 
 
-def run_family(family: str, scale: int = 1, **params) -> ScanReport:
-    problem = build_problem(family, **params)
-    if scale != 1:
-        problem = problem.scaled(scale)
-    return scan(problem)
+def run_family(family: str, **params) -> ScanReport:
+    return scan(build_problem(family, **params))
 
 
 def exceptional_condition(family: str) -> ExceptionalCondition:

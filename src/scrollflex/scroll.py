@@ -116,18 +116,10 @@ class ScrollSetup(Record):
 
 
 class CodimResult(Record):
+    """Expected codimension of the locus; ``in_range`` tells whether N lies in
+    ``range_lo..range_hi``, where the class formula is asserted."""
+
     __slots__ = ("codim", "in_range", "range_lo", "range_hi")
-
-    def __init__(self, codim: int, in_range: bool, range_lo: int, range_hi: int):
-        set_field(self, "codim", codim)
-        set_field(self, "in_range", in_range)
-        set_field(self, "range_lo", range_lo)
-        set_field(self, "range_hi", range_hi)
-
-    @property
-    def asserted(self) -> bool:
-        """Whether the degeneracy-class formula is asserted for this setup."""
-        return self.in_range
 
 
 def expected_codim(setup: ScrollSetup) -> CodimResult:
@@ -470,14 +462,10 @@ def evaluate_symbolic(cls: GradedClass,
 
 
 class DegreeResult(Record, frozen=False):
-    __slots__ = ("value", "symbolic", "setup", "asserted")
+    """The degree ``value`` of the locus, ``symbolic`` the degree-m class on Y
+    before pairing, and whether the formula is ``asserted`` for the setup."""
 
-    def __init__(self, value: int, symbolic: GradedClass, setup: ScrollSetup,
-                 asserted: bool):
-        self.value = value
-        self.symbolic = symbolic    # degree-m class on Y before pairing
-        self.setup = setup
-        self.asserted = asserted
+    __slots__ = ("value", "symbolic", "setup", "asserted")
 
     def __int__(self):
         return self.value
@@ -545,19 +533,12 @@ SCAN_FAMILIES = ("P2_N10", "P2_N9", "Fe", "ProductsBxP1", "P3", "Q3")
 class BasePreset(Record):
     """A base surface/threefold with its intersection lattice filled in.
 
-    ``slots`` are the free symbolic parameters; ``build(**values)`` returns
-    monomial assignments, symbolic wherever a slot is left unset.
+    ``slots`` are the free symbolic parameters, explained by ``legend``;
+    ``assignments(**values)`` returns the monomial table that ``_builder``
+    fills, symbolic wherever a slot is left unset.
     """
 
     __slots__ = ("name", "dimension", "slots", "legend", "_builder")
-
-    def __init__(self, name: str, dimension: int, slots: tuple[str, ...],
-                 legend: str, _builder: callable):
-        set_field(self, "name", name)
-        set_field(self, "dimension", dimension)
-        set_field(self, "slots", slots)
-        set_field(self, "legend", legend)
-        set_field(self, "_builder", _builder)
 
     def assignments(self, **values) -> dict[str, Poly]:
         """Monomial table over the still-free slots; bound slots become numbers.

@@ -29,13 +29,7 @@ from .scroll import (BASE_PRESETS, ScrollSetup, chern_wu_reduce, degree_class,
 
 class CheckResult(Record, frozen=False):
     __slots__ = ("identifier", "ok", "detail", "elapsed_ms")
-
-    def __init__(self, identifier: str, ok: bool, detail: str,
-                 elapsed_ms: float = 0.0):
-        self.identifier = identifier
-        self.ok = ok
-        self.detail = detail
-        self.elapsed_ms = elapsed_ms
+    _defaults = {"elapsed_ms": 0.0}
 
     def row(self) -> str:
         return f"{'PASS' if self.ok else 'FAIL'}  {self.identifier}  {self.detail}"

@@ -97,7 +97,7 @@ def test_criterion_4_diophantine_scans():
     assert not scans.run_family("P2_N10").survivors
     for ell in (2, 3, 4):
         report = scans.run_family("Q3", ell=ell)
-        doubled = scans.run_family("Q3", ell=ell, scale=2)
+        doubled = scans.scan(scans.build_problem("Q3", ell=ell).scaled(2))
         assert report.verdict == doubled.verdict == "empty"
     assert scans.exceptional_condition("Fe").verified
     assert scans.exceptional_condition("ProductsBxP1").verified

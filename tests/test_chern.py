@@ -319,6 +319,19 @@ def test_sector_caps_kill_base_overflow():
     assert not (C1 ** 2 * L).is_zero()
 
 
+def test_variables_past_the_grading_are_zero():
+    ring = GradedRing([GradedVariable("L", 1), GradedVariable("C1", 1, "base"),
+                       GradedVariable("C2", 2, "base"), GradedVariable("V3", 3)],
+                      2, {"base": 1})
+    for i, name in enumerate(ring.names):
+        exps = tuple(int(j == i) for j in range(len(ring.names)))
+        assert ring.variable(name) == GradedClass(ring, {exps: 1})
+    assert ring.variable("L").terms == {(1, 0, 0, 0): 1}
+    assert ring.variable("C1").terms == {(0, 1, 0, 0): 1}
+    # C2 passes the base cap and V3 the truncation
+    assert ring.variable("C2").terms == ring.variable("V3").terms == {}
+
+
 def test_sector_caps_are_read_only():
     variables = [GradedVariable("L", 1), GradedVariable("C1", 1, "base")]
     ring = GradedRing(variables, 3, {"base": 2})

@@ -227,7 +227,7 @@ def test_rank_and_minors_share_one_jet_matrix(monkeypatch):
     build = jets.symbolic_jet_matrix
     monkeypatch.setattr(jets, "symbolic_jet_matrix",
                         lambda spec: builds.append(spec) or build(spec))
-    monkeypatch.setattr(jets, "_shared", {})
+    jets._chart_jet_matrix.cache_clear()
     spec = BUNDLED_PROBES["flag-threefold"].build()
     resampled = JetProbeSpec(spec.variables, spec.coordinates, spec.order,
                              trials=3, seed=9)

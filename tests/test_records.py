@@ -2,7 +2,9 @@
 
 Every record compares field by field, prints as ``Name(field=value, ...)``
 in constructor order, and is read-only and hashed by its fields unless it
-is one of the mutable result records, which are unhashable.
+is one of the mutable result records, which are unhashable.  A record that
+only stores its fields binds its arguments to ``__slots__`` as a signature
+would.
 """
 
 import json
@@ -131,6 +133,53 @@ def test_records_are_read_only_or_unhashable(factory, fields, frozen, hashable):
         for name in fields:
             setattr(a, name, getattr(other, name))
         assert a == other
+
+
+# the records that only store their fields, with the values their optional
+# fields take when left out
+STORAGE_ONLY = [
+    (CodimResult, {}),
+    (DegreeResult, {}),
+    (BasePreset, {}),
+    (RunConfig, {**dict.fromkeys(RunConfig.__slots__[1:]), "format": "pretty"}),
+    (RankScan, {"note": "generic rank with confidence: sampled"}),
+    (MinorReport, {}),
+    (ProductRankCheck, {}),
+    (BundledProbe, {"scroll_dims": None}),
+    (Constraint, {}),
+    (Bound, {}),
+    (ScanProblem, {"notes": (), "exceptional": None}),
+    (Survivor, {"annotation": None}),
+    (ScanReport, {}),
+    (ExceptionalCondition, {}),
+    (CheckResult, {"elapsed_ms": 0.0}),
+]
+
+
+@pytest.mark.parametrize("cls, defaults", STORAGE_ONLY,
+                         ids=[cls.__name__ for cls, _ in STORAGE_ONLY])
+def test_storage_only_records_bind_arguments_to_their_slots(cls, defaults):
+    assert "__init__" not in vars(cls)
+    fields = cls.__slots__
+    values = [object() for _ in fields]
+    keywords = dict(zip(fields, values))
+    for record in (cls(*values), cls(**keywords),
+                   cls(*values[:1], **dict(zip(fields[1:], values[1:])))):
+        assert all(getattr(record, name) is value
+                   for name, value in keywords.items())
+    required = len(fields) - len(defaults)
+    assert set(fields[required:]) == set(defaults)
+    filled = cls(*values[:required])
+    assert all(getattr(filled, name) == value for name, value in defaults.items())
+    with pytest.raises(TypeError, match=f"missing argument {fields[required - 1]!r}"):
+        cls(*values[:required - 1])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(*values[:required], bogus=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument {fields[0]!r}"):
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError, match=f"takes {len(fields)} arguments but "
+                                        f"{len(fields) + 1} were given"):
+        cls(*values, None)
 
 
 def test_record_reprs_spell_out_each_field():

@@ -53,7 +53,7 @@ def test_quadric_scans_empty_and_stable(ell):
     report = run_family("Q3", ell=ell)
     assert report.verdict == "empty"
     assert not report.survivors
-    doubled = run_family("Q3", ell=ell, scale=2)
+    doubled = scan(build_problem("Q3", ell=ell).scaled(2))
     assert doubled.verdict == report.verdict
     assert survivors(doubled) == survivors(report)
 
@@ -69,7 +69,7 @@ def test_quadric_notes_mention_derivation():
 ])
 def test_doubling_stability(family, params):
     base = run_family(family, **params)
-    doubled = run_family(family, scale=2, **params)
+    doubled = scan(build_problem(family, **params).scaled(2))
     assert base.verdict == doubled.verdict
     assert survivors(base) == survivors(doubled)
 
