@@ -9,6 +9,8 @@ There is one sparse-polynomial kernel, ``exactpoly.Poly``, and the grading
 is a truncation policy on top of it: ``GradedClass`` subclasses ``Poly``
 over the ring's names, keeps its arithmetic and coefficient contract (an
 ``int`` while integral) and drops non-admitted terms on construction.
+``GradedClass.substitute`` runs ``Poly``'s substitution loop with its own
+checks, and monomials print through ``exactpoly.monomial_text``.
 Its product, its series inverse and the bundle calculus below run on one
 private packed kernel: a class is packed into homogeneous parts keyed by
 packed-int monomials (see ``GradedRing``), parts are multiplied grade group
@@ -39,7 +41,7 @@ from typing import Mapping, Sequence
 
 from ._record import Record, set_field
 from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
-from .exactpoly import Poly, Scalar, _canon, _clean, as_scalar
+from .exactpoly import Poly, Scalar, _canon, _clean, _substitute, as_scalar
 
 # Largest estimated work (see ``check_work``) of a derived bundle or a class.
 # Python 3.11 on a 2-vCPU x86-64 host does about 10^7 units a second, so
@@ -117,7 +119,7 @@ class GradedRing:
             raise InvalidInputError(f"ring has no variable {name!r}") from None
 
     def monomial_degree(self, exps: Sequence[int]) -> int:
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
     def admits(self, exps: Sequence[int]) -> bool:
         return self._admits_grade(sum(map(mul, self._grade_steps, exps)))
@@ -127,15 +129,6 @@ class GradedRing:
         if grade >> self._top > self.truncation:
             return False
         return all(grade >> shift & self._mask <= cap for shift, cap in self._fields)
-
-    def monomial_string(self, exps: Sequence[int]) -> str:
-        parts = []
-        for name, e in zip(self.names, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
 
     # -- constructors --------------------------------------------------
 
@@ -290,9 +283,10 @@ class GradedClass(Poly):
         ring = self.ring
         parts = _parts(ring, self.terms)
         inv = [parts[0]]
+        top = max(i for i, part in enumerate(parts) if part)
         for d in range(1, ring.truncation + 1):
             total: dict = {}
-            for i in range(1, d + 1):
+            for i in range(1, min(d, top) + 1):
                 _mul_into(ring, total, parts[i], inv[d - i], -1)
             inv.append(_tidy(total))
         return self._new(_unpack(ring, inv))
@@ -324,25 +318,15 @@ class GradedClass(Poly):
                     f"{self.ring.weights[i]}"
                 )
             values[i] = value
-        out = target.zero()
-        powers: dict[tuple[int, int], GradedClass] = {}
-        for exps, c in self.terms.items():
-            term = target.scalar(c)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if i not in values:
-                    raise InvalidInputError(
-                        f"no substitution supplied for {self.ring.names[i]!r}"
-                    )
-                key = (i, e)
-                if key not in powers:
-                    powers[key] = values[i] ** e
-                term = term * powers[key]
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+
+        def value(i: int) -> GradedClass:
+            if i not in values:
+                raise InvalidInputError(
+                    f"no substitution supplied for {self.ring.names[i]!r}"
+                )
+            return values[i]
+
+        return _substitute(self.terms, value, target.zero())
 
     # -- io ------------------------------------------------------------------
 

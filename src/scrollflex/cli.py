@@ -18,7 +18,6 @@ import os
 import sys
 import warnings
 
-from ._record import Record
 from .errors import ScrollflexError, load_json
 from .scroll import (BASE_PRESETS, SCAN_FAMILIES, NumericalBaseData,
                      ScrollSetup, chern_wu_reduce, degree_class,
@@ -26,22 +25,6 @@ from .scroll import (BASE_PRESETS, SCAN_FAMILIES, NumericalBaseData,
                      max_rank, rank_breakdown, scroll_ring, symbolic_degree)
 
 DATA_DIR_ENV = "SCROLLFLEX_DATA_DIR"
-
-
-class RunConfig(Record):
-    """One parsed invocation; exactly one command per run."""
-
-    __slots__ = ("command", "n", "m", "k", "N", "base", "data", "family", "ell",
-                 "e", "q", "spec", "minors", "format", "seed", "trials", "filter")
-    _defaults = {**dict.fromkeys(__slots__[1:]), "format": "pretty"}
-
-    def to_payload(self) -> dict:
-        return {name: value for name, value in zip(self.__slots__, self._values(self))
-                if value is not None}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "RunConfig":
-        return cls(**payload)
 
 
 def _resolve_path(name: str) -> str:
@@ -55,16 +38,18 @@ def _resolve_path(name: str) -> str:
     return name
 
 
-def _emit(config: RunConfig, payload: dict, pretty_lines: list[str]) -> None:
+def _emit(config: argparse.Namespace, payload: dict, pretty_lines: list[str]) -> None:
     if config.format == "structured":
-        print(json.dumps({"config": config.to_payload(), "result": payload},
+        options = {name: value for name, value in vars(config).items()
+                   if value is not None}
+        print(json.dumps({"config": options, "result": payload},
                          indent=2, sort_keys=True))
     else:
         for line in pretty_lines:
             print(line)
 
 
-def _cmd_rank(config: RunConfig) -> int:
+def _cmd_rank(config: argparse.Namespace) -> int:
     breakdown = rank_breakdown(config.n, config.m, config.k)
     value = max_rank(config.n, config.m, config.k)
     lines = [f"maximal generic jet rank: {value}"]
@@ -73,7 +58,7 @@ def _cmd_rank(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_class(config: RunConfig) -> int:
+def _cmd_class(config: argparse.Namespace) -> int:
     setup = ScrollSetup(config.n, config.m, config.k, config.N)
     codim = expected_codim(setup)
     ring = scroll_ring(setup.n, setup.m)
@@ -101,14 +86,10 @@ def _cmd_class(config: RunConfig) -> int:
     return 0
 
 
-def _load_data(config: RunConfig) -> NumericalBaseData:
-    return NumericalBaseData.from_payload(load_json(_resolve_path(config.data)))
-
-
-def _cmd_degree(config: RunConfig) -> int:
+def _cmd_degree(config: argparse.Namespace) -> int:
     setup = ScrollSetup(config.n, config.m, config.k, config.N)
     if config.data:
-        data = _load_data(config)
+        data = NumericalBaseData.from_payload(load_json(_resolve_path(config.data)))
         result = degree_of_inflection(setup, data)
         lines = [
             f"degree: {result.value}",
@@ -140,16 +121,11 @@ def _cmd_degree(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_scan(config: RunConfig) -> int:
+def _cmd_scan(config: argparse.Namespace) -> int:
     from . import scans
 
-    params = {}
-    if config.ell is not None:
-        params["ell"] = config.ell
-    if config.e is not None:
-        params["e"] = config.e
-    if config.q is not None:
-        params["q"] = config.q
+    params = {name: getattr(config, name) for name in ("ell", "e", "q")
+              if getattr(config, name) is not None}
     report = scans.run_family(config.family, **params)
     lines = [f"family {report.family} {report.params}: {report.verdict}",
              f"candidates examined: {report.candidates}"]
@@ -172,7 +148,7 @@ def _cmd_scan(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_jet(config: RunConfig) -> int:
+def _cmd_jet(config: argparse.Namespace) -> int:
     from . import jets
 
     path = _resolve_path(config.spec)
@@ -204,7 +180,7 @@ def _cmd_jet(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(config: argparse.Namespace) -> int:
     from . import verify
 
     results = verify.run_checks(filter=config.filter)
@@ -278,13 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    if fields.get("base") and fields.get("data"):
-        raise ScrollflexError("--base and --data conflict; give exactly one")
-    return RunConfig(**fields)
-
-
 _DISPATCH = {
     "rank": _cmd_rank,
     "class": _cmd_class,
@@ -299,12 +268,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        return _DISPATCH[config.command](config)
-    except ScrollflexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        if getattr(args, "base", None) and getattr(args, "data", None):
+            raise ScrollflexError("--base and --data conflict; give exactly one")
+        return _DISPATCH[args.command](args)
+    except (ScrollflexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

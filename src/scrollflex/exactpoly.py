@@ -272,20 +272,7 @@ class Poly:
                         f"no substitution for {name!r} and it is absent from {target}"
                     )
                 values.append(Poly.zero(target))
-        out = Poly.zero(target)
-        one = tuple(0 for _ in target)
-        powers: dict[tuple[int, int], Poly] = {}
-        for exps, c in self.terms.items():
-            term = _trusted(target, {one: c})
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                key = (i, e)
-                if key not in powers:
-                    powers[key] = values[i] ** e
-                term = term * powers[key]
-            out = out + term
-        return out
+        return _substitute(self.terms, values.__getitem__, Poly.zero(target))
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
         missing = [v for v in self.vars if v not in point and self.degree_in(v) > 0]
@@ -393,19 +380,12 @@ class Poly:
         bits = []
         for exps in sorted(self.terms, key=self._print_key):
             c = self.terms[exps]
-            factors = []
-            for name, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            if not mono:
+            if not any(exps):
                 body = str(abs(c))
             elif abs(c) == 1:
-                body = mono
+                body = monomial_text(self.vars, exps)
             else:
-                body = f"{abs(c)}*{mono}"
+                body = f"{abs(c)}*{monomial_text(self.vars, exps)}"
             sign = "-" if c < 0 else "+"
             bits.append((sign, body))
         head_sign, head = bits[0]
@@ -416,6 +396,37 @@ class Poly:
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
+
+
+def _substitute(terms: Mapping[tuple[int, ...], Scalar], value, zero: "Poly") -> "Poly":
+    """The sum over ``terms`` of c * prod_i value(i)^e_i, in the ring of ``zero``.
+
+    ``value(i)`` is asked for only when variable i occurs, and each power is
+    formed once per (variable, exponent).  A term that reaches zero stops
+    multiplying.
+    """
+    one = tuple(0 for _ in zero.vars)
+    out = zero
+    powers: dict[tuple[int, int], Poly] = {}
+    for exps, c in terms.items():
+        term = zero._new({one: c})
+        for i, e in enumerate(exps):
+            if e:
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[i, e] = value(i) ** e
+                term = term * power
+                if not term.terms:
+                    break
+        out = out + term
+    return out
+
+
+def monomial_text(names: Iterable[str], exps: Iterable[int]) -> str:
+    """``name^e`` factors (``name`` for e = 1) joined by ``*``; ``1`` when
+    every exponent is zero."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(names, exps) if e) or "1"
 
 
 # -- gcd machinery ------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 from ._record import Record
 from .errors import InternalConsistencyError, InvalidInputError
-from .exactpoly import Poly, parse_poly
+from .exactpoly import Poly, monomial_text, parse_poly
 from .formulas import fourfold_degree, p2_specialization_n9, surface_degree
 from .scroll import (BASE_PRESETS, SCAN_FAMILIES as FAMILIES, ScrollSetup,
                      canonical_monomial, symbolic_degree)
@@ -138,8 +138,7 @@ def _on_preset(form: Poly, preset: str, vars: tuple[str, ...],
         if mono.pop("d"):
             term = Poly.variable(vars, "d")
         else:
-            key = canonical_monomial(
-                "*".join(f"{name}^{e}" for name, e in mono.items() if e) or "1")
+            key = canonical_monomial(monomial_text(mono, mono.values()))
             if key not in table:
                 raise InternalConsistencyError(f"preset {preset} lacks {key}")
             term = table[key].subs(rename or {}, vars=vars)

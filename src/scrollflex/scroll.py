@@ -23,13 +23,15 @@ from operator import add
 from typing import Mapping, Sequence, Union
 
 from .chern import (TENSOR_STEPS, FormalBundle, GradedClass, GradedRing,
-                    GradedVariable, _trusted, bundle_from_classes, check_work,
-                    direct_sum, dual, sym_power, sym_power_steps, tensor,
-                    tensor_line, trivial_bundle)
+                    GradedVariable, _trusted, admitted_monomials,
+                    bundle_from_classes, check_work, direct_sum, dual,
+                    sym_power, sym_power_steps, tensor, tensor_line,
+                    trivial_bundle)
 from ._record import Record, set_field
 from .errors import (IncompleteDataError, InvalidInputError,
                      ResourceLimitError, is_integer, require_fields)
-from .exactpoly import Poly, Scalar, _clean, as_scalar
+from .exactpoly import (Poly, Scalar, _clean, _substitute, as_scalar,
+                        monomial_text)
 from .exactpoly import _trusted as _trusted_poly
 
 BASE_SECTOR = "base"
@@ -270,32 +272,45 @@ def pushforward(x: GradedClass, r: int) -> GradedClass:
     m = ring.sector_caps.get(BASE_SECTOR)
     if m is None:
         raise InvalidInputError("pushforward needs a scroll ring with a base sector")
-    return _integrate(ring, x.terms.items(), r, base_ring(m, r))
+    return _integrate(ring, x.terms.items(), m, r)
+
+
+# Largest Segre series, in estimated term products: each of its monomials
+# times each v_i, as in ``series_inverse``.  A product forms at most one
+# term, so this also bounds the series' memory.
+SEGRE_PRODUCT_LIMIT = 10 ** 6
 
 
 @lru_cache(maxsize=RING_CACHE_SIZE)
-def _segre_parts(target: GradedRing, r: int) -> tuple:
-    """Terms of s_0..s_trunc, the graded parts of 1 / c(V^dual) in ``target``.
+def _segre_parts(m: int, r: int) -> tuple:
+    """Terms of s_0..s_m, the graded parts of 1 / c(V^dual), V of rank r.
 
-    The coefficients are integers: c(V^dual) has integer coefficients and
-    constant term one.
+    The series involves only the s = min(r, m) generators v_i, so it is
+    computed in their ring alone, truncated at the base dimension m, and
+    split by degree in one pass.  Its coefficients are integers, and it is
+    refused past SEGRE_PRODUCT_LIMIT before any product.
     """
-    c_dual = target.one()
-    for i in range(1, r + 1):
-        if f"v{i}" in target.names:
-            v = target.variable(f"v{i}")
-            c_dual = c_dual + (-v if i % 2 else v)
-    segre = c_dual.series_inverse()
-    return tuple(tuple(segre.homogeneous_part(i).terms.items())
-                 for i in range(target.truncation + 1))
+    s = min(r, m)
+    ring = GradedRing([GradedVariable(f"v{i}", i) for i in range(1, s + 1)], m)
+    products = s * admitted_monomials(ring)
+    if products > SEGRE_PRODUCT_LIMIT:
+        raise ResourceLimitError(
+            f"the Segre series of V in {s} Chern classes up to degree {m} "
+            f"needs an estimated {products} term products, over the limit "
+            f"{SEGRE_PRODUCT_LIMIT}")
+    v = bundle_from_classes(s, [ring.variable(f"v{i}") for i in range(1, s + 1)])
+    parts: list = [[] for _ in range(m + 1)]
+    for exps, c in dual(v).total_chern.series_inverse().terms.items():
+        parts[ring.monomial_degree(exps)].append((exps, c))
+    return tuple(map(tuple, parts))
 
 
-def _integrate(ring: GradedRing, terms, r: int, target: GradedRing,
-               shift: int = 0) -> GradedClass:
-    """pi_* of the sum of the terms (exps, coeff) of ``ring``, times L^shift."""
+def _integrate(ring: GradedRing, terms, m: int, r: int, shift: int = 0) -> GradedClass:
+    """pi_* to ``base_ring(m, r)`` of the terms (exps, coeff) of ``ring`` times L^shift."""
+    target = base_ring(m, r)
     li = ring.index("L")
     renamed = [(i, name.lower()) for i, name in enumerate(ring.names) if i != li]
-    segre = _segre_parts(target, r)
+    segre = _segre_parts(m, r)
     out: dict[tuple[int, ...], Scalar] = {}
     for exps, coeff in terms:
         i = exps[li] + shift - (r - 1)
@@ -305,23 +320,20 @@ def _integrate(ring: GradedRing, terms, r: int, target: GradedRing,
         for src, name in renamed:
             if exps[src]:
                 base[target.index(name)] = exps[src]
+        # the v_j sit last in the base ring, where the series' tuples add
+        head, tail = tuple(base[:m]), base[m:]
         for s_exps, s_coeff in segre[i]:
-            key = tuple(map(add, base, s_exps))
+            key = head + tuple(map(add, tail, s_exps))
             out[key] = out.get(key, 0) + coeff * s_coeff
     return _trusted(target, _clean({e: c for e, c in out.items() if target.admits(e)}))
 
 
 def graded_to_poly(cls: GradedClass, vars: Sequence[str] | None = None) -> Poly:
-    """Forget the grading: same terms as a plain polynomial in the ring names."""
+    """Forget the grading: the class as a polynomial over ``vars`` (the ring
+    names by default), each ring variable read as the same-named one."""
     names = tuple(vars) if vars is not None else cls.ring.names
-    terms = {}
-    for exps, coeff in cls.terms.items():
-        t = [0] * len(names)
-        for name, e in zip(cls.ring.names, exps):
-            if e:
-                t[names.index(name)] = e
-        terms[tuple(t)] = coeff
-    return Poly(names, terms)
+    return _substitute(cls.terms, lambda i: Poly.variable(names, cls.ring.names[i]),
+                       Poly.zero(names))
 
 
 # -- numerical and symbolic base data ---------------------------------------
@@ -350,16 +362,13 @@ def _monomial_weight(key: str) -> int:
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _monomial_key(ring: GradedRing, exps: tuple[int, ...]) -> str:
     """The canonical base-monomial key of a term of ``ring``."""
-    return canonical_monomial(ring.monomial_string(exps))
+    return canonical_monomial(monomial_text(ring.names, exps))
 
 
 def canonical_monomial(key: str) -> str:
     factors = _monomial_factors(key)
-    parts = []
-    for name in sorted(factors, key=lambda s: (s[0], int(s[1:]))):
-        e = factors[name]
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) or "1"
+    names = sorted(factors, key=lambda s: (s[0], int(s[1:])))
+    return monomial_text(names, [factors[name] for name in names])
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -373,15 +382,12 @@ class NumericalBaseData(Record):
     """Intersection numbers of Y paired against weight-m monomials.
 
     ``assignments`` maps canonical monomial strings in c_i = c_i(T_Y) and
-    v_i = c_i(V) to integers.  ``divisors`` optionally carries pairing data
-    for named divisor classes against the same generators; it defaults to
-    an empty mapping.
+    v_i = c_i(V) to integers.
     """
 
-    __slots__ = ("dimension", "assignments", "divisors")
+    __slots__ = ("dimension", "assignments")
 
-    def __init__(self, dimension: int, assignments: Mapping[str, int],
-                 divisors: Mapping[str, Mapping[str, int]] | None = None):
+    def __init__(self, dimension: int, assignments: Mapping[str, int]):
         if not is_integer(dimension):
             raise InvalidInputError("dimension must be an integer")
         if not isinstance(assignments, Mapping):
@@ -396,14 +402,8 @@ class NumericalBaseData(Record):
             if not is_integer(value):
                 raise InvalidInputError(f"value for {key!r} must be an integer")
             clean[ck] = value
-        if divisors is None:
-            divisors = {}
-        if not (isinstance(divisors, Mapping)
-                and all(isinstance(v, Mapping) for v in divisors.values())):
-            raise InvalidInputError("divisors must map names to monomial tables")
         set_field(self, "dimension", dimension)
         set_field(self, "assignments", clean)
-        set_field(self, "divisors", divisors)
 
     def evaluate(self, cls: GradedClass) -> Fraction:
         """Pair a degree-m class on Y against the stored numbers."""
@@ -420,17 +420,12 @@ class NumericalBaseData(Record):
         return Fraction(total)
 
     def to_payload(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "assignments": dict(self.assignments),
-            "divisors": {k: dict(v) for k, v in self.divisors.items()},
-        }
+        return {"dimension": self.dimension, "assignments": dict(self.assignments)}
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "NumericalBaseData":
         require_fields(payload, ("dimension", "assignments"), "base data")
-        return cls(payload["dimension"], payload["assignments"],
-                   payload.get("divisors", {}))
+        return cls(payload["dimension"], payload["assignments"])
 
 
 def evaluate_symbolic(cls: GradedClass,
@@ -491,8 +486,9 @@ def degree_class(setup: ScrollSetup, ring: GradedRing | None = None) -> GradedCl
 def _degree_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
     """Terms of ``degree_class`` in the base ring, integrated once per class."""
     r = n - m + 1
+    _segre_parts(m, r)  # refuses an oversized series before the class
     terms = _class_terms(ring, n, m, k, ell)
-    return tuple(_integrate(ring, terms, r, base_ring(m, r), n - ell).terms.items())
+    return tuple(_integrate(ring, terms, m, r, n - ell).terms.items())
 
 
 def degree_of_inflection(setup: ScrollSetup, data: NumericalBaseData) -> DegreeResult:
@@ -505,14 +501,17 @@ def degree_of_inflection(setup: ScrollSetup, data: NumericalBaseData) -> DegreeR
     value = data.evaluate(symbolic)
     if value.denominator != 1:
         raise InvalidInputError(f"degree evaluated to a non-integer {value}")
-    # the scroll degree pi_*(L^n) is the top Segre class s_m
-    base = base_ring(setup.m, setup.fiber_rank)
-    top_segre = _segre_parts(base, setup.fiber_rank)[setup.m]
-    d = data.evaluate(_trusted(base, dict(top_segre)))
+    d = data.evaluate(_scroll_degree(setup.n, setup.m))
     if d <= 0:
         warnings.warn(f"base data gives non-positive scroll degree d={d}",
                       stacklevel=2)
     return DegreeResult(int(value), symbolic, setup, setup.in_range)
+
+
+@lru_cache(maxsize=RING_CACHE_SIZE)
+def _scroll_degree(n: int, m: int) -> GradedClass:
+    """The scroll degree pi_*(L^n), the top Segre class s_m, on the base."""
+    return pushforward(hyperplane_class(scroll_ring(n, m)) ** n, n - m + 1)
 
 
 def symbolic_degree(setup: ScrollSetup,

@@ -9,7 +9,7 @@ import pytest
 
 from scrollflex import cli, formulas
 from scrollflex.chern import GradedClass
-from scrollflex.cli import RunConfig, main
+from scrollflex.cli import main
 from scrollflex.scroll import BASE_PRESETS
 
 
@@ -32,10 +32,8 @@ def test_rank_structured(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["result"]["rank"] == 14
-    # config round-trips through its payload
-    config = RunConfig.from_payload(payload["config"])
-    assert config == RunConfig(command="rank", n=4, m=3, k=2,
-                               format="structured")
+    assert payload["config"] == {"command": "rank", "n": 4, "m": 3, "k": 2,
+                                 "format": "structured"}
 
 
 def test_class_command(capsys):
@@ -309,6 +307,16 @@ def test_oversized_class_is_refused_at_once(capsys, command, dims):
     assert err.startswith("error:") and "over the limit" in err
 
 
+def test_oversized_segre_series_is_refused_before_it_is_built(capsys):
+    # 1 / c(V^dual) over a 7999-fold has about 1.6 * 10^7 terms
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degree", "--n", "8000", "--m", "7999",
+                         "--k", "2", "--N", "32012000")
+    assert time.perf_counter() - start < 5
+    assert code == 1 and not out
+    assert err.startswith("error:") and "Segre series" in err and "over the limit" in err
+
+
 @pytest.mark.parametrize("dims,reason", [
     # k + 1 orders to list; ranks of about 8900 and 1900 digits, and one of
     # 1002 digits that only the exact value shows
@@ -399,9 +407,12 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert "FAIL  class-threefold-surface-l1" in out
 
 
-def test_run_config_rejects_unknown_round_trip():
-    config = RunConfig(command="scan", family="P3", ell=2)
-    assert RunConfig.from_payload(config.to_payload()) == config
+def test_run_config_rejects_unknown_round_trip(capsys):
+    # the structured config holds the given options under their dest names
+    code, out, _ = run(capsys, "scan", "P3", "--l", "2", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["config"] == {"command": "scan", "family": "P3",
+                                         "ell": 2, "format": "structured"}
 
 
 def test_rank_over_a_curve_base(capsys):

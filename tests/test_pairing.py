@@ -11,7 +11,7 @@ import pytest
 
 from scrollflex import chern, scroll
 from scrollflex.errors import IncompleteDataError, InvalidInputError
-from scrollflex.exactpoly import Poly
+from scrollflex.exactpoly import Poly, monomial_text
 from scrollflex.scroll import (BASE_PRESETS, NumericalBaseData, ScrollSetup,
                                base_ring, canonical_monomial, degree_class,
                                degree_of_inflection, evaluate_symbolic,
@@ -29,7 +29,7 @@ def _oracle_symbolic(cls, assignments, vars):
     total = Poly.zero(vars)
     missing = []
     for exps, coeff in cls.terms.items():
-        key = canonical_monomial(cls.ring.monomial_string(exps))
+        key = canonical_monomial(monomial_text(cls.ring.names, exps))
         if key not in assignments:
             missing.append(key)
             continue
@@ -48,7 +48,7 @@ def _oracle_numeric(data, cls):
     total = Fraction(0)
     missing = []
     for exps, coeff in cls.terms.items():
-        key = canonical_monomial(cls.ring.monomial_string(exps))
+        key = canonical_monomial(monomial_text(cls.ring.names, exps))
         if key not in data.assignments:
             missing.append(key)
             continue
@@ -141,7 +141,7 @@ def _random_table(rng, ring, degree):
     """Values for every weight-``degree`` monomial, a few dropped or spoiled."""
     table = {}
     for exps in _weighted_exponents(ring.weights, degree):
-        key = canonical_monomial(ring.monomial_string(exps))
+        key = canonical_monomial(monomial_text(ring.names, exps))
         table[key] = _random_value(rng)
     spoil = rng.randrange(10)
     key = rng.choice(sorted(table))
@@ -178,7 +178,7 @@ def test_numeric_evaluate_matches_string_keyed_sum_500():
     incomplete = 0
     for case in range(CASES):
         ring, cls = _random_base_class(rng)
-        keys = [canonical_monomial(ring.monomial_string(e))
+        keys = [canonical_monomial(monomial_text(ring.names, e))
                 for e in _weighted_exponents(ring.weights, ring.truncation)]
         if rng.random() < 0.1:
             keys.pop(rng.randrange(len(keys)))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from scrollflex.chern import GradedVariable
-from scrollflex.cli import RunConfig
+from scrollflex.cli import _emit, build_parser
 from scrollflex.exactpoly import Poly
 from scrollflex.jets import (BundledProbe, JetProbeSpec, MinorReport,
                              ProductRankCheck, RankScan)
@@ -51,13 +51,9 @@ RECORDS = [
     (lambda i: CodimResult(1 + i, True, 8, 10),
      ("codim", "in_range", "range_lo", "range_hi"), True, True),
     (lambda i: NumericalBaseData(2, {"c1^2": 9, "c2": 3 + i}),
-     ("dimension", "assignments", "divisors"), True, False),
+     ("dimension", "assignments"), True, False),
     (lambda i: BasePreset("p", 2, ("v",), f"legend {i}", _build),
      ("name", "dimension", "slots", "legend", "_builder"), True, True),
-    (lambda i: RunConfig("class", n=3, m=2, k=2, N=8 + i),
-     ("command", "n", "m", "k", "N", "base", "data", "family", "ell", "e",
-      "q", "spec", "minors", "format", "seed", "trials", "filter"),
-     True, True),
     (lambda i: JetProbeSpec(_U, ("1", "u"), 2, seed=i),
      ("variables", "coordinates", "order", "trials", "seed", "height"),
      True, True),
@@ -141,7 +137,6 @@ STORAGE_ONLY = [
     (CodimResult, {}),
     (DegreeResult, {}),
     (BasePreset, {}),
-    (RunConfig, {**dict.fromkeys(RunConfig.__slots__[1:]), "format": "pretty"}),
     (RankScan, {"note": "generic rank with confidence: sampled"}),
     (MinorReport, {}),
     (ProductRankCheck, {}),
@@ -188,38 +183,51 @@ def test_record_reprs_spell_out_each_field():
     assert (repr(GradedVariable("C1", 1, "base"))
             == "GradedVariable(name='C1', weight=1, sector='base')")
     assert (repr(NumericalBaseData(1, {"v1": 3}))
-            == "NumericalBaseData(dimension=1, assignments={'v1': 3}, divisors={})")
-
-
-def test_base_data_divisors_default_to_a_fresh_mapping():
-    a, b = NumericalBaseData(1, {"c1": 2}), NumericalBaseData(1, {"c1": 2})
-    assert a.divisors == {} and a.divisors is not b.divisors
+            == "NumericalBaseData(dimension=1, assignments={'v1': 3})")
 
 
 # -- seeded payload round trips ------------------------------------------------
 
 
-_INT_OPTIONS = ("n", "m", "k", "N", "ell", "e", "q", "minors", "seed", "trials")
-_STR_OPTIONS = ("base", "data", "family", "spec", "filter")
+# each command's positional arguments and options, as argv builders
+_DIMS = ("n", "m", "k")
+_COMMANDS = {
+    "rank": ((), _DIMS),
+    "class": ((), _DIMS + ("N",)),
+    "degree": ((), _DIMS + ("N", "base", "data")),
+    "scan": (("family",), ("ell", "e", "q")),
+    "jet": (("spec",), ("seed", "trials", "minors")),
+    "verify": ((), ("filter",)),
+}
+_REQUIRED = set(_DIMS) | {"N"}
+_STRINGS = {"base": ("p2", "k3"), "data": ("data.json", "é-1", ""),
+            "family": ("Fe", "P3"), "spec": ("probe.json", "é-1"),
+            "filter": ("class", "", "é-1")}
 
 
-def test_run_config_payload_round_trip():
+def test_run_config_payload_round_trip(capsys):
+    # structured output's config is exactly the options given
     rng = random.Random(20261018)
+    parser = build_parser()
     for case in range(CASES):
-        fields = {"command": rng.choice(("rank", "class", "degree", "scan",
-                                         "jet", "verify"))}
-        for name in _INT_OPTIONS:
-            if rng.random() < 0.4:
-                fields[name] = rng.randint(-3, 120)
-        for name in _STR_OPTIONS:
-            if rng.random() < 0.3:
-                fields[name] = rng.choice(("p2", "data.json", "Fe", "", "é-1"))
-        if rng.random() < 0.5:
-            fields["format"] = rng.choice(("pretty", "structured"))
-        config = RunConfig(**fields)
-        payload = json.loads(json.dumps(config.to_payload()))
-        assert payload == {"format": "pretty", **fields}, f"case {case}"
-        assert RunConfig.from_payload(payload) == config, f"case {case}"
+        command = rng.choice(sorted(_COMMANDS))
+        positional, options = _COMMANDS[command]
+        fields = {"command": command}
+        argv = [command]
+        for name in positional:
+            fields[name] = rng.choice(_STRINGS[name])
+            argv.append(fields[name])
+        for name in options:
+            if name in _REQUIRED or rng.random() < 0.4:
+                value = (rng.choice(_STRINGS[name]) if name in _STRINGS
+                         else rng.randint(-3, 120))
+                fields[name] = value
+                flag = "--l" if name == "ell" else f"--{name}"
+                argv += [flag, str(value)]
+        fields["format"] = "structured"
+        _emit(parser.parse_args(argv + ["--format", "structured"]), {}, [])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"config": fields, "result": {}}, f"case {case}"
 
 
 def _random_poly(rng, names):
@@ -283,10 +291,10 @@ def test_base_data_payload_round_trip():
         divisors = {}
         if rng.random() < 0.5:
             divisors["H"] = {"H*v1": rng.randint(1, 9)}
-        data = NumericalBaseData(m, assignments, divisors)
+        data = NumericalBaseData(m, assignments)
         payload = json.loads(json.dumps(data.to_payload()))
-        assert payload == {"dimension": m, "assignments": want,
-                           "divisors": divisors}, f"case {case}"
-        again = NumericalBaseData.from_payload(payload)
+        assert payload == {"dimension": m, "assignments": want}, f"case {case}"
+        # a file that still carries pairing data for divisors loads the same
+        again = NumericalBaseData.from_payload({**payload, "divisors": divisors})
         assert again == data, f"case {case}"
         assert again.to_payload() == payload, f"case {case}"
