@@ -23,10 +23,10 @@ from operator import add
 from typing import Mapping, Sequence, Union
 
 from .chern import (TENSOR_STEPS, FormalBundle, GradedClass, GradedRing,
-                    GradedVariable, _trusted, admitted_monomials,
-                    bundle_from_classes, check_work, direct_sum, dual,
-                    sym_power, sym_power_steps, tensor, tensor_line,
-                    trivial_bundle)
+                    GradedVariable, _product_part, _trusted,
+                    admitted_monomials, bundle_from_classes, check_work,
+                    direct_sum, dual, sym_power, sym_power_steps, tensor,
+                    tensor_line, trivial_bundle)
 from ._record import Record, set_field
 from .errors import (IncompleteDataError, InvalidInputError,
                      ResourceLimitError, is_integer, require_fields)
@@ -182,13 +182,19 @@ def total_chern_E_k(setup: ScrollSetup, ring: GradedRing | None = None) -> Grade
     product of two derived bundles' classes.
     """
     ring = ring or scroll_ring(setup.n, setup.m)
-    T = tangent_bundle(ring, setup.m)
-    first = dual(tautological_subsheaf_bundle(ring, setup.n, setup.m))
-    if setup.k > 1:
-        lower = sym_power(direct_sum(T, trivial_bundle(ring, 1)), setup.k - 1)
-        first = tensor(lower, first)
-    last = tensor_line(sym_power(T, setup.k), hyperplane_class(ring), -1)
+    first, last = _summands(ring, setup.n, setup.m, setup.k)
     return first.total_chern * last.total_chern
+
+
+def _summands(ring: GradedRing, n: int, m: int, k: int) -> tuple[FormalBundle, FormalBundle]:
+    """The two summands of E_k: S^(k-1)(T_Y + O) (x) dual(V) and S^k T_Y (x) L^-1."""
+    T = tangent_bundle(ring, m)
+    first = dual(tautological_subsheaf_bundle(ring, n, m))
+    if k > 1:
+        lower = sym_power(direct_sum(T, trivial_bundle(ring, 1)), k - 1)
+        first = tensor(lower, first)
+    last = tensor_line(sym_power(T, k), hyperplane_class(ring), -1)
+    return first, last
 
 
 def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> GradedClass:
@@ -196,10 +202,12 @@ def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> Grad
 
     The class is computed at truncation ``ell = setup.codim``: products and
     inverses only add degrees, so nothing above degree ell reaches degree
-    ell.  Its terms are then re-wrapped in ``ring`` (the full scroll ring by
-    default), and kept per (ring, n, m, k, ell) in a least-recently-used
-    cache of CLASS_CACHE_SIZE (128) entries; every call returns a fresh
-    class.
+    ell.  By Whitney's formula c(E_k)^-1 is the product of the two
+    summands' inverse classes, of which only the degree-ell part is formed
+    (see ``_class_terms``).  Its terms are then re-wrapped in ``ring`` (the
+    full scroll ring by default), and kept per (ring, n, m, k, ell) in a
+    least-recently-used cache of CLASS_CACHE_SIZE (128) entries; every call
+    returns a fresh class.
 
     Outside the asserted range the formal degree part is still returned;
     whether it means anything is the caller's concern (check ``in_range``).
@@ -216,20 +224,34 @@ def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> Grad
 CLASS_CACHE_SIZE = 128
 
 
+def _class_steps(k: int) -> int:
+    """Passes of ``_class_terms`` at order k, as ``check_work`` counts them:
+    per summand, its symmetric power and tensor product less the two Newton
+    passes that carried power sums skip, plus one series inverse; one
+    product for T_Y + O; and at most one for the degree-ell product."""
+    steps = sym_power_steps(k) + TENSOR_STEPS - 1  # S^k T_Y (x) L^-1
+    # S^(k-1)(T_Y + O) (x) V^dual; at k = 1 only the inverse of c(V^dual)
+    steps += 1 + sym_power_steps(k - 1) + TENSOR_STEPS - 1 if k > 1 else 1
+    return steps + 1
+
+
 @lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _class_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
-    """Degree-ell terms of c(E_k)^-1, computed with ``ring`` truncated at ell;
-    refused past ``chern.WORK_LIMIT`` by one estimate before any product."""
+    """Degree-ell terms of c(E_k)^-1, computed with ``ring`` truncated at ell.
+
+    Each summand of E_k is built once (see ``_summands``) and its total
+    Chern class inverted on its own; the degree-ell part of the product of
+    the two inverses is c(E_k)^-1 in degree ell, and no other degree of it
+    is formed.  Refused past ``chern.WORK_LIMIT`` by one estimate of these
+    passes before any product.
+    """
     caps = {sector: min(cap, ell) for sector, cap in ring.sector_caps.items()}
     small = GradedRing(ring.variables, ell, caps)
-    # the passes of the calls total_chern_E_k makes
-    steps = sym_power_steps(k) + TENSOR_STEPS
-    if k > 1:
-        steps += sym_power_steps(k - 1) + TENSOR_STEPS
-    check_work(small, steps, f"the order-{k} class of n={n}, m={m} in codimension {ell}")
-    setup = ScrollSetup(n, m, k, max_rank(n, m, k) - 2 + ell)
-    inverse = total_chern_E_k(setup, small).series_inverse()
-    return tuple(inverse.homogeneous_part(ell).terms.items())
+    check_work(small, _class_steps(k),
+               f"the order-{k} class of n={n}, m={m} in codimension {ell}")
+    first, last = _summands(small, n, m, k)
+    inverses = (first.total_chern.series_inverse(), last.total_chern.series_inverse())
+    return tuple(_product_part(*inverses, ell).items())
 
 
 def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:
@@ -292,11 +314,11 @@ def _segre_parts(m: int, r: int) -> tuple:
     """
     s = min(r, m)
     ring = GradedRing([GradedVariable(f"v{i}", i) for i in range(1, s + 1)], m)
-    products = s * admitted_monomials(ring)
+    products = s * admitted_monomials(ring, SEGRE_PRODUCT_LIMIT // s)
     if products > SEGRE_PRODUCT_LIMIT:
         raise ResourceLimitError(
             f"the Segre series of V in {s} Chern classes up to degree {m} "
-            f"needs an estimated {products} term products, over the limit "
+            f"needs an estimated {products} or more term products, over the limit "
             f"{SEGRE_PRODUCT_LIMIT}")
     v = bundle_from_classes(s, [ring.variable(f"v{i}") for i in range(1, s + 1)])
     parts: list = [[] for _ in range(m + 1)]

@@ -260,6 +260,24 @@ def _too_wide_ring():
     return GradedRing([GradedVariable(f"x{i}", 1) for i in range(30)], 10)
 
 
+def test_admitted_monomials_are_counted_once_per_ring(monkeypatch):
+    ring = ring_b(6)
+    want = chern.admitted_monomials(ring)
+    monkeypatch.setattr(chern, "product", None)  # a recount would fail
+    assert chern.admitted_monomials(ring) == want
+    assert chern.admitted_monomials(ring, 1) == want
+
+
+def test_admitted_monomials_stop_once_past_a_bound():
+    # x0 alone admits 11 monomials and x0, x1 admit 66; partial counts are not kept
+    ring = _too_wide_ring()
+    assert chern.admitted_monomials(ring, 10) == 11
+    assert chern.admitted_monomials(ring, 11) == 66
+    assert ring._admitted is None
+    ring = _root_ring(2)
+    assert chern.admitted_monomials(ring, 6) == 6 == ring._admitted
+
+
 @pytest.mark.parametrize("operation", [
     lambda ring: tensor(trivial_bundle(ring, 2), trivial_bundle(ring, 2)),
     lambda ring: tensor_line(trivial_bundle(ring, 2), ring.variable("x0"), -1),

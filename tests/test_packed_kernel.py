@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 from scrollflex.chern import (FormalBundle, GradedClass, GradedRing,
-                              GradedVariable, sym_power, tensor)
+                              GradedVariable, sym_power, tensor, tensor_line)
 
 
 # -- the tuple-keyed oracle -----------------------------------------------------
@@ -241,3 +241,47 @@ def test_mixed_products_at_the_field_edges_match_the_oracle(truncation):
     pair = FormalBundle(2, ring.one() + C1 + C2)
     assert tensor(line, pair) == oracle_tensor(line, pair)
     assert sym_power(pair, 3) == oracle_sym_power(pair, 3)
+
+
+# -- derived bundles carry their power sums -------------------------------------------
+
+
+def _rebuilt(b):
+    """The same bundle through the public constructor, without power sums."""
+    return FormalBundle(b.rank, b.total_chern)
+
+
+@pytest.mark.parametrize("seed, capped, fractions", CASES)
+def test_derived_bundles_equal_their_rebuilt_bundles(seed, capped, fractions):
+    rng = random.Random(f"carried {seed} {capped} {fractions}")
+    ring = _random_ring(rng, capped)
+    a = _random_bundle(ring, rng, rng.randint(0, 3), fractions)
+    b = _random_bundle(ring, rng, rng.randint(1, 3), fractions)
+    line = _random_part(ring, rng, 1, fractions, 1.0)
+    for got in (tensor(a, b), tensor_line(a, line, -1), sym_power(a, rng.randint(1, 3))):
+        want = _rebuilt(got)
+        assert got == want and want == got
+        assert (got.rank, got.ring) == (want.rank, want.ring)
+        assert _typed(got.total_chern) == _typed(want.total_chern)
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("truncation", [0, 1, 2, 3, 4, 7, 8, 15, 16])
+def test_operations_on_carried_sums_match_the_rebuilt_bundle(truncation):
+    # each chain starts from a derived bundle, once as derived (its power
+    # sums read directly) and once rebuilt from its total Chern class
+    ring = _edge_ring(truncation)
+    L, C1, C2 = (ring.variable(name) for name in ("L", "C1", "C2"))
+    pair = FormalBundle(2, ring.one() + C1 * Fraction(1, 2) + C2 * 3)
+    line = FormalBundle(1, ring.one() - L)
+    chains = [
+        lambda e: sym_power(tensor(e, pair), 2),
+        lambda e: tensor_line(e, L, -1),
+        lambda e: tensor(sym_power(e, 3), line),
+        lambda e: sym_power(tensor_line(tensor(line, e), C1, 1), 2),
+    ]
+    for start in (sym_power(pair, 2), tensor(pair, line), tensor_line(pair, L, 1)):
+        for chain in chains:
+            got, want = chain(start), chain(_rebuilt(start))
+            assert got.rank == want.rank
+            assert _typed(got.total_chern) == _typed(want.total_chern)

@@ -1,15 +1,17 @@
 import json
 import random
+import time
 import warnings
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from scrollflex import scroll
+from scrollflex import chern, scroll
 from scrollflex.chern import (GradedClass, dual, sym_power, tensor,
                               tensor_line)
-from scrollflex.errors import IncompleteDataError, InvalidInputError
+from scrollflex.errors import (IncompleteDataError, InvalidInputError,
+                               ResourceLimitError)
 from scrollflex.exactpoly import Poly, monomial_text
 from scrollflex.scroll import (BASE_PRESETS, NumericalBaseData, ScrollSetup,
                                base_ring, chern_wu_reduce, degree_class,
@@ -222,6 +224,14 @@ def test_rank_two_segre_series_has_its_binomial_closed_form():
         assert all(type(c) is int for _, c in parts[d])
 
 
+def test_oversized_segre_series_stops_counting_past_the_limit():
+    # v_1 alone admits 2001 monomials, past the 500 that 2000 generators allow
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="Segre series"):
+        scroll._segre_parts(2000, 2000)
+    assert time.perf_counter() - start < 0.2
+
+
 def reduce_then_read(x, r):
     """Fiber integration by the rewriting rule: reduce every L-power below r,
     then read off the coefficient of L^(r-1), renamed into the base ring."""
@@ -302,7 +312,13 @@ TRUNCATION_SETUPS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 2, 2), (3, 2, 3),
                      (4, 3, 3), (5, 4, 3), (6, 5, 3), (7, 6, 2), (8, 7, 2)]
 
 
-@pytest.mark.parametrize("n,m,k", TRUNCATION_SETUPS)
+def _typed(cls):
+    return sorted((e, type(c).__name__, c) for e, c in cls.terms.items())
+
+
+# the oracle inverts c(E_k) whole at full truncation; the class inverts each
+# summand at truncation ell and forms only the degree-ell product
+@pytest.mark.parametrize("n,m,k", TRUNCATION_SETUPS + [(12, 11, 2), (8, 7, 3), (3, 2, 30)])
 def test_class_at_codim_truncation_matches_full_truncation(n, m, k):
     ring = scroll_ring(n, m)
     lo = max_rank(n, m, k) - 1
@@ -311,7 +327,24 @@ def test_class_at_codim_truncation_matches_full_truncation(n, m, k):
         setup = ScrollSetup(n, m, k, N)
         got = inflection_class(setup)
         assert got.ring == ring
-        assert got == full.homogeneous_part(setup.codim), N
+        assert _typed(got) == _typed(full.homogeneous_part(setup.codim)), N
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_class_converts_each_summand_from_power_sums_once(monkeypatch, k):
+    # each symmetric power hands its power sums to the tensor product that
+    # takes it, so only the two summands' totals leave power sums
+    calls = []
+
+    def counted(ring, p):
+        calls.append(ring)
+        return original(ring, p)
+
+    original = chern._from_power_sums
+    monkeypatch.setattr(chern, "_from_power_sums", counted)
+    ring = scroll_ring(4, 3)
+    scroll._class_terms.__wrapped__(ring, 4, 3, k, 4)
+    assert len(calls) == (1 if k == 1 else 2)
 
 
 def test_class_cache_hands_out_fresh_classes():
