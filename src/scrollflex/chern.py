@@ -30,15 +30,8 @@ from and turns them into its total Chern class only on first access, so a
 symmetric power fed to a tensor product or a twist makes no round trip
 through Chern classes.  Each operation estimates its work first and refuses
 past WORK_LIMIT; the tests check the operations against direct products
-over random integer roots.
-
-On this route the degree-ell class of ``scroll`` inverts each summand of
-E_k on its own and forms only the degree-ell part of the product of the
-two inverses (Whitney's formula, c(A + B)^-1 = c(A)^-1 c(B)^-1).  With the
-carried power sums, each ring's admitted monomials counted once and its
-admitted grades looked up once, the 22 warm-up classes of the benchmark's
-degree-warm session went from 0.030 to 0.020 s in-process (medians of 9
-interleaved runs, Python 3.11.7, 2-vCPU x86-64 VM).
+over random integer roots.  ``scroll`` forms its class from two inverses
+in a ring without L, as binomially weighted degree parts (``_weighted_parts``).
 """
 
 from __future__ import annotations
@@ -54,9 +47,8 @@ from ._record import Record, set_field
 from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
 from .exactpoly import Poly, Scalar, _canon, _clean, _substitute, as_scalar
 
-# Largest estimated work (see ``check_work``) of a derived bundle or a class.
-# Python 3.11 on a 2-vCPU x86-64 host does about 10^7 units a second, so
-# this refuses what would run past half a minute.
+# Largest estimated work (see ``check_work``) of a derived bundle or a class,
+# a bound on its term products, not a count of them.
 WORK_LIMIT = 3 * 10 ** 8
 
 
@@ -473,15 +465,18 @@ def _divide(x: dict, d: int) -> dict:
     return x
 
 
-def _product_part(x: GradedClass, y: GradedClass, d: int) -> dict:
-    """Tuple-keyed terms of the degree-d part of x * y, d at most the
-    truncation: packed parts i and d - i are multiplied, for i = 0..d."""
+def _weighted_parts(x: GradedClass, y: GradedClass, weight) -> list:
+    """Tuple-keyed terms of sum_(j=0..d) weight(d, j) x_(d-j) y_j for each
+    degree d = 0..truncation; x and y are packed into parts once."""
     ring = x.ring
     a, b = _parts(ring, x.terms), _parts(ring, y.terms)
-    out: dict = {}
-    for i in range(d + 1):
-        _mul_into(ring, out, a[i], b[d - i])
-    return _unpack(ring, [out])
+    out = []
+    for d in range(ring.truncation + 1):
+        total: dict = {}
+        for j in range(d + 1):
+            _mul_into(ring, total, a[d - j], b[j], weight(d, j))
+        out.append(_unpack(ring, [total]))
+    return out
 
 
 class FormalBundle:

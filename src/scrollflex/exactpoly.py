@@ -35,8 +35,6 @@ from .errors import InvalidInputError
 
 Scalar = Union[int, Fraction]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
 
 def _canon(c: Scalar) -> Scalar:
     """The stored form of a scalar: an integral Fraction becomes an int."""

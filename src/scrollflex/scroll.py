@@ -23,7 +23,7 @@ from operator import add
 from typing import Mapping, Sequence, Union
 
 from .chern import (TENSOR_STEPS, FormalBundle, GradedClass, GradedRing,
-                    GradedVariable, _product_part, _trusted,
+                    GradedVariable, _trusted, _weighted_parts,
                     admitted_monomials, bundle_from_classes, check_work,
                     direct_sum, dual, sym_power, sym_power_steps, tensor,
                     tensor_line, trivial_bundle)
@@ -160,13 +160,11 @@ def tangent_bundle(ring: GradedRing, m: int) -> FormalBundle:
 
 
 def tautological_subsheaf_bundle(ring: GradedRing, n: int, m: int) -> FormalBundle:
-    """pi^* V, where V is the pushforward of the hyperplane bundle."""
-    r = n - m + 1
-    classes = []
-    for i in range(1, r + 1):
-        name = f"V{i}"
-        classes.append(ring.variable(name) if name in ring.names else ring.zero())
-    return bundle_from_classes(r, classes)
+    """pi^* V, where V is the pushforward of the hyperplane bundle; its
+    Chern classes above the base dimension m vanish."""
+    classes = [ring.variable(f"V{i}") if f"V{i}" in ring.names else ring.zero()
+               for i in range(1, min(n - m + 1, m) + 1)]
+    return bundle_from_classes(n - m + 1, classes)
 
 
 def hyperplane_class(ring: GradedRing) -> GradedClass:
@@ -183,29 +181,27 @@ def total_chern_E_k(setup: ScrollSetup, ring: GradedRing | None = None) -> Grade
     """
     ring = ring or scroll_ring(setup.n, setup.m)
     first, last = _summands(ring, setup.n, setup.m, setup.k)
-    return first.total_chern * last.total_chern
+    return first.total_chern * tensor_line(last, hyperplane_class(ring), -1).total_chern
 
 
 def _summands(ring: GradedRing, n: int, m: int, k: int) -> tuple[FormalBundle, FormalBundle]:
-    """The two summands of E_k: S^(k-1)(T_Y + O) (x) dual(V) and S^k T_Y (x) L^-1."""
+    """F = S^(k-1)(T_Y + O) (x) dual(V) and G = S^k T_Y, pulled back from Y,
+    so that E_k = F + G (x) L^-1; ``ring`` need not have L."""
     T = tangent_bundle(ring, m)
     first = dual(tautological_subsheaf_bundle(ring, n, m))
     if k > 1:
         lower = sym_power(direct_sum(T, trivial_bundle(ring, 1)), k - 1)
         first = tensor(lower, first)
-    last = tensor_line(sym_power(T, k), hyperplane_class(ring), -1)
-    return first, last
+    return first, sym_power(T, k)
 
 
 def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> GradedClass:
     """Degree-codim part of the inverse total Chern class, unreduced.
 
-    The class is computed at truncation ``ell = setup.codim``: products and
-    inverses only add degrees, so nothing above degree ell reaches degree
-    ell.  By Whitney's formula c(E_k)^-1 is the product of the two
-    summands' inverse classes, of which only the degree-ell part is formed
-    (see ``_class_terms``).  Its terms are then re-wrapped in ``ring`` (the
-    full scroll ring by default), and kept per (ring, n, m, k, ell) in a
+    The class has degree ``ell = setup.codim`` and is computed from classes
+    pulled back from Y, with L entering only through binomial weights (see
+    ``_class_terms``).  Its terms, each admitted by ``ring`` (the full
+    scroll ring by default), are kept per (ring, n, m, k, ell) in a
     least-recently-used cache of CLASS_CACHE_SIZE (128) entries; every call
     returns a fresh class.
 
@@ -218,7 +214,7 @@ def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> Grad
     ell = setup.codim
     if ell < 0 or ell > ring.truncation:
         return ring.zero()
-    return GradedClass(ring, dict(_class_terms(ring, setup.n, setup.m, setup.k, ell)))
+    return _trusted(ring, dict(_class_terms(ring, setup.n, setup.m, setup.k, ell)))
 
 
 CLASS_CACHE_SIZE = 128
@@ -226,32 +222,37 @@ CLASS_CACHE_SIZE = 128
 
 def _class_steps(k: int) -> int:
     """Passes of ``_class_terms`` at order k, as ``check_work`` counts them:
-    per summand, its symmetric power and tensor product less the two Newton
-    passes that carried power sums skip, plus one series inverse; one
-    product for T_Y + O; and at most one for the degree-ell product."""
-    steps = sym_power_steps(k) + TENSOR_STEPS - 1  # S^k T_Y (x) L^-1
-    # S^(k-1)(T_Y + O) (x) V^dual; at k = 1 only the inverse of c(V^dual)
-    steps += 1 + sym_power_steps(k - 1) + TENSOR_STEPS - 1 if k > 1 else 1
-    return steps + 1
+    S^k T_Y and its inverse; a product for T_Y + O, its symmetric power, the
+    tensor product with dual(V) less the two Newton passes that carried power
+    sums skip, and the inverse (at k = 1 only the inverse of c(V^dual)); and
+    one pass for the weighted degree parts."""
+    first = 1 + sym_power_steps(k - 1) + TENSOR_STEPS - 2 + 1 if k > 1 else 1
+    return sym_power_steps(k) + 1 + first + 1
 
 
 @lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _class_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
-    """Degree-ell terms of c(E_k)^-1, computed with ``ring`` truncated at ell.
+    """Degree-ell terms of c(E_k)^-1, computed in the base ring of ``ring``.
 
-    Each summand of E_k is built once (see ``_summands``) and its total
-    Chern class inverted on its own; the degree-ell part of the product of
-    the two inverses is c(E_k)^-1 in degree ell, and no other degree of it
-    is formed.  Refused past ``chern.WORK_LIMIT`` by one estimate of these
-    passes before any product.
+    With E_k = F + G (x) L^-1 (see ``_summands``), g = rank G and s = c^-1,
+    c(G (x) L^-1)^-1 = sum_j s_j(G) (1 - L)^-(g + j) (Fulton, Intersection
+    Theory, Ex. 3.2.2), so the class is the sum over a + j + t = ell of
+    C(g + j + t - 1, t) L^t s_a(F) s_j(G).  F and G are inverted in the
+    variables other than L, truncated at min(m, ell), so no product has L.
+    Refused past ``chern.WORK_LIMIT`` by one estimate before any product.
     """
-    caps = {sector: min(cap, ell) for sector, cap in ring.sector_caps.items()}
-    small = GradedRing(ring.variables, ell, caps)
-    check_work(small, _class_steps(k),
+    li = ring.index("L")
+    top = min(ring.sector_caps.get(BASE_SECTOR, ell), ell)
+    base = GradedRing(ring.variables[:li] + ring.variables[li + 1:], top)
+    check_work(base, _class_steps(k),
                f"the order-{k} class of n={n}, m={m} in codimension {ell}")
-    first, last = _summands(small, n, m, k)
-    inverses = (first.total_chern.series_inverse(), last.total_chern.series_inverse())
-    return tuple(_product_part(*inverses, ell).items())
+    first, last = _summands(base, n, m, k)
+    g = last.rank
+    parts = _weighted_parts(first.total_chern.series_inverse(),
+                            last.total_chern.series_inverse(),
+                            lambda d, j: comb(g + j + ell - d - 1, ell - d))
+    return tuple((exps[:li] + (ell - d,) + exps[li:], c)
+                 for d, part in enumerate(parts) for exps, c in part.items())
 
 
 def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:
@@ -414,7 +415,7 @@ class NumericalBaseData(Record):
             raise InvalidInputError("dimension must be an integer")
         if not isinstance(assignments, Mapping):
             raise InvalidInputError("assignments must map monomials to integers")
-        clean = {}
+        clean, source = {}, {}
         for key, value in assignments.items():
             ck, weight = _canonical_key(key)
             if weight != dimension:
@@ -423,7 +424,10 @@ class NumericalBaseData(Record):
                 )
             if not is_integer(value):
                 raise InvalidInputError(f"value for {key!r} must be an integer")
-            clean[ck] = value
+            first = source.setdefault(ck, key)
+            if clean.setdefault(ck, value) != value:
+                raise InvalidInputError(
+                    f"keys {first!r} and {key!r} both name {ck} with different values")
         set_field(self, "dimension", dimension)
         set_field(self, "assignments", clean)
 

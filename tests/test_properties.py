@@ -231,10 +231,11 @@ COLD_SETUPS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 2, 2), (3, 2, 3), (3, 2, 4),
 LADDER = [(4, 3, 2), (6, 5, 2), (7, 6, 2), (5, 4, 3), (5, 3, 4),
           (6, 5, 3), (6, 4, 4), (7, 6, 3), (8, 7, 2)]
 # Classes at the top of the range, codimension n; (12, 11, 2) to (5, 4, 5)
-# were refused by the rank limits of the retired universal tables, and the
-# last four reach high orders k.
+# were refused by the rank limits of the retired universal tables, the next
+# four reach high orders k, and the last three have long fibers over small bases.
 TOP_OF_RANGE = [(9, 8, 2), (5, 3, 6), (12, 11, 2), (8, 7, 3), (6, 5, 4), (5, 4, 5),
-                (4, 2, 16), (3, 2, 30), (5, 3, 8), (6, 4, 6)]
+                (4, 2, 16), (3, 2, 30), (5, 3, 8), (6, 4, 6),
+                (60, 2, 2), (40, 3, 3), (30, 2, 4)]
 
 
 def _elementary(roots):
@@ -306,12 +307,15 @@ def test_class_against_splitting_principle(n, m, k, N):
     assert cls.substitute(ring, mapping).terms == want
 
 
+LONG_FIBERS = {2: [(200, 2), (500, 2)], 3: [(100, 3)]}
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_class_over_an_abelian_base(m):
     """With c(T_Y) = 1, c(E_k) = c(V^dual)^nu (1 - L)^mu, where nu and mu
     are the ranks C(m+k-1, k-1) and C(m+k-1, k) of the V^dual and L^-1
     parts; the class is the degree-ell part of its inverse."""
-    for n, k in [(m + 1, 2), (m + 1, 3), (m + 1, 4), (m + 2, 2)]:
+    for n, k in [(m + 1, 2), (m + 1, 3), (m + 1, 4), (m + 2, 2)] + LONG_FIBERS.get(m, []):
         ring = scroll_ring(n, m)
         nu, mu = comb(m + k - 1, k - 1), comb(m + k - 1, k)
         c_dual = ring.one()

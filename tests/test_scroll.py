@@ -347,6 +347,21 @@ def test_class_converts_each_summand_from_power_sums_once(monkeypatch, k):
     assert len(calls) == (1 if k == 1 else 2)
 
 
+@pytest.mark.parametrize("n,m,k,ell", [(4, 3, 2, 4), (6, 5, 3, 6), (4, 2, 16, 4)])
+def test_class_makes_no_product_with_the_hyperplane_class(monkeypatch, n, m, k, ell):
+    # L enters the class only through binomial weights, so every product
+    # runs in a ring without L and no bundle is twisted by it
+    rings, twists = [], []
+    mul_into = chern._mul_into
+    monkeypatch.setattr(chern, "_mul_into",
+                        lambda ring, *args: rings.append(ring) or mul_into(ring, *args))
+    for module in (chern, scroll):
+        monkeypatch.setattr(module, "tensor_line", lambda *args: twists.append(args))
+    scroll._class_terms.__wrapped__(scroll_ring(n, m), n, m, k, ell)
+    assert rings and not any("L" in ring.names for ring in rings)
+    assert not twists
+
+
 def test_class_cache_hands_out_fresh_classes():
     assert scroll._class_terms.cache_info().maxsize == scroll.CLASS_CACHE_SIZE == 128
     setup = ScrollSetup(4, 3, 2, 14)
@@ -442,6 +457,17 @@ def test_degree_warns_on_nonpositive_degree():
 def test_base_data_rejects_wrong_weight():
     with pytest.raises(InvalidInputError):
         NumericalBaseData(2, {"c1": 3})
+
+
+@pytest.mark.parametrize("first, second", [("c1*v1", "v1*c1"), ("c2", "c1^0*c2")])
+def test_base_data_refuses_one_monomial_with_two_values(first, second):
+    values = {"c1^2": 9, "c2": 3, "c1*v1": 12, "v1^2": 16, "v2": 4}
+    with pytest.raises(InvalidInputError) as err:
+        NumericalBaseData(2, {**values, second: values[first] + 1})
+    assert repr(first) in str(err.value) and repr(second) in str(err.value)
+    # the same value under two spellings names one number
+    data = NumericalBaseData(2, {**values, second: values[first]})
+    assert data.assignments == NumericalBaseData(2, values).assignments
 
 
 def test_base_data_round_trip():
