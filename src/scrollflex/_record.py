@@ -7,9 +7,9 @@ would, and raises ``TypeError`` for a missing field, an unknown or repeated
 keyword or too many positional arguments.  Only a record that checks or
 converts its input writes its own ``__init__``; it stores its fields with
 ``set_field``.  Two records of the same class are equal when their fields
-are, and the repr is ``Name(field=value, ...)``.  A record is read-only and
-hashed by its fields, unless its class is declared with ``frozen=False``:
-then it is mutable and unhashable.
+are, and the repr is ``Name(field=value, ...)``.  Every record is
+read-only and hashed by its fields, so one holding a list or a dict cannot
+be hashed.
 """
 
 from operator import attrgetter
@@ -24,14 +24,9 @@ class Record:
     __slots__ = ()
     _defaults = {}
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         # the field values as one tuple: records have two fields or more
         cls._values = attrgetter(*cls.__slots__)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__

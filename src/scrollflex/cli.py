@@ -64,6 +64,12 @@ def _cmd_class(config: argparse.Namespace) -> int:
     ring = scroll_ring(setup.n, setup.m)
     cls = inflection_class(setup, ring)
     reduced = chern_wu_reduce(cls, setup.fiber_rank)
+    # each class is printed or serialized, whichever format was asked for
+    if config.format == "structured":
+        _emit(config, {"codim": codim.codim, "in_range": codim.in_range,
+                       "range": [codim.range_lo, codim.range_hi],
+                       "class": cls.to_payload(), "reduced": reduced.to_payload()}, [])
+        return 0
     lines = []
     if not codim.in_range:
         lines.append(
@@ -75,14 +81,7 @@ def _cmd_class(config: argparse.Namespace) -> int:
         f"class:   {cls}",
         f"reduced: {reduced}",
     ]
-    payload = {
-        "codim": codim.codim,
-        "in_range": codim.in_range,
-        "range": [codim.range_lo, codim.range_hi],
-        "class": cls.to_payload(),
-        "reduced": reduced.to_payload(),
-    }
-    _emit(config, payload, lines)
+    _emit(config, {}, lines)
     return 0
 
 
@@ -184,6 +183,8 @@ def _cmd_verify(config: argparse.Namespace) -> int:
     from . import verify
 
     results = verify.run_checks(filter=config.filter)
+    if not results:
+        raise ScrollflexError(f"no check id contains {config.filter!r}")
     ok = all(r.ok for r in results)
     lines = [r.row() for r in results]
     lines.append(f"{sum(r.ok for r in results)}/{len(results)} checks passed")

@@ -267,7 +267,7 @@ def _random_point(spec: JetProbeSpec, rng: random.Random) -> tuple[Fraction, ...
     )
 
 
-class RankScan(Record, frozen=False):
+class RankScan(Record):
     """Result of a sampled generic-rank computation: the largest rank, the
     rank at each trial and the number of jet rows."""
 
@@ -306,7 +306,7 @@ def symbolic_jet_rank(spec: JetProbeSpec) -> int:
     return rank_poly(_shared_jet_matrix(spec))
 
 
-class MinorReport(Record, frozen=False):
+class MinorReport(Record):
     """All r x r minors of the symbolic jet matrix with their common content."""
 
     __slots__ = ("spec", "size", "minors", "content", "nonzero_minors")
@@ -351,7 +351,7 @@ def inflection_equations(spec: JetProbeSpec, size: int) -> MinorReport:
     return MinorReport(spec, size, minors, content, len(live))
 
 
-class ProductRankCheck(Record, frozen=False):
+class ProductRankCheck(Record):
     """The product rank identity at order k: ``base_rank_low`` and
     ``base_rank_high`` are the base's ranks at orders k - 1 and k,
     ``predicted`` the rank they give for base x P^s, and ``direct`` the

@@ -39,7 +39,7 @@ class Bound(Record):
     __slots__ = ("lo", "hi", "reason")
 
 
-class ScanProblem(Record, frozen=False):
+class ScanProblem(Record):
     """A family's scan: ``equation`` == 0, linear in the ``solve`` variable,
     swept over the ``sweep`` variables within their ``bounds``."""
 
@@ -58,12 +58,12 @@ class ScanProblem(Record, frozen=False):
                            self.notes, self.exceptional)
 
 
-class Survivor(Record, frozen=False):
+class Survivor(Record):
     __slots__ = ("point", "annotation")
     _defaults = {"annotation": None}
 
 
-class ScanReport(Record, frozen=False):
+class ScanReport(Record):
     """The outcome of a scan; ``excluded`` lists the integer points killed by
     a named screen, with the screen's name."""
 
@@ -85,7 +85,7 @@ class ScanReport(Record, frozen=False):
         }
 
 
-class ExceptionalCondition(Record, frozen=False):
+class ExceptionalCondition(Record):
     """Parametric survivor family of a hyperbola scan: a = 2 plus a linear
     relation among the remaining invariants, verified against the family's
     printed equation."""

@@ -15,11 +15,12 @@ form of a class that the command line prints.
 
 from __future__ import annotations
 
+import re
 import warnings
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
+from operator import add, itemgetter
 from typing import Mapping, Sequence, Union
 
 from .chern import (TENSOR_STEPS, FormalBundle, GradedClass, GradedRing,
@@ -200,10 +201,10 @@ def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> Grad
 
     The class has degree ``ell = setup.codim`` and is computed from classes
     pulled back from Y, with L entering only through binomial weights (see
-    ``_class_terms``).  Its terms, each admitted by ``ring`` (the full
-    scroll ring by default), are kept per (ring, n, m, k, ell) in a
-    least-recently-used cache of CLASS_CACHE_SIZE (128) entries; every call
-    returns a fresh class.
+    ``_class_terms``).  Its base parts Q_d are kept per (ring, n, m, k, ell)
+    in a least-recently-used cache of CLASS_CACHE_SIZE (128) entries, and
+    every call places each Q_d at L^(ell - d) of ``ring`` (the full scroll
+    ring by default) in a fresh class.
 
     Outside the asserted range the formal degree part is still returned;
     whether it means anything is the caller's concern (check ``in_range``).
@@ -214,7 +215,10 @@ def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> Grad
     ell = setup.codim
     if ell < 0 or ell > ring.truncation:
         return ring.zero()
-    return _trusted(ring, dict(_class_terms(ring, setup.n, setup.m, setup.k, ell)))
+    li = ring.index("L")
+    parts = _class_terms(ring, setup.n, setup.m, setup.k, ell)
+    return _trusted(ring, {e[:li] + (ell - d,) + e[li:]: c
+                           for d, part in enumerate(parts) for e, c in part})
 
 
 CLASS_CACHE_SIZE = 128
@@ -232,14 +236,15 @@ def _class_steps(k: int) -> int:
 
 @lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _class_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
-    """Degree-ell terms of c(E_k)^-1, computed in the base ring of ``ring``.
+    """Base parts Q_d of the degree-ell part sum_d L^(ell - d) Q_d of c(E_k)^-1.
 
     With E_k = F + G (x) L^-1 (see ``_summands``), g = rank G and s = c^-1,
     c(G (x) L^-1)^-1 = sum_j s_j(G) (1 - L)^-(g + j) (Fulton, Intersection
-    Theory, Ex. 3.2.2), so the class is the sum over a + j + t = ell of
-    C(g + j + t - 1, t) L^t s_a(F) s_j(G).  F and G are inverted in the
-    variables other than L, truncated at min(m, ell), so no product has L.
-    Refused past ``chern.WORK_LIMIT`` by one estimate before any product.
+    Theory, Ex. 3.2.2), so Q_d = sum_j C(g + j + ell - d - 1, ell - d)
+    s_(d-j)(F) s_j(G).  F and G are inverted in the variables of ``ring``
+    other than L, truncated at top = min(m, ell), so no product has L; each
+    Q_d is a tuple of (exponents over those variables, coeff).  Refused past
+    ``chern.WORK_LIMIT`` by one estimate before any product.
     """
     li = ring.index("L")
     top = min(ring.sector_caps.get(BASE_SECTOR, ell), ell)
@@ -251,8 +256,7 @@ def _class_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
     parts = _weighted_parts(first.total_chern.series_inverse(),
                             last.total_chern.series_inverse(),
                             lambda d, j: comb(g + j + ell - d - 1, ell - d))
-    return tuple((exps[:li] + (ell - d,) + exps[li:], c)
-                 for d, part in enumerate(parts) for exps, c in part.items())
+    return tuple(tuple(part.items()) for part in parts)
 
 
 def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:
@@ -295,7 +299,14 @@ def pushforward(x: GradedClass, r: int) -> GradedClass:
     m = ring.sector_caps.get(BASE_SECTOR)
     if m is None:
         raise InvalidInputError("pushforward needs a scroll ring with a base sector")
-    return _integrate(ring, x.terms.items(), m, r)
+    target = base_ring(m, r)
+    li = ring.index("L")
+    # each base variable reads its namesake's exponent, or a 0 appended last
+    where = {target.index(name.lower()): src
+             for src, name in enumerate(ring.names) if src != li}
+    pick = itemgetter(*(where.get(j, -1) for j in range(len(target.names))))
+    return _integrate(m, r, [(exps[li] - (r - 1), pick(exps + (0,)), coeff)
+                             for exps, coeff in x.terms.items()])
 
 
 # Largest Segre series, in estimated term products: each of its monomials
@@ -328,23 +339,18 @@ def _segre_parts(m: int, r: int) -> tuple:
     return tuple(map(tuple, parts))
 
 
-def _integrate(ring: GradedRing, terms, m: int, r: int, shift: int = 0) -> GradedClass:
-    """pi_* to ``base_ring(m, r)`` of the terms (exps, coeff) of ``ring`` times L^shift."""
+def _integrate(m: int, r: int, items) -> GradedClass:
+    """pi_* of the terms coeff * beta * L^(r-1+i), that is the sum of
+    coeff * beta * s_i, over the items (i, exponents of beta in
+    ``base_ring(m, r)``, coeff); an i outside 0..m gives zero."""
     target = base_ring(m, r)
-    li = ring.index("L")
-    renamed = [(i, name.lower()) for i, name in enumerate(ring.names) if i != li]
     segre = _segre_parts(m, r)
     out: dict[tuple[int, ...], Scalar] = {}
-    for exps, coeff in terms:
-        i = exps[li] + shift - (r - 1)
+    for i, exps, coeff in items:
         if not 0 <= i < len(segre):
             continue
-        base = [0] * len(target.names)
-        for src, name in renamed:
-            if exps[src]:
-                base[target.index(name)] = exps[src]
         # the v_j sit last in the base ring, where the series' tuples add
-        head, tail = tuple(base[:m]), base[m:]
+        head, tail = exps[:m], exps[m:]
         for s_exps, s_coeff in segre[i]:
             key = head + tuple(map(add, tail, s_exps))
             out[key] = out.get(key, 0) + coeff * s_coeff
@@ -363,23 +369,20 @@ def graded_to_poly(cls: GradedClass, vars: Sequence[str] | None = None) -> Poly:
 
 
 def _monomial_factors(key: str) -> dict[str, int]:
-    """Exponents of a base monomial such as ``c1^2*v1``; empty for ``1``."""
+    """Exponents of a base monomial such as ``c1^2*v1``, empty for ``1``; a
+    factor is c_i or v_i (i >= 1, no leading zero) with an optional power."""
     if not isinstance(key, str):
         raise InvalidInputError(f"bad base monomial {key!r}")
     factors: dict[str, int] = {}
     if key.strip() == "1":
         return factors
     for factor in key.split("*"):
-        name, _, power = factor.strip().partition("^")
-        if (len(name) < 2 or name[0] not in "cv" or not name[1:].isdecimal()
-                or (power and not power.isdecimal())):
+        match = re.fullmatch(r"([cv][1-9][0-9]*)(?:\^([0-9]+))?", factor.strip())
+        if match is None:
             raise InvalidInputError(f"bad base monomial {key!r}")
+        name, power = match.groups()
         factors[name] = factors.get(name, 0) + (int(power) if power else 1)
     return factors
-
-
-def _monomial_weight(key: str) -> int:
-    return sum(int(name[1:]) * e for name, e in _monomial_factors(key).items())
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -397,8 +400,8 @@ def canonical_monomial(key: str) -> str:
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _canonical_key(key: str) -> tuple[str, int]:
     """A base monomial's canonical form and its weight, parsed once per key."""
-    ck = canonical_monomial(key)
-    return ck, _monomial_weight(ck)
+    weight = sum(int(name[1:]) * e for name, e in _monomial_factors(key).items())
+    return canonical_monomial(key), weight
 
 
 class NumericalBaseData(Record):
@@ -482,7 +485,7 @@ def evaluate_symbolic(cls: GradedClass,
     return total._new(_clean(out))
 
 
-class DegreeResult(Record, frozen=False):
+class DegreeResult(Record):
     """The degree ``value`` of the locus, ``symbolic`` the degree-m class on Y
     before pairing, and whether the formula is ``asserted`` for the setup."""
 
@@ -492,29 +495,30 @@ class DegreeResult(Record, frozen=False):
         return self.value
 
 
-def degree_class(setup: ScrollSetup, ring: GradedRing | None = None) -> GradedClass:
-    """pi_* of the degeneracy class dotted with L^(n - codim).
+def degree_class(setup: ScrollSetup) -> GradedClass:
+    """pi_* of the degeneracy class dotted with L^(n - codim), on Y.
 
-    The cached terms of the class are integrated over the fiber with each
-    L-exponent raised by n - codim (see ``pushforward``); the product with
-    the L-power is never formed.
+    The class is sum_d L^(ell - d) Q_d (see ``_class_terms``), so the dotted
+    class integrates to sum_d Q_d s_(m-d): the cached base parts meet the
+    Segre classes of V directly, and no power of L is formed.
     """
-    ring = ring or scroll_ring(setup.n, setup.m)
     target = base_ring(setup.m, setup.fiber_rank)
     ell = setup.codim
-    # the dotted class has degree n, so it vanishes when the ring stops below n
-    if not 0 <= ell <= setup.n <= ring.truncation:
+    # the dotted class has degree n, so it vanishes past the scroll ring's top
+    if not 0 <= ell <= setup.n:
         return target.zero()
-    return _trusted(target, dict(_degree_terms(ring, setup.n, setup.m, setup.k, ell)))
+    return _trusted(target, dict(_degree_terms(setup.n, setup.m, setup.k, ell)))
 
 
 @lru_cache(maxsize=CLASS_CACHE_SIZE)
-def _degree_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
+def _degree_terms(n: int, m: int, k: int, ell: int) -> tuple:
     """Terms of ``degree_class`` in the base ring, integrated once per class."""
     r = n - m + 1
     _segre_parts(m, r)  # refuses an oversized series before the class
-    terms = _class_terms(ring, n, m, k, ell)
-    return tuple(_integrate(ring, terms, m, r, n - ell).terms.items())
+    # Q_d lists the C_i then the V_i, as the base ring lists the c_i, v_i
+    parts = _class_terms(scroll_ring(n, m), n, m, k, ell)
+    return tuple(_integrate(m, r, ((m - d, exps, c) for d, part in enumerate(parts)
+                                   for exps, c in part)).terms.items())
 
 
 def degree_of_inflection(setup: ScrollSetup, data: NumericalBaseData) -> DegreeResult:
@@ -537,7 +541,8 @@ def degree_of_inflection(setup: ScrollSetup, data: NumericalBaseData) -> DegreeR
 @lru_cache(maxsize=RING_CACHE_SIZE)
 def _scroll_degree(n: int, m: int) -> GradedClass:
     """The scroll degree pi_*(L^n), the top Segre class s_m, on the base."""
-    return pushforward(hyperplane_class(scroll_ring(n, m)) ** n, n - m + 1)
+    r = n - m + 1
+    return _integrate(m, r, [(m, (0,) * len(base_ring(m, r).names), 1)])
 
 
 def symbolic_degree(setup: ScrollSetup,

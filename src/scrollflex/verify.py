@@ -27,7 +27,7 @@ from .scroll import (BASE_PRESETS, ScrollSetup, chern_wu_reduce, degree_class,
                      scroll_ring, symbolic_degree)
 
 
-class CheckResult(Record, frozen=False):
+class CheckResult(Record):
     __slots__ = ("identifier", "ok", "detail", "elapsed_ms")
     _defaults = {"elapsed_ms": 0.0}
 

@@ -61,6 +61,22 @@ def test_class_structured_round_trips(capsys):
     assert str(cls).startswith("56*L^3")
 
 
+@pytest.mark.parametrize("fmt, unused", [("pretty", "to_payload"),
+                                         ("structured", "__str__")])
+def test_class_command_builds_only_the_format_it_prints(capsys, monkeypatch,
+                                                        fmt, unused):
+    def refused(self):
+        raise AssertionError(f"{unused} was built for {fmt} output")
+
+    monkeypatch.setattr(GradedClass, unused, refused)
+    code, out, _ = run(capsys, "class", "--n", "4", "--m", "3", "--k", "2",
+                       "--N", "15", "--format", fmt)
+    monkeypatch.undo()
+    assert code == 0
+    assert "56*L^3" in (out if fmt == "pretty" else
+                        str(GradedClass.from_payload(json.loads(out)["result"]["class"])))
+
+
 def test_degree_with_preset(capsys):
     code, out, _ = run(capsys, "degree", "--n", "3", "--m", "2", "--k", "2",
                        "--N", "10", "--base", "abelian-surface")
@@ -377,6 +393,14 @@ def test_verify_filter_passes(capsys):
     code, out, _ = run(capsys, "verify", "--filter", "numeric-secant")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "structured"])
+def test_verify_refuses_a_filter_that_matches_no_check(capsys, fmt):
+    # a mistyped filter used to run no check and report 0/0 as a pass
+    code, out, err = run(capsys, "verify", "--filter", "nosuchcheck", "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == "error: no check id contains 'nosuchcheck'\n"
 
 
 def test_verify_structured_rows_carry_their_wall_time(capsys):

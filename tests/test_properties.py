@@ -322,14 +322,17 @@ def test_class_over_an_abelian_base(m):
         for i in range(1, min(n - m + 1, m) + 1):
             c_dual = c_dual + ring.variable(f"V{i}") * (-1) ** i
         L = ring.variable("L")
-        inverse = (c_dual ** nu * (1 - L) ** mu).series_inverse()
+        # the inverse split by degree once, not scanned once per N
+        parts = {}
+        for exps, c in (c_dual ** nu * (1 - L) ** mu).series_inverse().terms.items():
+            parts.setdefault(ring.monomial_degree(exps), {})[exps] = c
         mapping = {name: (ring.zero() if name[0] == "C" else ring.variable(name))
                    for name in ring.names}
         rk = max_rank(n, m, k)
         for N in range(rk - 1, rk + n - 1):
             setup = ScrollSetup(n, m, k, N)
             got = inflection_class(setup).substitute(ring, mapping)
-            assert got == inverse.homogeneous_part(setup.codim), (n, m, k, N)
+            assert got == GradedClass(ring, parts.get(setup.codim, {})), (n, m, k, N)
 
 
 def test_chern_wu_idempotence_500():

@@ -411,6 +411,25 @@ def test_scroll_degree_is_the_pushforward_of_the_top_hyperplane_power(
     assert scroll_degree == reduce_then_read(L ** n, r)
 
 
+@pytest.mark.parametrize("n,m,k", [(3, 2, 2), (6, 5, 3), (8, 7, 2)])
+def test_degree_makes_no_product_with_the_hyperplane_class(monkeypatch, n, m, k):
+    # the degree pairs the class's base parts with Segre classes of V, and
+    # the scroll degree is s_m, so no product runs in a ring that has L
+    rings = []
+    mul_into = chern._mul_into
+    monkeypatch.setattr(chern, "_mul_into",
+                        lambda ring, *args: rings.append(ring) or mul_into(ring, *args))
+    for cache in (scroll._scroll_degree, scroll._degree_terms, scroll._class_terms):
+        cache.cache_clear()
+    base = base_ring(m, n - m + 1)
+    data = NumericalBaseData(m, {monomial_text(base.names, exps): 1
+                                 for exps in _exponents(base.weights, m)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        degree_of_inflection(ScrollSetup(n, m, k, max_rank(n, m, k) - 1), data)
+    assert rings and not any("L" in ring.names for ring in rings)
+
+
 def _exponents(weights, total):
     """Exponent vectors of the given weighted degree."""
     if not weights:
@@ -470,6 +489,22 @@ def test_base_data_refuses_one_monomial_with_two_values(first, second):
     assert data.assignments == NumericalBaseData(2, values).assignments
 
 
+@pytest.mark.parametrize("key", ["c01*v1", "c0*c2", "c1*v1^", "c1^*v1", "c\u0661*v1",
+                                 "v1^\u0662", "C1*v1", "c1**v1", "c1^-2*c1^3*v1"])
+def test_base_data_refuses_malformed_keys(key):
+    # a lenient parser read "c01*v1" as a second spelling of c1*v1 and kept
+    # "c0*c2" as a number nothing reads
+    values = {"c1^2": 9, "c2": 3, "c1*v1": 12, "v1^2": 16, "v2": 4}
+    with pytest.raises(InvalidInputError, match="bad base monomial"):
+        NumericalBaseData(2, {**values, key: 13})
+    with pytest.raises(InvalidInputError, match="bad base monomial"):
+        NumericalBaseData(2, {**{k: v for k, v in values.items() if k != "c1*v1"},
+                              key: 12})
+    # spaces around factors, powers with leading zeros and ^0 still parse
+    data = NumericalBaseData(2, {**values, " v1 * c1^01 ": 12, "c1^0*c2": 3})
+    assert data.assignments == values
+
+
 def test_base_data_round_trip():
     data = NumericalBaseData(2, {"c1^2": 9, "c2": 3, "c1*v1": 12,
                                  "v1^2": 16, "v2": 4})
@@ -495,11 +530,15 @@ def test_graded_to_poly_round():
 
 
 def test_degree_class_matches_explicit_pipeline():
-    setup = ScrollSetup(3, 2, 2, 9)
-    ring = scroll_ring(3, 2)
-    cls = inflection_class(setup, ring)
-    direct = pushforward(cls * hyperplane_class(ring), 2)
-    assert degree_class(setup, ring) == direct
+    # the class dotted with L^(n - codim) in the scroll ring, then pushed forward
+    for n, m, k in DEGREE_SETUPS:
+        L = hyperplane_class(scroll_ring(n, m))
+        lo = max_rank(n, m, k) - 1
+        for N in range(lo, lo + n):
+            setup = ScrollSetup(n, m, k, N)
+            direct = pushforward(inflection_class(setup) * L ** (n - setup.codim),
+                                 setup.fiber_rank)
+            assert degree_class(setup) == direct, (n, m, k, N)
 
 
 def test_order_two_range_specializations():
