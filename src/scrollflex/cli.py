@@ -18,7 +18,7 @@ import os
 import sys
 import warnings
 
-from .errors import ScrollflexError, load_json
+from .errors import InvalidInputError, ScrollflexError, load_json
 from .scroll import (BASE_PRESETS, SCAN_FAMILIES, NumericalBaseData,
                      ScrollSetup, chern_wu_reduce, degree_class,
                      degree_of_inflection, expected_codim, inflection_class,
@@ -87,13 +87,10 @@ def _cmd_class(config: argparse.Namespace) -> int:
 
 def _cmd_degree(config: argparse.Namespace) -> int:
     setup = ScrollSetup(config.n, config.m, config.k, config.N)
-    if config.data:
+    if config.data is not None:
         data = NumericalBaseData.from_payload(load_json(_resolve_path(config.data)))
         result = degree_of_inflection(setup, data)
-        lines = [
-            f"degree: {result.value}",
-            f"symbolic: {result.symbolic}",
-        ]
+        lines = [f"degree: {result.value}", f"symbolic: {result.symbolic}"]
         if not result.asserted:
             lines.insert(0, "warning: setup out of range; value is formal")
         payload = {
@@ -103,8 +100,11 @@ def _cmd_degree(config: argparse.Namespace) -> int:
         }
         _emit(config, payload, lines)
         return 0
-    if config.base:
+    if config.base is not None:
         preset = BASE_PRESETS[config.base]
+        if preset.dimension != setup.m:
+            raise InvalidInputError(f"preset {config.base} of dimension "
+                                    f"{preset.dimension} does not match m={setup.m}")
         poly = symbolic_degree(setup, preset.assignments(), preset.slots)
         lines = [
             f"degree over {config.base}: {poly}",
@@ -168,7 +168,7 @@ def _cmd_jet(config: argparse.Namespace) -> int:
         f"rows: {scan_result.rows}, trials: {spec.trials}, seed: {spec.seed}",
         scan_result.note,
     ]
-    if config.minors:
+    if config.minors is not None:
         report = jets.inflection_equations(spec, config.minors)
         if config.format == "structured":  # pretty output never shows the minors
             payload["minors"] = report.to_payload()
@@ -269,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "base", None) and getattr(args, "data", None):
+        if None not in (getattr(args, "base", None), getattr(args, "data", None)):
             raise ScrollflexError("--base and --data conflict; give exactly one")
         return _DISPATCH[args.command](args)
     except (ScrollflexError, OSError) as exc:

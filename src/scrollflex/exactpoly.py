@@ -19,6 +19,8 @@ Coefficient contract:
 Subclasses reuse this kernel: every result is built through ``_new`` and
 ``_scalar``, and printing sorts terms by ``_print_key``, so a subclass that
 overrides those three (and its product) keeps the rest of the arithmetic.
+So does the univariate view behind ``poly_gcd``, whose division by a monic
+divisor gives the exact remainder.
 """
 
 from __future__ import annotations
@@ -431,37 +433,37 @@ def monomial_text(names: Iterable[str], exps: Iterable[int]) -> str:
 
 
 def _as_univariate(p: Poly, index: int) -> dict[int, Poly]:
-    """View p as univariate in vars[index] with polynomial coefficients."""
+    """View p as univariate in vars[index], coefficients built by ``p._new``."""
     coeffs: dict[int, dict[tuple[int, ...], Scalar]] = {}
     for exps, c in p.terms.items():
         d = exps[index]
         rest = list(exps)
         rest[index] = 0
         coeffs.setdefault(d, {})[tuple(rest)] = c
-    return {d: _trusted(p.vars, t) for d, t in coeffs.items()}
+    return {d: p._new(t) for d, t in coeffs.items()}
 
 
-def _from_univariate(coeffs: dict[int, Poly], vars: tuple[str, ...], index: int) -> Poly:
+def _from_univariate(coeffs: dict[int, Poly], like: Poly, index: int) -> Poly:
     terms: dict[tuple[int, ...], Scalar] = {}
     for d, poly in coeffs.items():
         for exps, c in poly.terms.items():
             e = list(exps)
             e[index] += d
             terms[tuple(e)] = terms.get(tuple(e), 0) + c
-    return _trusted(vars, _clean(terms))
+    return like._new(_clean(terms))
 
 
 def _pseudo_rem(f: dict[int, Poly], g: dict[int, Poly]) -> dict[int, Poly]:
-    # pseudo-remainder up to content, which is all the PRS loop needs
+    """Pseudo-remainder of univariate views f by g: right up to content,
+    which is all the PRS loop needs, and exact when g is monic."""
     dg = max(g)
     lg = g[dg]
+    monic = lg == 1
     f = dict(f)
     while f and max(f) >= dg:
         df = max(f)
         lf = f[df]
-        new: dict[int, Poly] = {}
-        for d, c in f.items():
-            new[d] = c * lg
+        new = dict(f) if monic else {d: c * lg for d, c in f.items()}
         for d, c in g.items():
             shifted = d + df - dg
             term = lf * c
@@ -512,7 +514,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
             break
         rc = _content_list(r.values())
         fa, fb = fb, {d: c.exact_div(rc) for d, c in r.items()}
-    gp = _from_univariate(g, p.vars, index)
+    gp = _from_univariate(g, p, index)
     gc = _content_list(_as_univariate(gp, index).values())
     gp = gp.exact_div(gc)
     return (mono * cont * gp).normalized()

@@ -8,9 +8,9 @@ base dimension, since any pullback class vanishes above it.
 
 Fiber integration uses Segre classes: pi_*(beta L^(r-1+i)) = beta s_i for
 a class beta pulled back from Y, where s = 1 / c(V^dual) (Fulton,
-Intersection Theory, 3.1).  The tautological relation
-sum_i (-1)^i V_i L^(r-i) = 0 rewrites high L-powers for the ``reduced``
-form of a class that the command line prints.
+Intersection Theory, 3.1).  The ``reduced`` form of a class that the
+command line prints is its remainder by the monic tautological relation
+sum_i (-1)^i V_i L^(r-i) = 0 (3.2), independent of the Segre route.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .chern import (TENSOR_STEPS, FormalBundle, GradedClass, GradedRing,
 from ._record import Record, set_field
 from .errors import (IncompleteDataError, InvalidInputError,
                      ResourceLimitError, is_integer, require_fields)
-from .exactpoly import (Poly, Scalar, _clean, _substitute, as_scalar,
+from .exactpoly import (Poly, Scalar, _as_univariate, _clean,
+                        _from_univariate, _pseudo_rem, _substitute, as_scalar,
                         monomial_text)
 from .exactpoly import _trusted as _trusted_poly
 
@@ -260,32 +261,20 @@ def _class_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
 
 
 def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:
-    """Rewrite L-powers >= r via L^r = sum_i (-1)^(i+1) V_i L^(r-i).
+    """The remainder of x, as a polynomial in L, by the monic relation
+    sum_i (-1)^i V_i L^(r-i) = 0.
 
-    Idempotent; the result has L-degree at most r - 1.  This gives the
-    ``reduced`` form of a class; fiber integration does not need it.
+    Idempotent; the result has L-degree at most r - 1.  Coefficient products
+    run in the ring of x, under its sector cap, and the relation is
+    homogeneous, so every term put back on its L-power is admitted.  This
+    gives the ``reduced`` form of a class; fiber integration does not need it.
     """
     ring = x.ring
     li = ring.index("L")
-    rule = ring.zero()
-    for i in range(1, r + 1):
-        name = f"V{i}"
-        if name not in ring.names:
-            continue
-        term = ring.variable(name) * ring.variable("L") ** (r - i)
-        rule = rule + (term if i % 2 == 1 else -term)
-    # the rewriting is linear, so all terms at or above L^r are lowered at once
-    done = ring.zero()
-    while not x.is_zero():
-        low, high = {}, {}
-        for exps, coeff in x.terms.items():
-            if exps[li] < r:
-                low[exps] = coeff
-            else:
-                high[exps[:li] + (exps[li] - r,) + exps[li + 1:]] = coeff
-        done = done + _trusted(ring, low)
-        x = _trusted(ring, high) * rule
-    return done
+    relation = {r - i: ring.variable(f"V{i}") * (-1) ** i
+                for i in range(1, r + 1) if f"V{i}" in ring.names}
+    relation[r] = ring.scalar(1)
+    return _from_univariate(_pseudo_rem(_as_univariate(x, li), relation), x, li)
 
 
 def pushforward(x: GradedClass, r: int) -> GradedClass:

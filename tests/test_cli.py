@@ -103,6 +103,26 @@ def test_degree_base_and_data_conflict(tmp_path, capsys):
     assert "conflict" in err
 
 
+def test_degree_refuses_an_empty_data_path(capsys):
+    # an empty --data is a path like any other, not a missing option
+    code, out, err = run(capsys, "degree", "--n", "3", "--m", "2", "--k", "2",
+                         "--N", "10", "--data", "")
+    assert code == 1 and out == "" and err.startswith("error:")
+    code, out, err = run(capsys, "degree", "--n", "3", "--m", "2", "--k", "2",
+                         "--N", "10", "--base", "p2", "--data", "")
+    assert code == 1 and out == "" and "conflict" in err
+
+
+@pytest.mark.parametrize("m, preset", [(2, "p3"), (3, "p2"), (2, "abelian-threefold")])
+def test_degree_refuses_a_preset_of_another_dimension(capsys, m, preset):
+    code, out, err = run(capsys, "degree", "--n", "4", "--m", str(m), "--k", "2",
+                         "--N", "40", "--base", preset)
+    dimension = BASE_PRESETS[preset].dimension
+    assert code == 1 and out == ""
+    assert err == (f"error: preset {preset} of dimension {dimension} "
+                   f"does not match m={m}\n")
+
+
 def test_data_dir_environment_variable(tmp_path, capsys, monkeypatch):
     data = BASE_PRESETS["p2"].numerical(v=4, y=4)
     (tmp_path / "nested.json").write_text(json.dumps(data.to_payload()),
@@ -367,8 +387,9 @@ def test_jet_negative_minor_size_errors(tmp_path, capsys):
     code, _, err = run(capsys, "jet", str(path), "--minors", "-3")
     assert code == 1
     assert err.startswith("error:") and "at least 1" in err
-    code, out, _ = run(capsys, "jet", str(path), "--minors", "0")
-    assert code == 0 and "common content" not in out
+    code, out, err = run(capsys, "jet", str(path), "--minors", "0")
+    assert code == 1 and out == ""
+    assert err == "error: minor size must be at least 1, got 0\n"
 
 
 def test_jet_probe_nested_too_deep_errors(tmp_path, capsys):

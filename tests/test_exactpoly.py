@@ -146,6 +146,32 @@ def test_common_divisor_keeps_a_planted_factor(seed):
     assert g == g.normalized()
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_monic_pseudo_remainder_is_the_exact_remainder(seed):
+    # scaling a monic divisor by 3 takes the scaled path, which multiplies
+    # each step by 3, so its remainder is 3^steps times the monic one
+    rng = random.Random(7000 + seed)
+    x, y, w = _vars()
+
+    def rand_poly(terms, top):
+        return sum((rng.randint(-4, 4) * x ** rng.randint(0, top)
+                    * y ** rng.randint(0, 2) * w ** rng.randint(0, 1)
+                    for _ in range(terms)), Poly.zero(V))
+
+    f = rand_poly(6, 6)
+    dg = rng.randint(1, 3)
+    g = x ** dg + rand_poly(3, dg - 1)
+    view = exactpoly._as_univariate
+    rem = exactpoly._pseudo_rem(view(f, 0), view(g, 0))
+    assert all(d < dg for d in rem)
+    rest = exactpoly._from_univariate(rem, f, 0)
+    assert (f - rest).divisible_by(g)
+    scaled = exactpoly._pseudo_rem(view(f, 0), view(g * 3, 0))
+    assert scaled.keys() == rem.keys()
+    assert any(all(scaled[d] == c * 3 ** steps for d, c in rem.items())
+               for steps in range(f.degree_in("x") + 2))
+
+
 def test_shift_down_divides_by_a_monomial():
     x, y, w = _vars()
     p = 3 * x ** 2 * y - x * y * w
