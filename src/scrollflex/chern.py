@@ -288,13 +288,10 @@ class GradedClass(Poly):
             )
         ring = self.ring
         parts = _parts(ring, self.terms)
+        del parts[max(i for i, part in enumerate(parts) if part) + 1:]
         inv = [parts[0]]
-        top = max(i for i, part in enumerate(parts) if part)
         for d in range(1, ring.truncation + 1):
-            total: dict = {}
-            for i in range(1, min(d, top) + 1):
-                _mul_into(ring, total, parts[i], inv[d - i], -1)
-            inv.append(_tidy(total))
+            inv.append(_convolve(ring, parts, inv, d, lambda d, i: -1, 1))
         return self._new(_unpack(ring, inv))
 
     def alternate_signs(self) -> "GradedClass":
@@ -465,18 +462,24 @@ def _divide(x: dict, d: int) -> dict:
     return x
 
 
+def _convolve(ring: GradedRing, x: Sequence[dict], y: Sequence[dict], d: int,
+              weight, low: int = 0) -> dict:
+    """The tidied packed part sum_(i=low..min(d, len(x) - 1)) weight(d, i)
+    x_i y_(d-i): parts past the end of x are zero, and a recurrence passes
+    the list it is filling as y."""
+    total: dict = {}
+    for i in range(low, min(d, len(x) - 1) + 1):
+        _mul_into(ring, total, x[i], y[d - i], weight(d, i))
+    return _tidy(total)
+
+
 def _weighted_parts(x: GradedClass, y: GradedClass, weight) -> list:
     """Tuple-keyed terms of sum_(j=0..d) weight(d, j) x_(d-j) y_j for each
     degree d = 0..truncation; x and y are packed into parts once."""
     ring = x.ring
     a, b = _parts(ring, x.terms), _parts(ring, y.terms)
-    out = []
-    for d in range(ring.truncation + 1):
-        total: dict = {}
-        for j in range(d + 1):
-            _mul_into(ring, total, a[d - j], b[j], weight(d, j))
-        out.append(_unpack(ring, [total]))
-    return out
+    return [_unpack(ring, [_convolve(ring, b, a, d, weight)])
+            for d in range(ring.truncation + 1)]
 
 
 class FormalBundle:
@@ -505,9 +508,6 @@ class FormalBundle:
         if self._total is None:
             self._total = _from_power_sums(self.ring, self._sums)
         return self._total
-
-    def chern(self, i: int) -> GradedClass:
-        return self.total_chern.homogeneous_part(i)
 
     def __eq__(self, other):
         return (isinstance(other, FormalBundle) and self.rank == other.rank
@@ -606,20 +606,16 @@ TENSOR_STEPS = 4  # two operands' power sums, their convolution, Newton back
 def _power_sums(e: FormalBundle) -> list:
     """Packed p_0..p_trunc, p_0 = rank: the sums ``e`` carries, else
     p_d = sum_(i<d) (-1)^(i-1) c_i p_(d-i) + (-1)^(d-1) d c_d, with c_i = 0
-    past the rank."""
+    past the rank; p_0 stands at 1 while p fills, so d c_d is the i = d term."""
     if e._sums is not None:
         return e._sums
     ring = e.ring
-    top = min(e.rank, ring.truncation)
-    c = _parts(ring, e.total_chern.terms)
-    p = [_constant(e.rank)]
+    c = _parts(ring, e.total_chern.terms)[:min(e.rank, ring.truncation) + 1]
+    p = [_constant(1)]
     for d in range(1, ring.truncation + 1):
-        total: dict = {}
-        if d <= top:
-            _add_into(total, c[d], (-1) ** (d + 1) * d)
-        for i in range(1, min(d - 1, top) + 1):
-            _mul_into(ring, total, c[i], p[d - i], (-1) ** (i + 1))
-        p.append(_tidy(total))
+        p.append(_convolve(ring, c, p, d,
+                           lambda d, i: (d if i == d else 1) * (-1) ** (i + 1), 1))
+    p[0] = _constant(e.rank)
     return p
 
 
@@ -628,10 +624,7 @@ def _from_power_sums(ring: GradedRing, p: Sequence[dict]) -> GradedClass:
     sum_(i=1..d) (-1)^(i-1) c_(d-i) p_i."""
     c = [_constant(1)]
     for d in range(1, ring.truncation + 1):
-        total: dict = {}
-        for i in range(1, d + 1):
-            _mul_into(ring, total, c[d - i], p[i], 1 if i % 2 else -1)
-        c.append(_divide(_tidy(total), d))
+        c.append(_divide(_convolve(ring, p, c, d, lambda d, i: (-1) ** (i + 1), 1), d))
     return _trusted(ring, _unpack(ring, c))
 
 
@@ -642,12 +635,7 @@ def tensor(a: FormalBundle, b: FormalBundle) -> FormalBundle:
     ring = a.ring
     check_work(ring, TENSOR_STEPS, f"a tensor product of ranks {a.rank} and {b.rank}")
     pa, pb = _power_sums(a), _power_sums(b)
-    p = []
-    for d in range(ring.truncation + 1):
-        total: dict = {}
-        for t in range(d + 1):
-            _mul_into(ring, total, pa[t], pb[d - t], comb(d, t))
-        p.append(_tidy(total))
+    p = [_convolve(ring, pa, pb, d, comb) for d in range(ring.truncation + 1)]
     return _derived(ring, a.rank * b.rank, p)
 
 
@@ -676,6 +664,8 @@ def sym_power(e: FormalBundle, k: int) -> FormalBundle:
     ring = e.ring
     check_work(ring, sym_power_steps(k), f"S^{k} of a rank-{e.rank} bundle")
     p = _power_sums(e)
+    # not one _convolve per (i, d): psi^j's weight j^t depends on t, and
+    # summing over j before the product saves a factor i of products
     # sym[i][d]: degree-d power sum of S^i E; S^0 E is the trivial line
     sym = [[_constant(1)] + [{}] * ring.truncation]
     for i in range(1, k + 1):

@@ -153,14 +153,12 @@ def _cmd_jet(config: argparse.Namespace) -> int:
     path = _resolve_path(config.spec)
     spec = jets.JetProbeSpec.load(path)
     if config.seed is not None or config.trials is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the loaded spec has warned already
-            spec = jets.JetProbeSpec(
-                spec.variables, spec.coordinates, spec.order,
-                config.trials if config.trials is not None else spec.trials,
-                config.seed if config.seed is not None else spec.seed,
-                spec.height,
-            )
+        spec = jets.JetProbeSpec(
+            spec.variables, spec.coordinates, spec.order,
+            config.trials if config.trials is not None else spec.trials,
+            config.seed if config.seed is not None else spec.seed,
+            spec.height,
+        )
     scan_result = jets.probe_rank(spec)
     payload = scan_result.to_payload()
     lines = [
@@ -266,15 +264,20 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if None not in (getattr(args, "base", None), getattr(args, "data", None)):
-            raise ScrollflexError("--base and --data conflict; give exactly one")
-        return _DISPATCH[args.command](args)
-    except (ScrollflexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
+    # library warnings print as plain lines, without a source location
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            if None not in (getattr(args, "base", None), getattr(args, "data", None)):
+                raise ScrollflexError("--base and --data conflict; give exactly one")
+            return _DISPATCH[args.command](args)
+        except (ScrollflexError, OSError) as exc:
+            error = exc
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
+    print(f"error: {error}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -549,8 +549,9 @@ def _content_list(polys: Iterable[Poly]) -> Poly:
 MAX_PARSE_DEPTH = 100
 MAX_PARSE_SIZE = 10 ** 4
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<op>\*\*|[-+*/^()]))"
+    rf"\s*(?:(?P<name>{_NAME_RE.pattern})|(?P<int>\d+)|(?P<op>\*\*|[-+*/^()]))"
 )
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 from ._record import Record, set_field
 from .errors import (InvalidInputError, ResourceLimitError, is_integer,
                      load_json, require_fields)
-from .exactpoly import Poly, common_divisor, parse_poly
+from .exactpoly import Poly, _NAME_RE, common_divisor, parse_poly
 from .linalg import iter_minors, rank_poly, rank_rational
 
 DEFAULT_TRIALS = 8
@@ -41,10 +41,11 @@ MAX_JET_ROWS = 5000
 class JetProbeSpec(Record):
     """A chart to probe: variables, coordinate functions, order and sampling.
 
-    ``variables`` is a list or tuple of names and ``coordinates`` one of
-    polynomials or strings parsed over those names.  More sampled rows
-    (trials times jet rows) than ``DEFAULT_TRIALS`` trials of a
-    ``MAX_JET_ROWS``-row matrix are refused with ``ResourceLimitError``.
+    ``variables`` is a list or tuple of names the polynomial parser reads
+    (``[A-Za-z_][A-Za-z_0-9]*``) and ``coordinates`` one of polynomials or
+    strings parsed over those names.  More sampled rows (trials times jet
+    rows) than ``DEFAULT_TRIALS`` trials of a ``MAX_JET_ROWS``-row matrix
+    are refused with ``ResourceLimitError``.
     """
 
     __slots__ = ("variables", "coordinates", "order", "trials", "seed", "height")
@@ -55,6 +56,9 @@ class JetProbeSpec(Record):
         if not (isinstance(variables, (list, tuple))
                 and all(isinstance(v, str) for v in variables)):
             raise InvalidInputError("variables must be a list of names")
+        for v in variables:
+            if not _NAME_RE.fullmatch(v):
+                raise InvalidInputError(f"variable name {v!r} is not a plain name")
         if not isinstance(coordinates, (list, tuple)):
             raise InvalidInputError("coordinates must be a list")
         for name, value in (("jet order", order), ("trials", trials),
@@ -407,17 +411,17 @@ def _monomials_up_to(names, degree, in_names=None) -> list[Poly]:
     return out
 
 
-def segre_chart(m: int, s: int, order: int = 2, **kw) -> JetProbeSpec:
+def segre_chart(m: int, s: int, order: int = 2) -> JetProbeSpec:
     """P^m x P^s in its Segre embedding, affine chart."""
     names = tuple(f"u{i}" for i in range(1, m + 1)) + tuple(
         f"t{j}" for j in range(1, s + 1))
     us = [Poly.variable(names, f"u{i}") for i in range(1, m + 1)]
     ts = [Poly.variable(names, f"t{j}") for j in range(1, s + 1)]
     coords = [Poly.const(names, 1)] + us + ts + [u * t for u in us for t in ts]
-    return JetProbeSpec(names, tuple(coords), order, **kw)
+    return JetProbeSpec(names, tuple(coords), order)
 
 
-def p1_power_chart(n: int, order: int = 2, **kw) -> JetProbeSpec:
+def p1_power_chart(n: int, order: int = 2) -> JetProbeSpec:
     """(P^1)^n in the full Segre embedding: all squarefree monomials."""
     names = tuple(f"u{i}" for i in range(1, n)) + ("t1",)
     coords = []
@@ -427,10 +431,10 @@ def p1_power_chart(n: int, order: int = 2, **kw) -> JetProbeSpec:
             if take:
                 m = m * Poly.variable(names, name)
         coords.append(m)
-    return JetProbeSpec(names, tuple(coords), order, **kw)
+    return JetProbeSpec(names, tuple(coords), order)
 
 
-def flag_threefold_chart(order: int = 2, **kw) -> JetProbeSpec:
+def flag_threefold_chart(order: int = 2) -> JetProbeSpec:
     """Point-line incidence threefold in the Segre embedding of P^2 x P^2.
 
     Point (1 : u1 : u2), line (-u1 - t u2 : 1 : t) through it; the nine
@@ -442,36 +446,36 @@ def flag_threefold_chart(order: int = 2, **kw) -> JetProbeSpec:
     x = [one, u1, u2]
     y = [-u1 - t * u2, one, t]
     coords = [xi * yj for xi in x for yj in y]
-    return JetProbeSpec(names, tuple(coords), order, **kw)
+    return JetProbeSpec(names, tuple(coords), order)
 
 
-def f1_cubic_chart(order: int = 2, **kw) -> JetProbeSpec:
+def f1_cubic_chart(order: int = 2) -> JetProbeSpec:
     """The rational cubic surface scroll in P^4."""
     names = ("u1", "u2")
     u1, u2 = Poly.variables(names)
     one = Poly.const(names, 1)
-    return JetProbeSpec(names, (one, u1, u2, u1 * u2, u1 ** 2 * u2), order, **kw)
+    return JetProbeSpec(names, (one, u1, u2, u1 * u2, u1 ** 2 * u2), order)
 
 
-def cubic_scroll_times_p1_chart(order: int = 2, **kw) -> JetProbeSpec:
+def cubic_scroll_times_p1_chart(order: int = 2) -> JetProbeSpec:
     """The rational cubic surface scroll times P^1, Segre-embedded in P^9."""
-    return segre_product_spec(f1_cubic_chart(order, **kw), 1)
+    return segre_product_spec(f1_cubic_chart(order), 1)
 
 
-def veronese_chart(order: int = 2, **kw) -> JetProbeSpec:
+def veronese_chart(order: int = 2) -> JetProbeSpec:
     """The Veronese surface in P^5."""
     names = ("u1", "u2")
-    return JetProbeSpec(names, tuple(_monomials_up_to(names, 2)), order, **kw)
+    return JetProbeSpec(names, tuple(_monomials_up_to(names, 2)), order)
 
 
-def rational_normal_curve_chart(degree: int, order: int = 2, **kw) -> JetProbeSpec:
+def rational_normal_curve_chart(degree: int, order: int = 2) -> JetProbeSpec:
     names = ("u1",)
     u = Poly.variable(names, "u1")
     coords = [u ** i for i in range(degree + 1)]
-    return JetProbeSpec(names, tuple(coords), order, **kw)
+    return JetProbeSpec(names, tuple(coords), order)
 
 
-def two_summand_scroll_chart(m: int, order: int = 2, **kw) -> JetProbeSpec:
+def two_summand_scroll_chart(m: int, order: int = 2) -> JetProbeSpec:
     """P(O(1) + O(2)) over P^m near the negative section.
 
     Coordinates: the linear monomials, then v times every monomial of
@@ -483,10 +487,10 @@ def two_summand_scroll_chart(m: int, order: int = 2, **kw) -> JetProbeSpec:
     linear = [Poly.const(names, 1)] + [Poly.variable(names, u) for u in unames]
     quad = _monomials_up_to(names, 2, unames)
     coords = linear + [v * q for q in quad]
-    return JetProbeSpec(names, tuple(coords), order, **kw)
+    return JetProbeSpec(names, tuple(coords), order)
 
 
-def bordiga_chart(order: int = 2, **kw) -> JetProbeSpec:
+def bordiga_chart(order: int = 2) -> JetProbeSpec:
     """Chart of the degree-10 threefold scroll near a fiber of the
     exceptional divisor of its blow-up model.
 
@@ -508,7 +512,7 @@ def bordiga_chart(order: int = 2, **kw) -> JetProbeSpec:
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # chart has no constant coordinate
-        return JetProbeSpec(names, tuple(coords), order, **kw)
+        return JetProbeSpec(names, tuple(coords), order)
 
 
 class BundledProbe(Record):

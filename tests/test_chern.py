@@ -128,15 +128,15 @@ def test_twisted_square_tangent_threefold():
     L, C1, C2, C3 = (ring.variable(n) for n in ("L", "C1", "C2", "C3"))
     s2 = bundle_from_classes(
         6, [4 * C1, 5 * (C1 ** 2 + C2), 2 * C1 ** 3 + 11 * C1 * C2 + 7 * C3])
-    twisted = tensor_line(s2, L, -1)
-    assert twisted.chern(1) == 4 * C1 - 6 * L
-    assert twisted.chern(2) == 5 * (C1 ** 2 + C2) - 20 * C1 * L + 15 * L ** 2
-    assert twisted.chern(3) == (2 * C1 ** 3 + 11 * C1 * C2 + 7 * C3
-                                - 20 * (C1 ** 2 + C2) * L + 40 * C1 * L ** 2
-                                - 20 * L ** 3)
-    assert twisted.chern(4) == (-3 * (2 * C1 ** 3 + 11 * C1 * C2 + 7 * C3) * L
-                                + 30 * (C1 ** 2 + C2) * L ** 2
-                                - 40 * C1 * L ** 3 + 15 * L ** 4)
+    c = tensor_line(s2, L, -1).total_chern.homogeneous_part
+    assert c(1) == 4 * C1 - 6 * L
+    assert c(2) == 5 * (C1 ** 2 + C2) - 20 * C1 * L + 15 * L ** 2
+    assert c(3) == (2 * C1 ** 3 + 11 * C1 * C2 + 7 * C3
+                    - 20 * (C1 ** 2 + C2) * L + 40 * C1 * L ** 2
+                    - 20 * L ** 3)
+    assert c(4) == (-3 * (2 * C1 ** 3 + 11 * C1 * C2 + 7 * C3) * L
+                    + 30 * (C1 ** 2 + C2) * L ** 2
+                    - 40 * C1 * L ** 3 + 15 * L ** 4)
 
 
 # -- tensor products -------------------------------------------------------------
@@ -150,11 +150,11 @@ def test_tensor_surface_components():
         classes = [v1, v2] + [ring.zero()] * (n - 3)
         V = bundle_from_classes(n - 1, classes)
         T = bundle_from_classes(2, [c1, c2])
-        W = tensor(dual(V), T)
-        assert W.chern(1) == -2 * v1 + (n - 1) * c1
+        c = tensor(dual(V), T).total_chern.homogeneous_part
+        assert c(1) == -2 * v1 + (n - 1) * c1
         from math import comb
-        assert W.chern(2) == (v1 ** 2 + 2 * v2 - (2 * n - 3) * v1 * c1
-                              + comb(n - 1, 2) * c1 ** 2 + (n - 1) * c2)
+        assert c(2) == (v1 ** 2 + 2 * v2 - (2 * n - 3) * v1 * c1
+                        + comb(n - 1, 2) * c1 ** 2 + (n - 1) * c2)
 
 
 def test_tensor_threefold_components():
@@ -162,19 +162,20 @@ def test_tensor_threefold_components():
                        GradedVariable("c3", 3), GradedVariable("v1", 1),
                        GradedVariable("v2", 2)], 3)
     c1, c2, c3, v1, v2 = (ring.variable(s) for s in ("c1", "c2", "c3", "v1", "v2"))
-    W = tensor(dual(bundle_from_classes(2, [v1, v2])),
-               bundle_from_classes(3, [c1, c2, c3]))
-    assert W.chern(1) == -3 * v1 + 2 * c1
-    assert W.chern(2) == 3 * v1 ** 2 + 3 * v2 - 5 * c1 * v1 + c1 ** 2 + 2 * c2
-    assert W.chern(3) == (-(v1 ** 3) - 6 * v1 * v2 + 4 * c1 * (v1 ** 2 + v2)
-                          - (2 * c1 ** 2 + 4 * c2) * v1 + 2 * c1 * c2 + 2 * c3)
+    c = tensor(dual(bundle_from_classes(2, [v1, v2])),
+               bundle_from_classes(3, [c1, c2, c3])).total_chern.homogeneous_part
+    assert c(1) == -3 * v1 + 2 * c1
+    assert c(2) == 3 * v1 ** 2 + 3 * v2 - 5 * c1 * v1 + c1 ** 2 + 2 * c2
+    assert c(3) == (-(v1 ** 3) - 6 * v1 * v2 + 4 * c1 * (v1 ** 2 + v2)
+                    - (2 * c1 ** 2 + 4 * c2) * v1 + 2 * c1 * c2 + 2 * c3)
 
 
 def test_tensor_of_lines_adds_first_chern():
     ring = surface_ring()
     a = bundle_from_classes(1, [ring.variable("c1")])
     b = bundle_from_classes(1, [ring.variable("v1")])
-    assert tensor(a, b).chern(1) == ring.variable("c1") + ring.variable("v1")
+    assert (tensor(a, b).total_chern.homogeneous_part(1)
+            == ring.variable("c1") + ring.variable("v1"))
 
 
 def test_tensor_with_trivial_line_is_identity():

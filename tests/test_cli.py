@@ -94,6 +94,17 @@ def test_degree_with_data_file(tmp_path, capsys):
     assert "degree: 6" in out
 
 
+def test_degree_prints_a_library_warning_without_its_source(tmp_path, capsys):
+    data = BASE_PRESETS["p2"].numerical(v=4, y=4).to_payload()
+    data["assignments"].update({"v1^2": 0, "v2": 0})  # scroll degree v1^2 - v2
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "degree", "--n", "3", "--m", "2", "--k", "2",
+                         "--N", "10", "--data", str(path))
+    assert code == 0 and out.startswith("degree: ")
+    assert err == "warning: base data gives non-positive scroll degree d=0\n"
+
+
 def test_degree_base_and_data_conflict(tmp_path, capsys):
     path = tmp_path / "x.json"
     path.write_text("{}", encoding="utf-8")
@@ -170,6 +181,22 @@ def test_jet_command(tmp_path, capsys):
     assert code == 0
     assert "generic jet rank (order 2): 5" in out
     assert "common content" in out and "t" in out
+
+
+def test_jet_prints_a_library_warning_without_its_source(tmp_path, capsys):
+    from scrollflex.jets import BUNDLED_PROBES
+
+    path = tmp_path / "bordiga.json"
+    path.write_text(json.dumps(BUNDLED_PROBES["bordiga"].build().to_payload()),
+                    encoding="utf-8")
+    warning = ("warning: no constant coordinate; the chart in (x, y, w) "
+               "is not normalized\n")
+    code, out, err = run(capsys, "jet", str(path), "--trials", "2")
+    assert code == 0 and "generic jet rank (order 2): 9" in out
+    assert err == warning
+    # the warning comes before an error line
+    code, out, err = run(capsys, "jet", str(path), "--trials", "0")
+    assert (code, out, err) == (1, "", warning + "error: need at least one trial\n")
 
 
 def test_jet_coordinates_may_end_in_blanks(tmp_path, capsys):

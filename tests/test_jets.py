@@ -1,5 +1,7 @@
 import itertools
 import json
+import re
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -180,6 +182,23 @@ def test_spec_validation():
     with pytest.warns(UserWarning, match=r"\(u1\)") as seen:
         JetProbeSpec.from_payload(payload)
     assert seen[0].filename == __file__
+
+
+@pytest.mark.parametrize("name", ["a b", "1x", ""])
+def test_spec_refuses_a_variable_name_the_parser_cannot_read(name):
+    # a spec over "a b" or "1x" wrote a payload that from_payload refused,
+    # and a probe file over "" ran
+    payload = {"variables": [name], "coordinates": ["1", name], "order": 2}
+    with pytest.raises(InvalidInputError, match=re.escape(f"variable name {name!r}")):
+        JetProbeSpec.from_payload(payload)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_PROBES))
+def test_bundled_probes_round_trip_through_their_payload(name):
+    spec = BUNDLED_PROBES[name].build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the bordiga chart has no constant coordinate
+        assert JetProbeSpec.from_payload(json.loads(json.dumps(spec.to_payload()))) == spec
 
 
 def test_sampled_rows_are_bounded():

@@ -15,8 +15,10 @@ from math import comb
 
 import pytest
 
+from scrollflex import chern, scroll
 from scrollflex.chern import (FormalBundle, GradedClass, GradedRing,
                               GradedVariable, sym_power, tensor, tensor_line)
+from scrollflex.scroll import ScrollSetup, scroll_ring
 
 
 # -- the tuple-keyed oracle -----------------------------------------------------
@@ -65,7 +67,8 @@ def oracle_inverse(x):
 def oracle_power_sums(e):
     ring = e.ring
     top = min(e.rank, ring.truncation)
-    signed = [e.chern(i) * (-1) ** (i + 1) for i in range(top + 1)]
+    signed = [e.total_chern.homogeneous_part(i) * (-1) ** (i + 1)
+              for i in range(top + 1)]
     p = [ring.scalar(e.rank)]
     for d in range(1, ring.truncation + 1):
         total = signed[d] * d if d <= top else ring.zero()
@@ -285,3 +288,60 @@ def test_operations_on_carried_sums_match_the_rebuilt_bundle(truncation):
             got, want = chain(start), chain(_rebuilt(start))
             assert got.rank == want.rank
             assert _typed(got.total_chern) == _typed(want.total_chern)
+
+
+# -- work, counted in term products -----------------------------------------------
+
+
+def _count_products(monkeypatch):
+    """Count the calls of ``chern._mul_into`` and the term products they form:
+    the sizes of each admitted pair of grade groups, multiplied."""
+    count = {"calls": 0, "products": 0}
+    mul_into = chern._mul_into
+
+    def counted(ring, out, x, y, scale=1):
+        count["calls"] += 1
+        count["products"] += sum(len(left) * len(right)
+                                 for g1, left in x.items() for g2, right in y.items()
+                                 if ring._admits_grade(g1 + g2))
+        mul_into(ring, out, x, y, scale)
+
+    monkeypatch.setattr(chern, "_mul_into", counted)
+    return count
+
+
+def test_the_segre_series_pairs_each_degree_with_nonzero_parts_only(monkeypatch):
+    # the series behind degree --n 500 --m 499: the inverse of c(V^dual), V
+    # of rank 2, up to degree 499; a pass over every lower degree would make
+    # about 125,000 calls
+    count = _count_products(monkeypatch)
+    scroll._segre_parts.__wrapped__(499, 2)
+    assert count["calls"] <= 2 * 499
+    assert count["products"] == 124750
+
+
+# Term products of the class route measured when each of chern's passes
+# still wrote its own loop.  ``_power_sums`` now forms (-1)^(d-1) d c_d as
+# the product of c_d with p_0 = 1, one more product per monomial of c_d.
+CLASS_PRODUCTS = {(14, 13, 2, 131): 131549, (6, 5, 3, 81): 1277,
+                  (5, 4, 5, 199): 726, (3, 2, 30, 962): 521, (40, 3, 3, 428): 241}
+
+
+@pytest.mark.parametrize("n,m,k,N", sorted(CLASS_PRODUCTS))
+def test_class_route_forms_no_more_products_than_the_newton_terms(monkeypatch,
+                                                                   n, m, k, N):
+    count = _count_products(monkeypatch)
+    newton_terms = []
+    power_sums = chern._power_sums
+
+    def counted_sums(e):
+        if e._sums is None:
+            top = min(e.rank, e.ring.truncation)
+            newton_terms.append(sum(1 <= e.ring.monomial_degree(exps) <= top
+                                    for exps in e.total_chern.terms))
+        return power_sums(e)
+
+    monkeypatch.setattr(chern, "_power_sums", counted_sums)
+    ell = ScrollSetup(n, m, k, N).codim
+    scroll._class_terms.__wrapped__(scroll_ring(n, m), n, m, k, ell)
+    assert count["products"] == CLASS_PRODUCTS[n, m, k, N] + sum(newton_terms)
