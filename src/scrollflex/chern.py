@@ -5,17 +5,14 @@ weighted variables, truncated above a fixed cohomological degree.  Variables
 may carry a *sector* tag with its own degree cap; classes pulled back from a
 lower-dimensional base use this to vanish above the base dimension.
 
-There is one sparse-polynomial kernel, ``exactpoly.Poly``, and the grading
-is a truncation policy on top of it: ``GradedClass`` subclasses ``Poly``
-over the ring's names, keeps its arithmetic and coefficient contract (an
-``int`` while integral) and drops non-admitted terms on construction.
-``GradedClass.substitute`` runs ``Poly``'s substitution loop with its own
-checks, and monomials print through ``exactpoly.monomial_text``.
-Its product, its series inverse and the bundle calculus below run on one
-private packed kernel: a class is packed into homogeneous parts keyed by
-packed-int monomials (see ``GradedRing``), parts are multiplied grade group
-by grade group, and a pair of groups whose summed grade passes the
-truncation or a sector cap is skipped whole, so no such term is formed.
+Two kernels share the work.  ``GradedClass`` subclasses ``exactpoly.Poly``
+over the ring's names and keeps its terms, sums, negation, substitution
+loop, printing and coefficient contract (an ``int`` while integral); the
+grading drops non-admitted terms on construction.  Products (so powers),
+the series inverse and the bundle calculus below run on one private packed
+kernel: a class is packed into homogeneous parts keyed by packed-int
+monomials (see ``GradedRing``), and a pair of grade groups whose summed
+grade passes the truncation or a sector cap is skipped whole.
 
 :class:`FormalBundle` pairs a rank with a total Chern class of constant term
 one.  Derived bundles (duals, twists by line classes, tensor products,
@@ -28,10 +25,10 @@ operations for a symmetric power), and Newton's identities turn them back
 into Chern classes.  A derived bundle keeps the power sums it was built
 from and turns them into its total Chern class only on first access, so a
 symmetric power fed to a tensor product or a twist makes no round trip
-through Chern classes.  Each operation estimates its work first and refuses
-past WORK_LIMIT; the tests check the operations against direct products
-over random integer roots.  ``scroll`` forms its class from two inverses
-in a ring without L, as binomially weighted degree parts (``_weighted_parts``).
+through Chern classes.  Each operation meters itself before its first
+product; the tests check the operations against direct products over random
+integer roots.  ``scroll`` forms its class from two inverses in a ring
+without L, as binomially weighted degree parts (``_weighted_parts``).
 """
 
 from __future__ import annotations
@@ -48,8 +45,11 @@ from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
 from .exactpoly import Poly, Scalar, _canon, _clean, _substitute, as_scalar
 
 # Largest estimated work (see ``check_work``) of a derived bundle or a class,
-# a bound on its term products, not a count of them.
-WORK_LIMIT = 3 * 10 ** 8
+# in term operations.  In-process on a 2-vCPU Linux VM (Python 3.11.7) they
+# run at about 3 * 10^6 a second at the top of the range and 5 * 10^5 at
+# truncation 1, and the largest classes accepted are (22,21,2) at the top of
+# the range (1.5 s) and (4,2,624999) at codimension 1 (24 s).
+WORK_LIMIT = 15 * 10 ** 6
 
 
 class GradedVariable(Record):
@@ -84,8 +84,8 @@ class GradedRing:
 
     __slots__ = ("variables", "names", "weights", "truncation", "sector_caps",
                  "limits", "_index", "_hash", "_mask", "_shifts",
-                 "_grade_steps", "_fields", "_top", "_admitted",
-                 "_admitted_grades")
+                 "_grade_steps", "_fields", "_top", "_admitted", "_pairs",
+                 "_degree_counts", "_admitted_grades")
 
     def __init__(self, variables: Sequence[GradedVariable], truncation: int,
                  sector_caps: Mapping[str, int] | None = None):
@@ -115,7 +115,7 @@ class GradedRing:
         self._fields = tuple((w * j, cap) for j, cap in enumerate(self.sector_caps.values()))
         self._hash = hash((self.variables, self.truncation,
                            tuple(sorted(self.sector_caps.items()))))
-        self._admitted = None  # set by ``admitted_monomials``
+        self._admitted = self._pairs = self._degree_counts = None  # admitted_monomials
         self._admitted_grades: dict[int, bool] = {}  # filled by ``_mul_into``
 
     def index(self, name: str) -> int:
@@ -416,15 +416,16 @@ def _constant(value: Scalar) -> dict:
     return {0: {0: value}} if value else {}
 
 
-def _add_into(out: dict, x: dict, scale: Scalar) -> None:
-    """out += scale * x."""
-    for g, group in x.items():
-        acc = out.get(g)
-        if acc is None:
-            acc = out[g] = {}
-        get = acc.get
-        for k, c in group.items():
-            acc[k] = get(k, 0) + c * scale
+def _add_into(scaled: Sequence[tuple[dict, Scalar]]) -> dict:
+    """The tidied packed sum of scale * x over the (x, scale) pairs."""
+    out: dict = {}
+    for x, scale in scaled:
+        for g, group in x.items():
+            acc = out.setdefault(g, {})
+            get = acc.get
+            for k, c in group.items():
+                acc[k] = get(k, 0) + c * scale
+    return _tidy(out)
 
 
 def _mul_into(ring: GradedRing, out: dict, x: dict, y: dict, scale: Scalar = 1) -> None:
@@ -552,18 +553,16 @@ def direct_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
 
 
 # -- derived bundles through power sums (Macdonald, Symmetric Functions, I.2)
-# Each Newton conversion, convolution and Adams-recursion step is one pass
-# of about (truncation + 1)^2 / 2 products of graded parts.
+# Each Newton conversion, convolution and Adams order is one degree-by-degree
+# pass, of at most ``_pass_work(ring)`` operations, metered before it runs.
 
 
 def admitted_monomials(ring: GradedRing, bound: int | None = None) -> int:
     """How many monomials the ring admits, counted by grade one variable at
-    a time (an unbounded knapsack over the truncation and sector caps).
-
-    The count is kept on the ring.  Each variable only adds monomials, so
-    with a ``bound`` the count stops as soon as it passes the bound and
-    returns that partial count, which is not kept.
-    """
+    a time (an unbounded knapsack over the truncation and sector caps), and
+    kept on the ring with the counts per degree and the pairs ``_pass_work``
+    reads.  Each variable only adds monomials, so with a ``bound`` the count
+    stops once past it, and that count is not kept."""
     if ring._admitted is not None:
         return ring._admitted
     limits = [min(cap, ring.truncation) + 1 for cap in ring.limits]
@@ -579,28 +578,35 @@ def admitted_monomials(ring: GradedRing, bound: int | None = None) -> int:
         total = sum(counts.values())
         if bound is not None and total > bound:
             return total
+    # g + h is admitted iff h <= corner - g, whose row-major flat index is the
+    # reverse of g's; below[i] sums the counts of the grades at most grade i
+    counts = list(counts.values())
+    below, stride = counts[:], len(counts)
+    for size in limits:
+        stride //= size
+        for i in range(len(below)):
+            if i // stride % size:
+                below[i] += below[i - stride]
+    ring._pairs = sum(map(mul, counts, reversed(below)))
+    stride = len(counts) // limits[0]  # the total degree is the first axis
+    ring._degree_counts = [sum(counts[i:i + stride]) for i in range(0, len(counts), stride)]
     ring._admitted = total
     return total
 
 
-def check_work(ring: GradedRing, steps: int, what: str) -> None:
-    """Refuse, before any product, work past WORK_LIMIT: ``steps`` passes of
-    (truncation + 1)^2 products over the ring's admitted monomials."""
-    per_monomial = steps * (ring.truncation + 1) ** 2
-    work = admitted_monomials(ring, WORK_LIMIT // per_monomial) * per_monomial
+def _pass_work(ring: GradedRing) -> int:
+    """The most operations of one degree-by-degree pass in ``ring``: a term
+    product per pair of admitted monomials with an admitted product, and one
+    per pair of degree parts; past WORK_LIMIT monomials, their count so far."""
+    monomials, top = admitted_monomials(ring, WORK_LIMIT), ring.truncation
+    return monomials if ring._pairs is None else ring._pairs + (top + 1) * (top + 2) // 2
+
+
+def check_work(work: int, what: str) -> None:
+    """Refuse, before any product, more than WORK_LIMIT term operations."""
     if work > WORK_LIMIT:
-        raise ResourceLimitError(
-            f"{what} needs an estimated {work} or more units of work, "
-            f"over the limit {WORK_LIMIT}")
-
-
-def sym_power_steps(k: int) -> int:
-    """Passes of ``sym_power(e, k)``: Newton's identities both ways and the
-    Adams recursion, whose order-i step sums i earlier orders."""
-    return k * (k + 1) // 2 + 2
-
-
-TENSOR_STEPS = 4  # two operands' power sums, their convolution, Newton back
+        raise ResourceLimitError(f"{what} needs an estimated {work} or more term "
+                                 f"operations, over the limit {WORK_LIMIT}")
 
 
 def _power_sums(e: FormalBundle) -> list:
@@ -633,7 +639,9 @@ def tensor(a: FormalBundle, b: FormalBundle) -> FormalBundle:
     if a.ring != b.ring:
         raise RingMismatchError("tensor operands live in different rings")
     ring = a.ring
-    check_work(ring, TENSOR_STEPS, f"a tensor product of ranks {a.rank} and {b.rank}")
+    # the convolution, Newton back, and Newton forth for an operand without sums
+    check_work((2 + (a._sums is None) + (b._sums is None)) * _pass_work(ring),
+               f"a tensor product of ranks {a.rank} and {b.rank}")
     pa, pb = _power_sums(a), _power_sums(b)
     p = [_convolve(ring, pa, pb, d, comb) for d in range(ring.truncation + 1)]
     return _derived(ring, a.rank * b.rank, p)
@@ -651,33 +659,33 @@ def tensor_line(e: FormalBundle, line: GradedClass, sign: int) -> FormalBundle:
 def sym_power(e: FormalBundle, k: int) -> FormalBundle:
     """k-th symmetric power through Adams operations.
 
-    In power-sum coordinates, ch(E) = sum_d p_d / d!, the Adams operation
-    psi^j scales p_d by j^d and a product has (ab)_d = sum_t C(d, t) a_t
-    b_(d-t).  The power sums of S^i E then follow from the Newton identity
+    In power-sum coordinates, ch(E) = sum_d p_d / d!, psi^j scales p_d by
+    j^d and (ab)_d = sum_t C(d, t) a_t b_(d-t), so the Newton identity
     i ch(S^i E) = sum_{j=1..i} psi^j(ch E) ch(S^(i-j) E) (Macdonald,
-    Symmetric Functions, I.2), with O(k truncation^2) products in all.
+    Symmetric Functions, I.2) reads i p_d(S^i E) = sum_t C(d, t) p_t(E)
+    w_t(i)_(d-t), w_t(i) = sum_(j=1..i) j^t p(S^(i-j) E).  The w run from
+    order to order, w_t(i+1) = p(S^i E) + sum_(s<=t) C(t, s) w_s(i): each
+    order is one product pass and O(truncation^3) part additions.
     """
     if not isinstance(k, int) or k < 0:
         raise InvalidInputError("symmetric power order must be a non-negative integer")
     if k == 0:
         return trivial_bundle(e.ring, 1)
-    ring = e.ring
-    check_work(ring, sym_power_steps(k), f"S^{k} of a rank-{e.rank} bundle")
+    ring, top = e.ring, e.ring.truncation
+    # the orders' passes, Newton back, and Newton forth for an operand without
+    # sums; an order adds t + 2 parts into each w_t(i)_u, each one operation
+    # and, but for order 1's constant, the admitted monomials of degree u
+    parts = [(top - u + 1) * (top - u + 4) // 2 for u in range(top + 1)]
+    work = (k + 1 + (e._sums is None)) * _pass_work(ring) + k * sum(parts) + top + 1
+    check_work(work + (k - 1) * sum(map(mul, parts, ring._degree_counts or ())),
+               f"S^{k} of a rank-{e.rank} bundle")
     p = _power_sums(e)
-    # not one _convolve per (i, d): psi^j's weight j^t depends on t, and
-    # summing over j before the product saves a factor i of products
-    # sym[i][d]: degree-d power sum of S^i E; S^0 E is the trivial line
-    sym = [[_constant(1)] + [{}] * ring.truncation]
+    # sym[u]: p_u(S^(i-1) E), S^0 E the trivial line; w[t][u]: w_t(i-1)_u
+    sym = [_constant(1)] + [{}] * top
+    w = [[{}] * (top + 1 - t) for t in range(top + 1)]
     for i in range(1, k + 1):
-        ps = []
-        for d in range(ring.truncation + 1):
-            total: dict = {}
-            for t in range(d + 1):
-                # sum_j j^t p_(d-t)(S^(i-j) E): psi^j scales p_t by j^t
-                weighted: dict = {}
-                for j in range(1, i + 1):
-                    _add_into(weighted, sym[i - j][d - t], j ** t)
-                _mul_into(ring, total, p[t], _tidy(weighted), comb(d, t))
-            ps.append(_divide(_tidy(total), i))
-        sym.append(ps)
-    return _derived(ring, comb(e.rank + k - 1, k), sym[k])
+        w = [[_add_into([(sym[u], 1)] + [(w[s][u], comb(t, s)) for s in range(t + 1)])
+              for u in range(top + 1 - t)] for t in range(top + 1)]
+        sym = [_divide(_convolve(ring, p, [w[d - u][u] for u in range(d + 1)], d, comb), i)
+               for d in range(top + 1)]
+    return _derived(ring, comb(e.rank + k - 1, k), sym)

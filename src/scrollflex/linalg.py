@@ -29,7 +29,9 @@ from .exactpoly import Poly, _clean, _trusted
 MINOR_COUNT_LIMIT = 10 ** 5
 # Largest number of sub-minors one iter_minors call may reach.  The bundled
 # probes need at most 238135 (p1-fourth, r = 13); a dense 20 x 20 matrix at
-# r = 18 would reach about 72 million.
+# r = 18 would reach about 72 million.  A dense 9 x 16 matrix of linear forms
+# in two variables reaches 489871 at r = 9: 0.7 s for the keys and 48 s in
+# all, in-process on a 2-vCPU Linux VM (Python 3.11.7).
 MINOR_KEY_LIMIT = 5 * 10 ** 5
 
 

@@ -357,17 +357,34 @@ def test_jet_minor_content_does_not_depend_on_the_seed(tmp_path, capsys, seed):
 
 @pytest.mark.parametrize("command", ["class", "degree"])
 @pytest.mark.parametrize("dims", [("40", "39", "2", "898"),
-                                  ("4", "2", "10000", "150025000")])
+                                  ("4", "2", "100000000", "15000000250000000"),
+                                  ("2001", "2000", "2", "2007001"),
+                                  ("4", "2", "625000", "585939062500")])
 def test_oversized_class_is_refused_at_once(capsys, command, dims):
-    # the whole class is estimated before any product: n = 40 has a
-    # 41-variable ring at codimension 40, and k = 10000 needs S^9999 and
-    # S^10000 through Adams recursions of order k
+    # refused before any pass: k = 10^8 needs Adams recursions of order k;
+    # n = 40 and n = 2001 have base rings too wide for a single pass at
+    # codimension n, checked before any bundle is built; and k = 625000 is
+    # the first order refused at codimension 1, by S^k T_Y, metered first
     n, m, k, N = dims
     start = time.perf_counter()
     code, _, err = run(capsys, command, "--n", n, "--m", m, "--k", k, "--N", N)
     assert time.perf_counter() - start < 1
     assert code == 1
     assert err.startswith("error:") and "over the limit" in err
+
+
+@pytest.mark.parametrize("command,dims,seconds", [
+    # the largest n accepted at the top of the range, about 1.5 s here
+    ("degree", ("22", "21", "2", "295"), 10),
+    # a large order at codimension 1: the Adams sums are linear in k
+    ("class", ("4", "2", "4500", "30386250"), 2),
+])
+def test_class_at_the_work_limit_is_answered(capsys, command, dims, seconds):
+    n, m, k, N = dims
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--n", n, "--m", m, "--k", k, "--N", N)
+    assert time.perf_counter() - start < seconds
+    assert code == 0 and out and not err
 
 
 def test_oversized_segre_series_is_refused_before_it_is_built(capsys):

@@ -197,6 +197,59 @@ def test_tensor_and_symmetric_powers_match_the_oracle(seed, capped, fractions):
     assert _typed(got.total_chern) == _typed(want.total_chern)
 
 
+def adams_by_j_sums(e, k):
+    """Packed power sums of S^k E by the direct Adams sums: every order i
+    forms sum_(j=1..i) j^t p(S^(i-j) E) afresh, so its additions grow as k^2,
+    where ``sym_power`` keeps these sums running from order to order."""
+    ring = e.ring
+    p = chern._power_sums(e)
+    sym = [[chern._constant(1)] + [{}] * ring.truncation]
+    for i in range(1, k + 1):
+        ps = []
+        for d in range(ring.truncation + 1):
+            total: dict = {}
+            for t in range(d + 1):
+                weighted = chern._add_into([(sym[i - j][d - t], j ** t)
+                                            for j in range(1, i + 1)])
+                chern._mul_into(ring, total, p[t], weighted, comb(d, t))
+            ps.append(chern._divide(chern._tidy(total), i))
+        sym.append(ps)
+    return sym[k]
+
+
+def _typed_sums(ring, sums):
+    return [sorted((e, type(c).__name__, c) for e, c in chern._unpack(ring, [part]).items())
+            for part in sums]
+
+
+ADAMS_CASES = [(rank, capped, carried) for rank in range(1, 5)
+               for capped in (False, True) for carried in (False, True)]
+
+
+@pytest.mark.parametrize("rank, capped, carried", ADAMS_CASES)
+def test_running_adams_sums_match_the_direct_loop(rank, capped, carried):
+    rng = random.Random(f"adams {rank} {capped} {carried}")
+    ring = _random_ring(rng, capped)
+    e = _random_bundle(ring, rng, rank, fractions=rng.random() < 0.5)
+    if carried:  # a twist by the trivial line carries the same power sums
+        e = tensor(e, FormalBundle(1, ring.one()))
+    for k in (1, 2, 3, 11, 40):
+        got = sym_power(e, k)
+        assert got.rank == comb(rank + k - 1, k)
+        assert _typed_sums(ring, got._sums) == _typed_sums(ring, adams_by_j_sums(e, k)), k
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_running_adams_sums_match_the_direct_loop_at_order_300(capped):
+    # the edge ring, or its variables without the sector cap
+    ring = _edge_ring(3) if capped else GradedRing(_edge_ring(3).variables, 3)
+    L, C1, C2 = (ring.variable(name) for name in ("L", "C1", "C2"))
+    for e in (FormalBundle(2, ring.one() + C1 * 3 + C2),
+              tensor(FormalBundle(4, ring.one() - L + C1), FormalBundle(1, ring.one()))):
+        assert _typed_sums(ring, sym_power(e, 300)._sums) == _typed_sums(
+            ring, adams_by_j_sums(e, 300))
+
+
 # -- the edges of the packed fields ------------------------------------------------------
 
 
@@ -345,3 +398,38 @@ def test_class_route_forms_no_more_products_than_the_newton_terms(monkeypatch,
     ell = ScrollSetup(n, m, k, N).codim
     scroll._class_terms.__wrapped__(scroll_ring(n, m), n, m, k, ell)
     assert count["products"] == CLASS_PRODUCTS[n, m, k, N] + sum(newton_terms)
+
+
+# The top of the range of N at k = 2 and along the order, large k at small
+# m and the fiber axis, and (4, 2, 1000) at codimension 1
+ESTIMATED = [(14, 13, 2, 131), (18, 17, 2, 205), (16, 15, 3, 966), (13, 12, 3, 557),
+             (10, 9, 6, 7015), (6, 5, 4, 186), (5, 3, 100, 520254),
+             (4, 2, 300, 135753), (3, 2, 30, 962), (1000, 2, 2, 3998),
+             (4, 2, 1000, 1502500)]
+
+
+@pytest.mark.parametrize("n,m,k,N", ESTIMATED)
+def test_the_work_estimate_bounds_the_counted_work_within_a_factor_8(monkeypatch,
+                                                                     n, m, k, N):
+    count = _count_products(monkeypatch)
+    additions = []
+    add_into = chern._add_into
+
+    def counted_add(scaled):
+        additions.append(sum(len(group) for x, _ in scaled for group in x.values()))
+        return add_into(scaled)
+
+    estimates = []
+    check_work = chern.check_work
+
+    def metered(work, what):
+        estimates.append(work)
+        check_work(work, what)
+
+    monkeypatch.setattr(chern, "_add_into", counted_add)
+    monkeypatch.setattr(chern, "check_work", metered)
+    monkeypatch.setattr(scroll, "check_work", metered)
+    ell = ScrollSetup(n, m, k, N).codim
+    scroll._class_terms.__wrapped__(scroll_ring(n, m), n, m, k, ell)
+    counted = count["products"] + sum(additions)
+    assert counted <= sum(estimates) <= 8 * counted
