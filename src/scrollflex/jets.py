@@ -552,6 +552,12 @@ _bundle("bordiga", bordiga_chart, 9, "degree-10 threefold scroll chart in P9",
 
 
 @lru_cache(maxsize=None)
+def bundled_rank_scan(name: str) -> RankScan:
+    """Sampled rank of a bundled probe, computed once per process."""
+    return probe_rank(BUNDLED_PROBES[name].build())
+
+
+@lru_cache(maxsize=None)
 def bundled_minor_report(name: str, size: int) -> MinorReport:
     """Minor report of a bundled probe, computed once per process."""
     return inflection_equations(BUNDLED_PROBES[name].build(), size)

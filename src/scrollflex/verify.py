@@ -304,9 +304,8 @@ def _window_row(family, param, value, on_family):
 
 def _check_jet_rank(name):
     def run():
-        probe = jets.BUNDLED_PROBES[name]
-        scanres = jets.probe_rank(probe.build())
-        return _eq(scanres.rank, probe.expected_rank)
+        return _eq(jets.bundled_rank_scan(name).rank,
+                   jets.BUNDLED_PROBES[name].expected_rank)
     return run
 
 
@@ -362,10 +361,9 @@ def _check_rnc_products():
 
 def _check_jet_bound_examples():
     for name, probe in jets.BUNDLED_PROBES.items():
-        spec = probe.build()
-        n = spec.dimension
-        rank = jets.generic_jet_rank(spec)
-        if rank > comb(n + spec.order, spec.order):
+        scanres = jets.bundled_rank_scan(name)
+        spec, rank = scanres.spec, scanres.rank
+        if rank > comb(spec.dimension + spec.order, spec.order):
             return False, f"{name}: rank exceeds the row count"
         if rank > len(spec.coordinates):
             return False, f"{name}: rank exceeds the column count"

@@ -7,10 +7,11 @@ from math import comb
 
 import pytest
 
-from scrollflex import jets
+from scrollflex import jets, verify
 from scrollflex.errors import InvalidInputError, ResourceLimitError
 from scrollflex.exactpoly import Poly
-from scrollflex.jets import (BUNDLED_PROBES, JetProbeSpec, bundled_minor_report,
+from scrollflex.jets import (BUNDLED_PROBES, JetProbeSpec, RankScan,
+                             bundled_minor_report, bundled_rank_scan,
                              generic_jet_rank, inflection_equations,
                              jet_matrix, multi_indices, probe_rank,
                              product_rank_identity, segre_product_spec,
@@ -62,6 +63,28 @@ def test_jet_matrix_exact_point():
 def test_bundled_probe_ranks(name):
     probe = BUNDLED_PROBES[name]
     assert generic_jet_rank(probe.build()) == probe.expected_rank
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_PROBES))
+def test_bundled_rank_scan_equals_a_fresh_probe(name):
+    shared = bundled_rank_scan(name)
+    fresh = probe_rank(BUNDLED_PROBES[name].build())
+    for field in RankScan.__slots__:
+        assert getattr(shared, field) == getattr(fresh, field), field
+    assert bundled_rank_scan(name) is shared
+
+
+def test_rank_rows_give_their_table_result_from_a_cold_scan_cache():
+    # each row alone, with no other row having sampled the probes first
+    table = {r.identifier: (r.ok, r.detail) for r in verify.run_checks()}
+    checks = dict(verify.build_checks())
+    ids = ["jet-row-bound"] + [f"jet-rank-{name}" for name in BUNDLED_PROBES]
+    for ident in ids:
+        bundled_rank_scan.cache_clear()
+        (alone,) = verify.run_checks(checks=[(ident, checks[ident])])
+        assert (alone.ok, alone.detail) == table[ident], ident
+        assert alone.ok
+    assert bundled_rank_scan.cache_info().currsize == 1
 
 
 def test_symbolic_rank_certifies_sampled_rank():

@@ -10,8 +10,10 @@ kernel promises an ``int`` while a coefficient is integral.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
+from operator import mul
 
 import pytest
 
@@ -248,6 +250,106 @@ def test_running_adams_sums_match_the_direct_loop_at_order_300(capped):
               tensor(FormalBundle(4, ring.one() - L + C1), FormalBundle(1, ring.one()))):
         assert _typed_sums(ring, sym_power(e, 300)._sums) == _typed_sums(
             ring, adams_by_j_sums(e, 300))
+
+
+def eulerian(n):
+    """Coefficients of the Eulerian polynomial A_n, where
+    sum_(j>=1) j^n t^j = t A_n(t) / (1 - t)^(n+1)."""
+    return [sum((-1) ** j * comb(n + 1, j) * (i + 1 - j) ** n for j in range(i + 1))
+            for i in range(max(n, 1))]
+
+
+def _partitions(total, largest=None):
+    """Partitions of ``total`` as non-increasing tuples of parts."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest or total), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part, *rest)
+
+
+def power_sums_by_partitions(e, k):
+    """p_D(S^k E) for D = 0..truncation with no Adams recursion.
+
+    By the splitting principle sum_k ch(S^k E) t^k = prod_i 1/(1 - t e^(x_i))
+    = (1 - t)^-r exp(sum_(d>=1) (p_d / d!) sum_j j^(d-1) t^j), and
+    sum_j j^n t^j = t A_n(t) / (1 - t)^(n+1).  So a partition mu of D with
+    l parts, m_d of them equal to d, adds D! p_mu / prod_d (d!^m_d m_d!)
+    times [t^k] t^l prod_(d in mu) A_(d-1)(t) / (1 - t)^(r+D), a sum of
+    binomials in k over the coefficients of the A-product (Macdonald,
+    Symmetric Functions, I.2).  The work does not depend on k.
+    """
+    ring, r = e.ring, e.rank
+    p = oracle_power_sums(e)
+    sums = []
+    for total in range(ring.truncation + 1):
+        part = ring.zero()
+        for mu in _partitions(total):
+            weight = [1]
+            for d in mu:
+                a = eulerian(d - 1)
+                weight = [sum(weight[i] * a[j - i] for i in range(len(weight))
+                              if 0 <= j - i < len(a))
+                          for j in range(len(weight) + len(a) - 1)]
+            top = r + total - 1
+            count = sum(c * comb(k - len(mu) - i + top, top)
+                        for i, c in enumerate(weight) if k - len(mu) - i >= 0)
+            if not count:
+                continue
+            scale = Fraction(factorial(total) * count,
+                             prod(map(factorial, mu))
+                             * prod(map(factorial, Counter(mu).values())))
+            term = ring.one()
+            for d in mu:
+                term = oracle_mul(term, p[d])
+            part = part + term * scale
+        sums.append(part)
+    return sums
+
+
+def _partition_ring(truncation, capped):
+    return GradedRing([GradedVariable("x0", 1), GradedVariable("x1", 1, "base"),
+                       GradedVariable("x2", 2, "base")],
+                      truncation, {"base": 2} if capped else None)
+
+
+def _assert_partition_sums(e, k):
+    want = power_sums_by_partitions(e, k)
+    assert _typed_sums(e.ring, sym_power(e, k)._sums) == [_typed(p) for p in want], k
+
+
+@pytest.mark.parametrize("rank, capped", [(rank, capped) for rank in range(1, 5)
+                                          for capped in (False, True)])
+def test_symmetric_powers_match_the_partition_identity(rank, capped):
+    rng = random.Random(f"partitions {rank} {capped}")
+    ring = _partition_ring(4, capped)
+    e = _random_bundle(ring, rng, rank, fractions=rank % 2 == 0)
+    for k in (1, 2, 3, 5, 17, 64, 257):
+        _assert_partition_sums(e, k)
+
+
+@pytest.mark.parametrize("rank, k, capped", [(2, 2000, False), (3, 3000, True)])
+def test_symmetric_powers_match_the_partition_identity_at_large_order(rank, k, capped):
+    rng = random.Random(f"large order {rank} {k}")
+    e = _random_bundle(_partition_ring(3, capped), rng, rank, fractions=capped)
+    _assert_partition_sums(e, k)
+
+
+def test_the_partition_identity_sums_the_roots_of_the_symmetric_power():
+    # p_D(S^k E) = sum_(|a| = k) (a . x)^D over the integer roots x of E
+    rng = random.Random(2718)
+    ring = GradedRing([GradedVariable("h", 1)], 4)
+    h = ring.variable("h")
+    for _ in range(20):
+        roots = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+        e = FormalBundle(len(roots), prod((ring.one() + h * x for x in roots), start=ring.one()))
+        for k in range(7):
+            want = [sum(sum(map(mul, a, roots)) ** total
+                        for a in itertools.product(range(k + 1), repeat=len(roots))
+                        if sum(a) == k) * h ** total
+                    for total in range(ring.truncation + 1)]
+            assert power_sums_by_partitions(e, k) == want, (roots, k)
 
 
 # -- the edges of the packed fields ------------------------------------------------------
