@@ -19,14 +19,13 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from operator import sub
+from math import comb, prod
 from typing import Sequence
 
 from ._record import Record, set_field
 from .errors import (InvalidInputError, ResourceLimitError, is_integer,
                      load_json, require_fields)
-from .exactpoly import Poly, _NAME_RE, common_divisor, parse_poly
+from .exactpoly import Poly, _NAME_RE, as_scalar, common_divisor, parse_poly
 from .linalg import iter_minors, rank_poly, rank_rational
 
 DEFAULT_TRIALS = 8
@@ -220,47 +219,52 @@ def _chart_jet_matrix(variables: tuple[str, ...], coordinates: tuple[Poly, ...],
 
 
 def jet_matrix(spec: JetProbeSpec, point: Sequence[Fraction]) -> list[list[Fraction]]:
-    """The exact jet matrix evaluated at a rational chart point."""
+    """The exact jet matrix at a chart point of ints and Fractions."""
     if len(point) != spec.dimension:
         raise InvalidInputError("point dimension does not match the chart")
-    values = {name: Fraction(p) for name, p in zip(spec.variables, point)}
+    values = {name: as_scalar(p) for name, p in zip(spec.variables, point)}
     return [[entry.eval_at(values) for entry in row]
             for row in _shared_jet_matrix(spec)]
 
 
 def _scaled_layout(matrix: JetMatrix):
-    """Terms of each entry against the distinct scaled monomials of the matrix.
+    """The nonzero entries of the matrix against its distinct scaled monomials.
 
     An entry ``sum c x^e`` in a row whose largest exponents are ``d``,
     evaluated at ``x_v = p_v/q_v`` and multiplied by ``prod q_v^d_v``, is
-    ``sum c prod p_v^e_v q_v^(d_v - e_v)``.  Returns the entries as lists
-    of (coefficient, monomial index) and the monomials as ((e_v, d_v - e_v)
-    per variable) keys.
+    ``sum c prod p_v^e_v q_v^(d_v - e_v)``.  Returns the row width with each
+    row's nonzero entries as (column, [(coefficient, monomial index)]), and
+    the factors ``p_v^e_v q_v^(d_v - e_v)`` other than 1, as (v, e_v,
+    d_v - e_v), with each monomial as a tuple of factor indices.
     """
+    factors: dict[tuple, int] = {}
     monomials: dict[tuple, int] = {}
-    layout = []
+
+    def monomial(exps, top):
+        key = tuple(factors.setdefault((v, e, d - e), len(factors))
+                    for v, (e, d) in enumerate(zip(exps, top)) if d)
+        return monomials.setdefault(key, len(monomials))
+
+    rows = []
     for row in matrix:
         top = tuple(map(max, zip(*(e for entry in row for e in entry.terms))))
-        layout.append([
-            [(c, monomials.setdefault(tuple(zip(e, map(sub, top, e))),
-                                      len(monomials)))
-             for e, c in entry.terms.items()]
-            for entry in row
-        ])
-    return layout, list(monomials)
+        rows.append([(j, [(c, monomial(e, top)) for e, c in entry.terms.items()])
+                     for j, entry in enumerate(row) if entry.terms])
+    return (len(matrix[0]), rows), (list(factors), list(monomials))
 
 
 def _scaled_rows(layout, monomials, point: Sequence[Fraction]) -> list[list]:
     """The jet matrix at ``point`` with each row scaled as in ``_scaled_layout``."""
-    parts = [(x.numerator, x.denominator) for x in point]
-    values = []
-    for key in monomials:
-        value = 1
-        for (e, f), (p, q) in zip(key, parts):
-            value *= p ** e * q ** f
-        values.append(value)
-    return [[sum([c * values[i] for c, i in terms]) for terms in row]
-            for row in layout]
+    width, rows = layout
+    factors, keys = monomials
+    values = [point[v].numerator ** e * point[v].denominator ** f
+              for v, e, f in factors]
+    values = [prod([values[i] for i in key]) for key in keys]
+    scaled = [[0] * width for _ in rows]
+    for row, entries in zip(scaled, rows):
+        for j, terms in entries:
+            row[j] = sum([c * values[i] for c, i in terms])
+    return scaled
 
 
 def _random_point(spec: JetProbeSpec, rng: random.Random) -> tuple[Fraction, ...]:

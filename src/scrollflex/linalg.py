@@ -1,13 +1,12 @@
 """Exact linear algebra: rational ranks and fraction-free polynomial minors.
 
-Ranks and single determinants are Bareiss eliminations: every intermediate
-entry is a minor of the input, so each division is exact and no fraction is
-ever formed.  Integer ranks pivot on the first nonzero entry of the current
-column.  Polynomial rank and determinant share one elimination
-(``_eliminate``), which returns the rank and the signed last pivot; it
-pivots on the sparsest nonzero entry of the remaining submatrix (fewest
-terms, first in row-major order on ties), which keeps the Bareiss products
-and exact divisions small.
+Rational ranks eliminate on primitive integer rows (``rank_rational``), so
+no fraction is ever formed.  Polynomial rank and determinant share one
+Bareiss elimination (``_eliminate``): every intermediate entry is a minor
+of the input, so each division is exact.  It returns the rank and the
+signed last pivot, and pivots on the sparsest nonzero entry left (fewest
+terms, first in row-major order on ties), which keeps the products and
+exact divisions small.
 
 All the r x r minors of a matrix come instead from one cofactor expansion
 whose sub-minors are shared (``iter_minors``).  It divides nothing, and its
@@ -20,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
-from .exactpoly import Poly, _clean, _trusted
+from .exactpoly import Poly, _clean, _trusted, as_scalar
 
 MINOR_COUNT_LIMIT = 10 ** 5
 # Largest number of sub-minors one iter_minors call may reach.  The bundled
@@ -39,40 +38,40 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
     """The row times the lcm of its denominators; the rank is unchanged."""
     if all(type(x) is int for x in row):
         return list(row)
-    row = [x if type(x) is int else Fraction(x) for x in row]
+    row = [x if type(x) is int else as_scalar(x) for x in row]
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]
 
 
 def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix of exact rationals by fraction-free elimination.
+    """Rank of a matrix of exact rationals by primitive-row elimination.
 
-    Each row is scaled to integers, then Bareiss elimination keeps every
-    entry an integer minor of that matrix, so each division is exact.
+    Rows are scaled to integers and zero rows dropped.  The pivot ``p`` of a
+    column is the entry of the first row left nonzero there; each other row
+    with an entry ``a != 0`` there becomes ``x*p - a*y`` (``y`` the pivot
+    row's entry under ``x``), divided by the gcd of its entries.  Bareiss
+    elimination with the same pivots holds, up to scale, the one integer
+    combination of that row and the pivot rows vanishing in the pivot
+    columns; this row is a nonzero multiple of it, so the rank is the same.
+    A primitive row divides every integer row proportional to it, so no
+    entry exceeds the Bareiss entry, a minor, and ``x*p - a*y`` is bounded
+    as the Bareiss products are.
     """
-    m = [_integer_row(row) for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+    m = [row for row in map(_integer_row, rows) if any(row)]
     rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i, row in enumerate(m) if row[col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
+        top = m.pop(pivot)
         p = top[col]
-        for i in range(rank + 1, nrows):
-            row = m[i]
-            a = row[col]
-            for j in range(col + 1, ncols):
-                row[j] = (row[j] * p - a * top[j]) // prev
-            row[col] = 0
-        prev = p
         rank += 1
-        if rank == nrows:
-            break
+        for i, row in enumerate(m):
+            a = row[col]
+            if a:
+                row = [x * p - a * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
     return rank
 
 

@@ -57,6 +57,17 @@ def test_jet_matrix_exact_point():
     matrix = jet_matrix(spec, (Fraction(1, 2), Fraction(1, 3)))
     # order 0 row is the coordinate vector itself
     assert matrix[0] == [1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+    assert jet_matrix(spec, (2, Fraction(1, 3))) == jet_matrix(
+        spec, (Fraction(2), Fraction(1, 3)))
+
+
+@pytest.mark.parametrize("point", [(0.1, 2), ("a", 1), (None, 1),
+                                   (Fraction(1, 2), 0.5)])
+def test_jet_matrix_refuses_inexact_points(point):
+    # a float would be sampled at its binary value, 0.1 at 3602879701896397/2^55
+    spec = BUNDLED_PROBES["segre-1-1"].build()
+    with pytest.raises(InvalidInputError, match="exact rational"):
+        jet_matrix(spec, point)
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_PROBES))
