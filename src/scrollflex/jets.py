@@ -30,11 +30,17 @@ from .linalg import iter_minors, rank_poly, rank_rational
 
 DEFAULT_TRIALS = 8
 DEFAULT_HEIGHT = 100
-# Largest jet matrix a probe may ask for, in rows (multi-indices).  Over 8
-# trials a row costs about 0.35 ms with 13 coordinates and 1 ms with 32
-# (Python 3.11, 2-vCPU x86 host), so a probe at the limit takes 2-5 s; the
-# bundled probes need at most 21 rows.
+# Largest jet matrix a probe may ask for, in rows (multi-indices).  8 trials
+# at the limit of 13 monomial coordinates in one or two variables, or of the
+# 32 of p1-fifth at order 11 (4368 rows), take 0.1-0.2 s (Python 3.11,
+# 2-vCPU x86 host); the bundled probes need at most 21 rows.
 MAX_JET_ROWS = 5000
+# Largest jet rows times coordinate terms a trial may evaluate, which also
+# bounds the terms the build differentiates.  At the limit 8 trials of two
+# coordinates 1, (u + 2v + 1)^40 (861 rows), or of 13 such at the 20th power
+# (231 rows), take about 1 s on the same host; the bundled probes need at
+# most 672 (p1-fifth, 21 rows of 32 terms).
+MAX_JET_TERMS = 10 ** 6
 
 
 class JetProbeSpec(Record):
@@ -44,7 +50,9 @@ class JetProbeSpec(Record):
     (``[A-Za-z_][A-Za-z_0-9]*``) and ``coordinates`` one of polynomials or
     strings parsed over those names.  More sampled rows (trials times jet
     rows) than ``DEFAULT_TRIALS`` trials of a ``MAX_JET_ROWS``-row matrix
-    are refused with ``ResourceLimitError``.
+    are refused with ``ResourceLimitError``, and so, before any jet is built,
+    are more evaluated terms (at least ``DEFAULT_TRIALS`` trials times jet
+    rows times coordinate terms) than ``DEFAULT_TRIALS * MAX_JET_TERMS``.
     """
 
     __slots__ = ("variables", "coordinates", "order", "trials", "seed", "height")
@@ -90,6 +98,13 @@ class JetProbeSpec(Record):
             if c.is_zero():
                 raise InvalidInputError("coordinate functions must be nonzero")
             coords.append(c)
+        terms = sum(len(c.terms) for c in coords)
+        sampled = max(trials, DEFAULT_TRIALS)
+        if sampled * rows * terms > MAX_JET_TERMS * DEFAULT_TRIALS:
+            raise ResourceLimitError(
+                f"{sampled} trials of {rows} jet rows over coordinates of {terms} "
+                f"terms need an estimated {sampled * rows * terms} evaluated terms, "
+                f"over the limit {MAX_JET_TERMS * DEFAULT_TRIALS}")
         set_field(self, "variables", variables)
         set_field(self, "coordinates", tuple(coords))
         set_field(self, "order", order)
@@ -169,9 +184,9 @@ def multi_indices(dimension: int, order: int) -> list[tuple[int, ...]]:
 
 def _order_block(dimension: int, total: int):
     """Multi-indices of one total order, in descending lex order."""
-    if dimension == 0:
-        if total == 0:
-            yield ()
+    if dimension <= 1:  # one variable takes the whole order, none only order 0
+        if dimension or total == 0:
+            yield (total,) * dimension
         return
     for head in range(total, -1, -1):
         for tail in _order_block(dimension - 1, total - head):
@@ -182,20 +197,20 @@ JetMatrix = tuple[tuple[Poly, ...], ...]
 
 
 def symbolic_jet_matrix(spec: JetProbeSpec) -> JetMatrix:
-    """Rows: derivatives of order <= k; columns: coordinate functions."""
-    rows = []
-    for alpha in multi_indices(spec.dimension, spec.order):
-        row = []
-        for coord in spec.coordinates:
-            g = coord
-            for name, times in zip(spec.variables, alpha):
-                for _ in range(times):
-                    g = g.diff(name)
-                    if g.is_zero():
-                        break
-            row.append(g)
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Rows: derivatives of order <= k; columns: coordinate functions.
+
+    Partial derivatives commute, so row alpha is its parent row alpha - e_v,
+    v the last variable alpha differentiates, with each entry differentiated
+    once in v; a zero entry stays zero.
+    """
+    indices = multi_indices(spec.dimension, spec.order)
+    rows = {indices[0]: spec.coordinates}
+    for alpha in indices[1:]:
+        v = max(i for i, e in enumerate(alpha) if e)
+        name = spec.variables[v]
+        parent = rows[alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:]]
+        rows[alpha] = tuple(g.diff(name) if g.terms else g for g in parent)
+    return tuple(rows.values())
 
 
 def _shared_jet_matrix(spec: JetProbeSpec) -> JetMatrix:

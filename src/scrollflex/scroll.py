@@ -205,7 +205,10 @@ def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> Grad
     ``_class_terms``).  Its base parts Q_d are kept per (ring, n, m, k, ell)
     in a least-recently-used cache of CLASS_CACHE_SIZE (128) entries, and
     every call places each Q_d at L^(ell - d) of ``ring`` (the full scroll
-    ring by default) in a fresh class.
+    ring by default) in a fresh class.  The inverted summands the parts are
+    weighted from depend on ell only through the truncation min(m, ell), so
+    they are kept per truncation and (n, m, k) in a second cache of the
+    same bound; each class computed still checks its work estimate first.
 
     Outside the asserted range the formal degree part is still returned;
     whether it means anything is the caller's concern (check ``in_range``).
@@ -237,17 +240,30 @@ def _class_terms(ring: GradedRing, n: int, m: int, k: int, ell: int) -> tuple:
     Q_d is a tuple of (exponents over those variables, coeff).  Refused past
     ``chern.WORK_LIMIT`` by one pass's estimate first, then each operation's.
     """
-    li = ring.index("L")
-    top = min(ring.sector_caps.get(BASE_SECTOR, ell), ell)
-    base = GradedRing(ring.variables[:li] + ring.variables[li + 1:], top)
+    base = _base_of(ring, min(ring.sector_caps.get(BASE_SECTOR, ell), ell))
     check_work(_pass_work(base),
                f"the order-{k} class of n={n}, m={m} in codimension {ell}")
-    first, last = _summands(base, n, m, k)
-    g = last.rank
-    parts = _weighted_parts(first.total_chern.series_inverse(),
-                            last.total_chern.series_inverse(),
+    s_first, s_last, g = _inverted_summands(base, n, m, k)
+    parts = _weighted_parts(s_first, s_last,
                             lambda d, j: comb(g + j + ell - d - 1, ell - d))
     return tuple(tuple(part.items()) for part in parts)
+
+
+@lru_cache(maxsize=RING_CACHE_SIZE)
+def _base_of(ring: GradedRing, top: int) -> GradedRing:
+    """The variables of ``ring`` other than L, truncated at ``top``."""
+    li = ring.index("L")
+    return GradedRing(ring.variables[:li] + ring.variables[li + 1:], top)
+
+
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _inverted_summands(base: GradedRing, n: int, m: int, k: int) -> tuple:
+    """s(F), s(G) and rank G in ``base``, the summands of ``_summands``
+    inverted once per truncation: only the weights of ``_class_terms``
+    depend on the codimension.  Each operation meters its own work."""
+    first, last = _summands(base, n, m, k)
+    return (first.total_chern.series_inverse(), last.total_chern.series_inverse(),
+            last.rank)
 
 
 def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:

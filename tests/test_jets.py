@@ -235,6 +235,92 @@ def test_bundled_probes_round_trip_through_their_payload(name):
         assert JetProbeSpec.from_payload(json.loads(json.dumps(spec.to_payload()))) == spec
 
 
+def whole_index_jet_matrix(spec):
+    """The oracle: every entry differentiated from its coordinate along the
+    whole multi-index."""
+    rows = []
+    for alpha in multi_indices(spec.dimension, spec.order):
+        row = []
+        for coord in spec.coordinates:
+            g = coord
+            for name, times in zip(spec.variables, alpha):
+                for _ in range(times):
+                    g = g.diff(name)
+                    if g.is_zero():
+                        break
+            row.append(g)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _typed_entries(matrix):
+    return [[list((e, type(c), c) for e, c in g.terms.items()) for g in row]
+            for row in matrix]
+
+
+@pytest.mark.filterwarnings("ignore:no constant coordinate")
+@pytest.mark.parametrize("name", sorted(BUNDLED_PROBES))
+def test_parent_row_build_matches_the_whole_index_build(name):
+    spec = BUNDLED_PROBES[name].build()
+    for order in sorted({spec.order, 3, 4}):
+        chart = spec.with_order(order) if order != spec.order else spec
+        want = whole_index_jet_matrix(chart)
+        got = symbolic_jet_matrix(chart)
+        assert got == want and _typed_entries(got) == _typed_entries(want), order
+
+
+def test_parent_row_build_matches_on_fraction_charts():
+    names = ("u", "v", "w")
+    u, v, w = Poly.variables(names)
+    coords = (Poly.const(names, 1), u * Fraction(1, 3) + v ** 3 * Fraction(3, 2),
+              (u + v * 2 - w) ** 4 * Fraction(5, 6), u * v * w ** 2)
+    spec = JetProbeSpec(names, coords, 5)
+    want = whole_index_jet_matrix(spec)
+    assert _typed_entries(symbolic_jet_matrix(spec)) == _typed_entries(want)
+
+
+def test_term_heavy_charts_are_refused_before_the_build(monkeypatch):
+    # rows times coordinate terms, at least DEFAULT_TRIALS times over, is
+    # checked as the spec is made, so no jet is built
+    monkeypatch.setattr(jets, "symbolic_jet_matrix",
+                        lambda spec: pytest.fail("built a refused chart"))
+    names = ("u", "v")
+    power = (Poly.variable(names, "u") + Poly.variable(names, "v") * 2 + 1) ** 20
+    coords = (Poly.const(names, 1),) + (power,) * 12
+    terms = 1 + 12 * comb(22, 2)
+    with pytest.raises(ResourceLimitError, match=f"4950 jet rows over coordinates of "
+                                                 f"{terms} terms"):
+        JetProbeSpec(names, coords, 98)
+    # the largest order whose rows times terms stays within the limit
+    order = max(d for d in range(1, 99)
+                if comb(d + 2, 2) * terms <= jets.MAX_JET_TERMS)
+    assert JetProbeSpec(names, coords, order).order == order
+    with pytest.raises(ResourceLimitError, match="evaluated terms"):
+        JetProbeSpec(names, coords, order + 1)
+    assert JetProbeSpec(names, coords, order, trials=1).trials == 1
+    # more trials than the default scale the evaluated terms: two rows of
+    # 1 + 401 terms, within the sampled-row limit up to 20000 trials
+    line = (Poly.const(("u",), 1), (Poly.variable(("u",), "u") + 1) ** 400)
+    most = jets.MAX_JET_TERMS * jets.DEFAULT_TRIALS // (2 * 402)
+    assert JetProbeSpec(("u",), line, 1, trials=most).trials == most == 9950
+    with pytest.raises(ResourceLimitError, match="9951 trials of 2 jet rows"):
+        JetProbeSpec(("u",), line, 1, trials=most + 1)
+
+
+@pytest.mark.filterwarnings("ignore:no constant coordinate")
+def test_bundled_probes_are_within_the_term_limit():
+    fifth = BUNDLED_PROBES["p1-fifth"].build()
+    rows = comb(fifth.dimension + fifth.order, fifth.order)
+    assert rows * sum(len(c.terms) for c in fifth.coordinates) == 672
+    budget = jets.MAX_JET_ROWS * jets.DEFAULT_TRIALS
+    assert JetProbeSpec(fifth.variables, fifth.coordinates, fifth.order,
+                        trials=budget // rows).trials == 1904
+    for name, probe in BUNDLED_PROBES.items():
+        spec = probe.build()
+        for order in (spec.order, 3, 4):
+            assert spec.with_order(order).order == order, name
+
+
 def test_sampled_rows_are_bounded():
     # 21 rows (two variables at order 5) take DEFAULT_TRIALS * 5000 / 21
     # trials at most

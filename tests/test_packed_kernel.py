@@ -498,6 +498,7 @@ def test_class_route_forms_no_more_products_than_the_newton_terms(monkeypatch,
 
     monkeypatch.setattr(chern, "_power_sums", counted_sums)
     ell = ScrollSetup(n, m, k, N).codim
+    scroll._inverted_summands.cache_clear()
     scroll._class_terms.__wrapped__(scroll_ring(n, m), n, m, k, ell)
     assert count["products"] == CLASS_PRODUCTS[n, m, k, N] + sum(newton_terms)
 
@@ -532,6 +533,7 @@ def test_the_work_estimate_bounds_the_counted_work_within_a_factor_8(monkeypatch
     monkeypatch.setattr(chern, "check_work", metered)
     monkeypatch.setattr(scroll, "check_work", metered)
     ell = ScrollSetup(n, m, k, N).codim
+    scroll._inverted_summands.cache_clear()
     scroll._class_terms.__wrapped__(scroll_ring(n, m), n, m, k, ell)
     counted = count["products"] + sum(additions)
     assert counted <= sum(estimates) <= 8 * counted

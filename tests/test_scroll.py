@@ -343,6 +343,7 @@ def test_class_converts_each_summand_from_power_sums_once(monkeypatch, k):
     original = chern._from_power_sums
     monkeypatch.setattr(chern, "_from_power_sums", counted)
     ring = scroll_ring(4, 3)
+    scroll._inverted_summands.cache_clear()
     scroll._class_terms.__wrapped__(ring, 4, 3, k, 4)
     assert len(calls) == (1 if k == 1 else 2)
 
@@ -357,6 +358,7 @@ def test_class_makes_no_product_with_the_hyperplane_class(monkeypatch, n, m, k, 
                         lambda ring, *args: rings.append(ring) or mul_into(ring, *args))
     for module in (chern, scroll):
         monkeypatch.setattr(module, "tensor_line", lambda *args: twists.append(args))
+    scroll._inverted_summands.cache_clear()
     scroll._class_terms.__wrapped__(scroll_ring(n, m), n, m, k, ell)
     assert rings and not any("L" in ring.names for ring in rings)
     assert not twists
@@ -364,6 +366,8 @@ def test_class_makes_no_product_with_the_hyperplane_class(monkeypatch, n, m, k, 
 
 def test_class_cache_hands_out_fresh_classes():
     assert scroll._class_terms.cache_info().maxsize == scroll.CLASS_CACHE_SIZE == 128
+    assert scroll._inverted_summands.cache_info().maxsize == scroll.CLASS_CACHE_SIZE
+    assert scroll._base_of.cache_info().maxsize == scroll.RING_CACHE_SIZE
     setup = ScrollSetup(4, 3, 2, 14)
     first = inflection_class(setup)
     want = dict(first.terms)
@@ -386,6 +390,74 @@ def test_degree_class_matches_the_rewriting_rule(n, m, k):
         setup = ScrollSetup(n, m, k, N)
         dotted = inflection_class(setup) * L ** (n - setup.codim)
         assert degree_class(setup) == reduce_then_read(dotted, setup.fiber_rank), N
+
+
+def _clear_class_caches():
+    for cache in (scroll._degree_terms, scroll._class_terms, scroll._inverted_summands):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("n,m,k", DEGREE_SETUPS)
+def test_series_cache_sweep_matches_cold_classes(n, m, k):
+    # every N of the range (codimension 1..n, below and from m on) in a
+    # shuffled order against each class computed from cold caches
+    ring = scroll_ring(n, m)
+    lo = max_rank(n, m, k) - 1
+    cold = {}
+    for N in range(lo, lo + n):
+        ell = ScrollSetup(n, m, k, N).codim
+        _clear_class_caches()
+        parts = scroll._class_terms.__wrapped__(ring, n, m, k, ell)
+        _clear_class_caches()
+        cold[N] = parts, scroll._degree_terms.__wrapped__(n, m, k, ell)
+    order = list(cold)
+    random.Random(f"{n},{m},{k}").shuffle(order)
+    _clear_class_caches()
+    for N in order:
+        setup = ScrollSetup(n, m, k, N)
+        parts, degree_terms = cold[N]
+        li, ell = ring.index("L"), setup.codim
+        want = chern._trusted(ring, {e[:li] + (ell - d,) + e[li:]: c
+                                     for d, part in enumerate(parts) for e, c in part})
+        assert _typed(inflection_class(setup)) == _typed(want), N
+        want = chern._trusted(base_ring(m, n - m + 1), dict(degree_terms))
+        assert _typed(degree_class(setup)) == _typed(want), N
+
+
+def test_warm_series_cache_still_meters_each_codimension(monkeypatch):
+    # (6, 5, 3) at codimensions 5 and 6 shares one truncation, so the second
+    # class hits the series cache, and the lowered limit still refuses it;
+    # the degree at codimension 5 builds the Segre series first
+    n, m, k = 6, 5, 3
+    lo = max_rank(n, m, k) - 1
+    _clear_class_caches()
+    degree_class(ScrollSetup(n, m, k, lo + 4))
+    assert scroll._inverted_summands.cache_info().currsize == 1
+    base = scroll._base_of(scroll_ring(n, m), m)
+    monkeypatch.setattr(chern, "WORK_LIMIT", chern._pass_work(base) - 1)
+    with pytest.raises(ResourceLimitError, match="codimension 6"):
+        inflection_class(ScrollSetup(n, m, k, lo + 5))
+    with pytest.raises(ResourceLimitError, match="codimension 6"):
+        degree_class(ScrollSetup(n, m, k, lo + 5))
+    assert scroll._inverted_summands.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n,m,k", [(4, 2, 3), (6, 5, 3), (8, 7, 2), (5, 3, 4)])
+def test_series_cache_misses_once_per_truncation(monkeypatch, n, m, k):
+    # one series pair per top = min(m, ell), and one meter per class call
+    meters = []
+    check_work = scroll.check_work
+    monkeypatch.setattr(scroll, "check_work",
+                        lambda work, what: meters.append(what) or check_work(work, what))
+    lo = max_rank(n, m, k) - 1
+    _clear_class_caches()
+    for N in range(lo, lo + n):
+        inflection_class(ScrollSetup(n, m, k, N))
+        degree_class(ScrollSetup(n, m, k, N))
+    info = scroll._inverted_summands.cache_info()
+    assert info.misses == len({min(m, ell) for ell in range(1, n + 1)})
+    assert info.hits == n - info.misses
+    assert len(meters) == n
 
 
 @pytest.mark.parametrize("n,m,k", [(2, 1, 2), (3, 2, 2), (4, 2, 3), (4, 3, 2),
@@ -419,7 +491,8 @@ def test_degree_makes_no_product_with_the_hyperplane_class(monkeypatch, n, m, k)
     mul_into = chern._mul_into
     monkeypatch.setattr(chern, "_mul_into",
                         lambda ring, *args: rings.append(ring) or mul_into(ring, *args))
-    for cache in (scroll._scroll_degree, scroll._degree_terms, scroll._class_terms):
+    for cache in (scroll._scroll_degree, scroll._degree_terms, scroll._class_terms,
+                  scroll._inverted_summands):
         cache.cache_clear()
     base = base_ring(m, n - m + 1)
     data = NumericalBaseData(m, {monomial_text(base.names, exps): 1
