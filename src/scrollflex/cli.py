@@ -91,14 +91,12 @@ def _cmd_degree(config: argparse.Namespace) -> int:
         data = NumericalBaseData.from_payload(load_json(_resolve_path(config.data)))
         result = degree_of_inflection(setup, data)
         lines = [f"degree: {result.value}", f"symbolic: {result.symbolic}"]
-        if not result.asserted:
-            lines.insert(0, "warning: setup out of range; value is formal")
         payload = {
             "degree": result.value,
             "symbolic": result.symbolic.to_payload(),
             "in_range": result.asserted,
         }
-        _emit(config, payload, lines)
+        _emit(config, payload, _formal(setup, lines))
         return 0
     if config.base is not None:
         preset = BASE_PRESETS[config.base]
@@ -112,12 +110,19 @@ def _cmd_degree(config: argparse.Namespace) -> int:
         ]
         payload = {"degree_polynomial": str(poly), "legend": preset.legend,
                    "slots": list(preset.slots)}
-        _emit(config, payload, lines)
+        _emit(config, payload, _formal(setup, lines))
         return 0
     cls = degree_class(setup)
     lines = [f"degree in base intersection numbers: {cls}"]
-    _emit(config, {"symbolic": cls.to_payload()}, lines)
+    _emit(config, {"symbolic": cls.to_payload()}, _formal(setup, lines))
     return 0
+
+
+def _formal(setup: ScrollSetup, lines: list[str]) -> list[str]:
+    """A degree report's lines, after a warning when N is out of range."""
+    if setup.in_range:
+        return lines
+    return ["warning: setup out of range; value is formal"] + lines
 
 
 def _cmd_scan(config: argparse.Namespace) -> int:

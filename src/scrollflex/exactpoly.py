@@ -214,14 +214,14 @@ class Poly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise InvalidInputError("polynomial powers take non-negative integers")
-        result = self._scalar(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if not exponent:
+            return self._scalar(1)
+        # left to right, so every product that is not a square takes the base
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

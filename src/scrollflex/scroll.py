@@ -34,11 +34,10 @@ from .errors import (IncompleteDataError, InvalidInputError,
 from .exactpoly import (Poly, Scalar, _as_univariate, _clean,
                         _from_univariate, _pseudo_rem, _substitute, as_scalar,
                         monomial_text)
-from .exactpoly import _trusted as _trusted_poly
 
 BASE_SECTOR = "base"
 # Entries kept per monomial-key cache of the pairing; a full ``verify`` run
-# and a warm degree session each fill about 50.
+# fills 14 exponent keys and 5 text keys, a warm degree session 14 of each.
 TABLE_CACHE_SIZE = 256
 # Largest rank report: orders listed by rank_breakdown, digits of max_rank.
 MAX_RANK_ORDERS = 1000
@@ -559,157 +558,95 @@ class BasePreset(Record):
     """A base surface/threefold with its intersection lattice filled in.
 
     ``slots`` are the free symbolic parameters, explained by ``legend``;
-    ``assignments(**values)`` returns the monomial table that ``_builder``
-    fills, symbolic wherever a slot is left unset.
+    ``_table`` maps the slot values, in slot order, to the monomial table,
+    each entry a number or a ``Poly`` in them.
     """
 
-    __slots__ = ("name", "dimension", "slots", "legend", "_builder")
+    __slots__ = ("name", "dimension", "slots", "legend", "_table")
 
     def assignments(self, **values) -> dict[str, Poly]:
         """Monomial table over the still-free slots; bound slots become numbers.
 
         The table over all the slots is built once per preset, in a bounded
-        cache, and bound slots are evaluated in it; every call returns a
-        fresh dict.
+        cache; every call returns a fresh dict.
         """
         if not values:
             return dict(_preset_table(self))
-        free, table = self._bind(values)
-        return {key: _trusted_poly(free, terms) for key, terms in table}
+        return self._polys(values)
 
     def numerical(self, **values) -> NumericalBaseData:
         missing = [s for s in self.slots if s not in values]
         if missing:
             raise InvalidInputError(f"preset {self.name} needs values for {missing}")
         ints = {}
-        for key, terms in self._bind(values)[1]:
-            c = terms.get((), 0)
-            if type(c) is not int:  # stored coefficients are ints while integral
+        for key, value in self._table(*self._scalars(values).values()).items():
+            c = as_scalar(value)
+            if type(c) is not int:  # integral rationals are stored as ints
                 raise InvalidInputError(f"{key} evaluated to non-integer {c}")
             ints[key] = c
         return NumericalBaseData(self.dimension, ints)
 
-    def _bind(self, values: Mapping[str, Scalar]) -> tuple[tuple[str, ...], list]:
-        """The free slots, and (key, terms over them) of the table at ``values``."""
+    def _scalars(self, values: Mapping[str, Scalar]) -> dict[str, Scalar]:
+        """The bound slots' values as exact rationals, in slot order."""
         unknown = set(values) - set(self.slots)
         if unknown:
             raise InvalidInputError(f"unknown preset parameters {sorted(unknown)}")
-        bound = [(i, as_scalar(values[name]))
-                 for i, name in enumerate(self.slots) if name in values]
-        kept = [i for i, name in enumerate(self.slots) if name not in values]
-        table = []
-        for key, poly in _preset_table(self):
-            terms: dict[tuple[int, ...], Scalar] = {}
-            for exps, coeff in poly.terms.items():
-                for i, value in bound:
-                    if exps[i]:
-                        coeff = coeff * value ** exps[i]
-                rest = tuple(exps[i] for i in kept)
-                terms[rest] = terms.get(rest, 0) + coeff
-            table.append((key, _clean(terms)))
-        return tuple(self.slots[i] for i in kept), table
+        return {name: as_scalar(values[name]) for name in self.slots if name in values}
+
+    def _polys(self, values: Mapping[str, Scalar]) -> dict[str, Poly]:
+        """The table at ``values``, over the slots they leave free."""
+        bound = self._scalars(values)
+        free = tuple(name for name in self.slots if name not in bound)
+        symbols = iter(Poly.variables(free))
+        table = self._table(*(bound[name] if name in bound else next(symbols)
+                              for name in self.slots))
+        return {key: v if isinstance(v, Poly) else Poly.const(free, v)
+                for key, v in table.items()}
 
 
 @lru_cache(maxsize=RING_CACHE_SIZE)
 def _preset_table(preset: BasePreset) -> tuple:
     """(key, Poly over every slot) pairs of a preset's monomial table."""
-    table = preset._builder(dict(zip(preset.slots, Poly.variables(preset.slots))),
-                            preset.slots)
-    return tuple(table.items())
-
-
-def _p2_builder(t, vars):
-    v, y = t["v"], t["y"]
-    one = Poly.const(vars, 1)
-    return {"c1^2": one * 9, "c2": one * 3, "c1*v1": v * 3, "v1^2": v * v, "v2": y}
-
-
-def _abelian_surface_builder(t, vars):
-    d, g2 = t["d"], t["g2"]
-    zero = Poly.zero(vars)
-    return {"c1^2": zero, "c2": zero, "c1*v1": zero, "v1^2": g2, "v2": g2 - d}
-
-
-def _k3_builder(t, vars):
-    d, g2 = t["d"], t["g2"]
-    zero = Poly.zero(vars)
-    one = Poly.const(vars, 1)
-    return {"c1^2": zero, "c2": one * 24, "c1*v1": zero, "v1^2": g2, "v2": g2 - d}
-
-
-def _fe_builder(t, vars):
-    a, b, e, v2 = t["a"], t["b"], t["e"], t["v2"]
-    one = Poly.const(vars, 1)
-    return {
-        "c1^2": one * 8,
-        "c2": one * 4,
-        "c1*v1": a * 2 + b * 2 - a * e,
-        "v1^2": a * (b * 2 - a * e),
-        "v2": v2,
-    }
-
-
-def _bxp1_builder(t, vars):
-    a, b, q, v2 = t["a"], t["b"], t["q"], t["v2"]
-    one = Poly.const(vars, 1)
-    return {
-        "c1^2": (one - q) * 8,
-        "c2": (one - q) * 4,
-        "c1*v1": b * 2 - (q * 2 - 2) * a,
-        "v1^2": a * b * 2,
-        "v2": v2,
-    }
-
-
-def _p3_builder(t, vars):
-    x, y = t["x"], t["y"]
-    one = Poly.const(vars, 1)
-    return {
-        "c1^3": one * 64, "c1*c2": one * 24, "c3": one * 4,
-        "c1^2*v1": x * 16, "c2*v1": x * 6, "c1*v1^2": x * x * 4,
-        "c1*v2": y * 4, "v1^3": x ** 3, "v1*v2": x * y,
-    }
-
-
-def _q3_builder(t, vars):
-    # hyperplane h with h^3 = 2; v1 = x h, v2 = y (h^2 / 2)
-    x, y = t["x"], t["y"]
-    one = Poly.const(vars, 1)
-    return {
-        "c1^3": one * 54, "c1*c2": one * 24, "c3": one * 4,
-        "c1^2*v1": x * 18, "c2*v1": x * 8, "c1*v1^2": x * x * 6,
-        "c1*v2": y * 3, "v1^3": x ** 3 * 2, "v1*v2": x * y,
-    }
-
-
-def _abelian_threefold_builder(t, vars):
-    zero = Poly.zero(vars)
-    return {
-        "c1^3": zero, "c1*c2": zero, "c3": zero,
-        "c1^2*v1": zero, "c2*v1": zero, "c1*v1^2": zero, "c1*v2": zero,
-        "v1^3": t["v111"], "v1*v2": t["v12"], "v3": t["v3"],
-    }
+    return tuple(preset._polys({}).items())
 
 
 BASE_PRESETS: dict[str, BasePreset] = {
-    "p2": BasePreset("p2", 2, ("v", "y"),
-                     "v = c1(V).h on the plane, y = c2(V)", _p2_builder),
-    "abelian-surface": BasePreset("abelian-surface", 2, ("d", "g2"),
-                                  "d = scroll degree, g2 = 2g-2", _abelian_surface_builder),
-    "k3": BasePreset("k3", 2, ("d", "g2"),
-                     "d = scroll degree, g2 = 2g-2", _k3_builder),
-    "fe": BasePreset("fe", 2, ("a", "b", "e", "v2"),
-                     "det V = a s + b f on the Hirzebruch surface F_e, v2 = c2(V)",
-                     _fe_builder),
-    "bxp1": BasePreset("bxp1", 2, ("a", "b", "q", "v2"),
-                       "det V = a s + b f on B x P1, q = genus of B, v2 = c2(V)",
-                       _bxp1_builder),
-    "p3": BasePreset("p3", 3, ("x", "y"),
-                     "v1 = x h, v2 = y h^2 on projective 3-space", _p3_builder),
-    "q3": BasePreset("q3", 3, ("x", "y"),
-                     "v1 = x h, v2 = y (h^2/2) on the smooth quadric threefold",
-                     _q3_builder),
-    "abelian-threefold": BasePreset("abelian-threefold", 3, ("v111", "v12", "v3"),
-                                    "v111 = v1^3, v12 = v1 v2, v3 = c3(V)",
-                                    _abelian_threefold_builder),
+    "p2": BasePreset(
+        "p2", 2, ("v", "y"), "v = c1(V).h on the plane, y = c2(V)",
+        lambda v, y: {"c1^2": 9, "c2": 3, "c1*v1": v * 3, "v1^2": v * v, "v2": y}),
+    "abelian-surface": BasePreset(
+        "abelian-surface", 2, ("d", "g2"), "d = scroll degree, g2 = 2g-2",
+        lambda d, g2: {"c1^2": 0, "c2": 0, "c1*v1": 0, "v1^2": g2, "v2": g2 - d}),
+    "k3": BasePreset(
+        "k3", 2, ("d", "g2"), "d = scroll degree, g2 = 2g-2",
+        lambda d, g2: {"c1^2": 0, "c2": 24, "c1*v1": 0, "v1^2": g2, "v2": g2 - d}),
+    "fe": BasePreset(
+        "fe", 2, ("a", "b", "e", "v2"),
+        "det V = a s + b f on the Hirzebruch surface F_e, v2 = c2(V)",
+        lambda a, b, e, v2: {"c1^2": 8, "c2": 4, "c1*v1": a * 2 + b * 2 - a * e,
+                             "v1^2": a * (b * 2 - a * e), "v2": v2}),
+    "bxp1": BasePreset(
+        "bxp1", 2, ("a", "b", "q", "v2"),
+        "det V = a s + b f on B x P1, q = genus of B, v2 = c2(V)",
+        lambda a, b, q, v2: {"c1^2": (1 - q) * 8, "c2": (1 - q) * 4,
+                             "c1*v1": b * 2 - (q * 2 - 2) * a, "v1^2": a * b * 2,
+                             "v2": v2}),
+    "p3": BasePreset(
+        "p3", 3, ("x", "y"), "v1 = x h, v2 = y h^2 on projective 3-space",
+        lambda x, y: {"c1^3": 64, "c1*c2": 24, "c3": 4, "c1^2*v1": x * 16,
+                      "c2*v1": x * 6, "c1*v1^2": x * x * 4, "c1*v2": y * 4,
+                      "v1^3": x ** 3, "v1*v2": x * y}),
+    # hyperplane h with h^3 = 2; v1 = x h, v2 = y (h^2 / 2)
+    "q3": BasePreset(
+        "q3", 3, ("x", "y"),
+        "v1 = x h, v2 = y (h^2/2) on the smooth quadric threefold",
+        lambda x, y: {"c1^3": 54, "c1*c2": 24, "c3": 4, "c1^2*v1": x * 18,
+                      "c2*v1": x * 8, "c1*v1^2": x * x * 6, "c1*v2": y * 3,
+                      "v1^3": x ** 3 * 2, "v1*v2": x * y}),
+    "abelian-threefold": BasePreset(
+        "abelian-threefold", 3, ("v111", "v12", "v3"),
+        "v111 = v1^3, v12 = v1 v2, v3 = c3(V)",
+        lambda v111, v12, v3: {"c1^3": 0, "c1*c2": 0, "c3": 0, "c1^2*v1": 0,
+                               "c2*v1": 0, "c1*v1^2": 0, "c1*v2": 0,
+                               "v1^3": v111, "v1*v2": v12, "v3": v3}),
 }

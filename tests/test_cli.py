@@ -105,6 +105,35 @@ def test_degree_prints_a_library_warning_without_its_source(tmp_path, capsys):
     assert err == "warning: base data gives non-positive scroll degree d=0\n"
 
 
+FORMAL = "warning: setup out of range; value is formal"
+
+
+@pytest.mark.parametrize("N, in_range", [(11, False), (9, True), (3, False)])
+@pytest.mark.parametrize("command", ["class", "data", "base", "bare"])
+def test_every_class_and_degree_path_warns_out_of_range(tmp_path, capsys,
+                                                        command, N, in_range):
+    path = tmp_path / "veronese.json"
+    path.write_text(json.dumps(BASE_PRESETS["p2"].numerical(v=4, y=4).to_payload()),
+                    encoding="utf-8")
+    extra = {"class": [], "data": ["--data", str(path)], "base": ["--base", "p2"],
+             "bare": []}[command]
+    argv = ["class" if command == "class" else "degree", "--n", "3", "--m", "2",
+            "--k", "2", "--N", str(N), *extra]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    first, *rest = out.splitlines()
+    if command == "class":
+        warned = first == (f"warning: N={N} is outside [8, 10]; the class formula "
+                           "is not asserted for this setup (formal result follows)")
+    else:
+        warned = first == FORMAL
+    assert warned is not in_range
+    assert not any(line.startswith("warning:") for line in rest)
+    # the structured payload carries no warning line
+    code, out, err = run(capsys, *argv, "--format", "structured")
+    assert code == 0 and err == "" and "warning" not in out
+
+
 def test_degree_base_and_data_conflict(tmp_path, capsys):
     path = tmp_path / "x.json"
     path.write_text("{}", encoding="utf-8")

@@ -32,6 +32,47 @@ def test_arithmetic_basics():
     assert (x * Fraction(1, 2)) * 2 == x
 
 
+def _powers_with_counted_products(cls, base, monkeypatch):
+    """base ** e for e = 0..70, each with its (squarings, other products)."""
+    counts = [0, 0]
+    mul = cls.__mul__
+
+    def counted(self, other):
+        counts[self is not other] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    out = []
+    for e in range(71):
+        counts[:] = [0, 0]
+        out.append((base ** e, tuple(counts)))
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("kind", ["poly", "graded"])
+def test_powers_square_once_per_bit_and_multiply_once_per_set_bit(kind, monkeypatch):
+    from scrollflex.chern import GradedRing, GradedVariable
+
+    if kind == "poly":
+        x, y, w = _vars()
+        base, one = x * y * Fraction(2, 3) - w, Poly.const(V, 1)
+    else:
+        ring = GradedRing([GradedVariable("h", 1), GradedVariable("c", 2)], 9)
+        base = ring.variable("h") * 2 - ring.variable("c") + 1
+        one = ring.scalar(1)
+    cls = type(base)
+    want = one
+    for e, (got, counts) in enumerate(
+            _powers_with_counted_products(cls, base, monkeypatch)):
+        assert type(got) is cls and got == want, e
+        if e:
+            assert counts == (e.bit_length() - 1, bin(e).count("1") - 1), e
+        else:
+            assert counts == (0, 0)
+        want = want * base
+
+
 def test_fraction_coefficients_stay_exact():
     x, y, w = _vars()
     p = x * Fraction(1, 3) + y * Fraction(1, 6)

@@ -1,7 +1,8 @@
 """Seeded checks of the exponent-keyed pairing path and the preset tables.
 
-The string-keyed routes the engine used before, one ``Poly`` sum per term
-and one preset table rebuilt per call, are kept here as the oracles.
+The string-keyed routes the engine used before, one ``Poly`` sum per term,
+are kept here as the oracles, and a preset's table at given slot values is
+checked against its all-symbolic table with those values substituted.
 """
 
 import random
@@ -59,17 +60,14 @@ def _oracle_numeric(data, cls):
 
 
 def _oracle_assignments(preset, **values):
+    """The preset's all-symbolic table with the bound slots substituted."""
     unknown = set(values) - set(preset.slots)
     if unknown:
         raise InvalidInputError(f"unknown preset parameters {sorted(unknown)}")
     free = tuple(s for s in preset.slots if s not in values)
-    table = {}
-    for name in preset.slots:
-        if name in values:
-            table[name] = Poly.const(free, values[name])
-        else:
-            table[name] = Poly.variable(free, name)
-    return preset._builder(table, free)
+    point = {s: Poly.const(free, values[s]) for s in preset.slots if s in values}
+    return {key: poly.subs(point, vars=free)
+            for key, poly in scroll._preset_table(preset)}
 
 
 def _oracle_numerical(preset, **values):
@@ -210,6 +208,12 @@ def test_presets_match_rebuilt_tables():
         assert list(got) == list(want)
         for key in want:
             _same_poly(got[key], want[key])
+
+
+def test_preset_keys_are_canonical_monomials_of_the_base_dimension():
+    for preset in BASE_PRESETS.values():
+        for key in preset.assignments():
+            assert scroll._canonical_key(key) == (key, preset.dimension), key
 
 
 def test_preset_binding_matches_rebuilt_tables_500():

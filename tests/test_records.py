@@ -52,7 +52,7 @@ RECORDS = [
     (lambda i: NumericalBaseData(2, {"c1^2": 9, "c2": 3 + i}),
      ("dimension", "assignments"), False),
     (lambda i: BasePreset("p", 2, ("v",), f"legend {i}", _build),
-     ("name", "dimension", "slots", "legend", "_builder"), True),
+     ("name", "dimension", "slots", "legend", "_table"), True),
     (lambda i: JetProbeSpec(_U, ("1", "u"), 2, seed=i),
      ("variables", "coordinates", "order", "trials", "seed", "height"),
      True),

@@ -595,6 +595,33 @@ def test_preset_unknown_slot_rejected():
         BASE_PRESETS["p2"].numerical(v=4)
 
 
+# (method, slot values, message): a missing slot is refused before an
+# unknown one, an unknown one before a value, values in slot order, and
+# a non-integer number at the first table entry that has one
+PRESET_REFUSALS = [
+    ("assignments", {"nope": 3}, "unknown preset parameters ['nope']"),
+    ("assignments", {"y": 2.5, "v": "1"}, "expected an exact rational, got '1'"),
+    ("assignments", {"zz": 1, "v": 2.5, "a": 1},
+     "unknown preset parameters ['a', 'zz']"),
+    ("numerical", {"v": 4}, "preset p2 needs values for ['y']"),
+    ("numerical", {"nope": 2.5}, "preset p2 needs values for ['v', 'y']"),
+    ("numerical", {"v": 4, "y": 4, "nope": 2.5},
+     "unknown preset parameters ['nope']"),
+    ("numerical", {"v": Fraction(1, 2), "y": 2.5}, "expected an exact rational, got 2.5"),
+    ("numerical", {"v": Fraction(1, 2), "y": 1},
+     "c1*v1 evaluated to non-integer 3/2"),
+    ("numerical", {"v": 3, "y": Fraction(5, 2)},
+     "v2 evaluated to non-integer 5/2"),
+]
+
+
+@pytest.mark.parametrize("method, values, message", PRESET_REFUSALS)
+def test_preset_refusals_keep_their_messages_and_order(method, values, message):
+    with pytest.raises(InvalidInputError) as info:
+        getattr(BASE_PRESETS["p2"], method)(**values)
+    assert str(info.value) == message
+
+
 def test_graded_to_poly_round():
     ring = scroll_ring(3, 2)
     cls = 3 * ring.variable("L") - 5 * ring.variable("C1")
