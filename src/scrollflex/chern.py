@@ -5,14 +5,14 @@ weighted variables, truncated above a fixed cohomological degree.  Variables
 may carry a *sector* tag with its own degree cap; classes pulled back from a
 lower-dimensional base use this to vanish above the base dimension.
 
-Two kernels share the work.  ``GradedClass`` subclasses ``exactpoly.Poly``
-over the ring's names and keeps its terms, sums, negation, substitution
-loop, printing and coefficient contract (an ``int`` while integral); the
-grading drops non-admitted terms on construction.  Products (so powers),
-the series inverse and the bundle calculus below run on one private packed
-kernel: a class is packed into homogeneous parts keyed by packed-int
-monomials (see ``GradedRing``), and a pair of grade groups whose summed
-grade passes the truncation or a sector cap is skipped whole.
+``GradedClass`` subclasses ``exactpoly.Poly`` over the ring's names and
+keeps its terms, sums, negation, substitution loop, printing and
+coefficient contract (an ``int`` while integral); the grading drops
+non-admitted terms on construction.  Products (so powers), the series
+inverse and the bundle calculus below run on classes packed into grade
+groups (see ``GradedRing``): a pair of groups whose summed grade passes the
+truncation or a sector cap is skipped whole, and every other pair goes to
+``exactpoly``'s shared product loop.
 
 :class:`FormalBundle` pairs a rank with a total Chern class of constant term
 one.  Derived bundles (duals, twists by line classes, tensor products,
@@ -36,13 +36,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb
-from operator import add, lshift, mul
+from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ._record import Record, set_field
 from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
-from .exactpoly import Poly, Scalar, _canon, _clean, _substitute, as_scalar
+from .exactpoly import (Poly, Scalar, _canon, _clean, _field_layout, _mul_acc,
+                        _pack_key, _substitute, _unpack_terms, as_scalar)
 
 # Largest estimated work (see ``check_work``) of a derived bundle or a class,
 # in term operations.  In-process on a 2-vCPU Linux VM (Python 3.11.7) they
@@ -73,9 +74,9 @@ class GradedRing:
     Rings are shared between callers (the scroll layer caches them), so
     ``sector_caps`` is a read-only view and the hash is computed once.
 
-    The ring also fixes the layout of the packed kernel.  A monomial key
-    holds exponent i in bits [i w, (i + 1) w), w = max(1, truncation bit
-    length), so the first variable (``L`` on a scroll) sits in the low field.
+    The ring also fixes the packed layout.  Monomial keys are
+    ``exactpoly``'s, with fields of w = max(1, truncation bit length) bits,
+    so the first variable (``L`` on a scroll) sits in the low field.
     A grade holds each capped sector's degree in a w-bit field, in the order
     of ``sector_caps``, and the total degree above them.  Keys and grades
     add under products; an admitted product keeps every field at most the
@@ -105,9 +106,8 @@ class GradedRing:
         # the truncation, then each sector cap
         self.limits = (truncation, *self.sector_caps.values())
         w = max(1, truncation.bit_length())
-        self._mask = (1 << w) - 1
+        self._shifts, self._mask = _field_layout(len(self.names), w)
         self._top = top = w * len(self.sector_caps)
-        self._shifts = range(0, w * len(self.names), w)
         self._grade_steps = tuple(
             (v.weight << top) + sum(v.weight << (w * j) for j, sector
                                     in enumerate(self.sector_caps) if v.sector == sector)
@@ -190,7 +190,7 @@ class GradedClass(Poly):
     ``Poly``'s, and so is the coefficient contract: a stored coefficient is
     an ``int`` while integral.  The grading adds a truncation policy: the
     constructor drops the terms the ring does not admit, and the product,
-    a packed-part product on the module's kernel, never forms them.
+    taken over packed grade groups, never forms them.
     """
 
     __slots__ = ("ring",)
@@ -360,7 +360,7 @@ def _trusted(ring: GradedRing, terms: dict) -> GradedClass:
     return out
 
 
-# -- the packed kernel --------------------------------------------------------
+# -- packed classes -----------------------------------------------------------
 # A packed class maps a grade to a dict from monomial key to coefficient, in
 # the ring's layout (see ``GradedRing``); coefficients follow the ``Poly``
 # contract once tidied.  Grades add under products, so a product visits
@@ -373,11 +373,7 @@ def _pack(ring: GradedRing, terms: Mapping) -> dict:
     shifts, grades = ring._shifts, ring._grade_steps
     out: dict = {}
     for exps, c in terms.items():
-        g = sum(map(mul, grades, exps))
-        group = out.get(g)
-        if group is None:
-            group = out[g] = {}
-        group[sum(map(lshift, exps, shifts))] = c
+        out.setdefault(sum(map(mul, grades, exps)), {})[_pack_key(exps, shifts)] = c
     return out
 
 
@@ -391,14 +387,10 @@ def _parts(ring: GradedRing, terms: Mapping) -> list:
 
 def _unpack(ring: GradedRing, packed: Sequence[dict]) -> dict:
     """Tuple-keyed canonical terms of packed classes with disjoint grades."""
-    mask, shifts = ring._mask, ring._shifts
     out = {}
     for part in packed:
         for group in part.values():
-            for key, c in group.items():
-                if c:
-                    out[tuple(key >> s & mask for s in shifts)] = (
-                        c if type(c) is int else _canon(c))
+            out.update(_unpack_terms(group.items(), ring._shifts, ring._mask))
     return out
 
 
@@ -439,16 +431,7 @@ def _mul_into(ring: GradedRing, out: dict, x: dict, y: dict, scale: Scalar = 1) 
                 ok = admitted[g] = ring._admits_grade(g)
             if not ok:
                 continue
-            acc = out.get(g)
-            if acc is None:
-                acc = out[g] = {}
-            get = acc.get
-            pairs = right.items()
-            for k1, c1 in left.items():
-                c1 *= scale
-                for k2, c2 in pairs:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
+            _mul_acc(out.setdefault(g, {}), left.items(), right.items(), scale)
 
 
 def _divide(x: dict, d: int) -> dict:

@@ -109,12 +109,13 @@ def _cmd_degree(config: argparse.Namespace) -> int:
             f"legend: {preset.legend}",
         ]
         payload = {"degree_polynomial": str(poly), "legend": preset.legend,
-                   "slots": list(preset.slots)}
+                   "slots": list(preset.slots), "in_range": setup.in_range}
         _emit(config, payload, _formal(setup, lines))
         return 0
     cls = degree_class(setup)
     lines = [f"degree in base intersection numbers: {cls}"]
-    _emit(config, {"symbolic": cls.to_payload()}, _formal(setup, lines))
+    _emit(config, {"symbolic": cls.to_payload(), "in_range": setup.in_range},
+          _formal(setup, lines))
     return 0
 
 

@@ -16,7 +16,11 @@ Coefficient contract:
   of arithmetic (``+ - *``, negation, ``exact_div``, ``diff``, ``subs``) are
   canonical by construction and are built without revalidation.
 
-Subclasses reuse this kernel: every result is built through ``_new`` and
+Every sparse product in the package (``Poly`` products, ``chern``'s graded
+products, ``linalg.iter_minors``' cofactor sums) runs in one loop,
+``_mul_acc``, over monomials packed into single integers (``_field_layout``).
+
+Subclasses reuse the rest: every result is built through ``_new`` and
 ``_scalar``, and printing sorts terms by ``_print_key``, so a subclass that
 overrides those three (and its product) keeps the rest of the arithmetic.
 So does the univariate view behind ``poly_gcd``, whose division by a monic
@@ -27,10 +31,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import comb, prod
 from math import gcd as int_gcd
 from math import lcm as int_lcm
-from operator import add, sub
+from operator import add, lshift, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidInputError
@@ -65,6 +70,41 @@ def _trusted(vars: tuple[str, ...], terms: dict) -> "Poly":
     p.vars = vars
     p.terms = terms
     return p
+
+
+def _field_layout(nvars: int, width: int) -> tuple[range, int]:
+    """Shifts and mask of packed monomial keys: exponent i in bits
+    [i width, (i + 1) width), so the first variable sits in the low field and
+    keys add under products, carrying nothing while every sum is below
+    2^width."""
+    return range(0, nvars * width, width), (1 << width) - 1
+
+
+def _pack_key(exps: Iterable[int], shifts: range) -> int:
+    return sum(map(lshift, exps, shifts))
+
+
+def _unpack_terms(pairs: Iterable, shifts: range, mask: int) -> dict:
+    """The nonzero (packed key, coefficient) pairs as tuple-keyed terms,
+    stored canonically."""
+    return {tuple([k >> s & mask for s in shifts]): c if type(c) is int else _canon(c)
+            for k, c in pairs if c}
+
+
+def _top_exponent(terms: Iterable[tuple[int, ...]]) -> int:
+    return max(chain.from_iterable(terms), default=0)
+
+
+def _mul_acc(acc: dict, left: Iterable, right: Iterable, scale: Scalar = 1) -> None:
+    """acc[k1 + k2] += scale * c1 * c2 over the (packed key, coefficient)
+    pairs of ``left`` and of ``right``, read once per left pair; zero sums
+    stay in ``acc``."""
+    get = acc.get
+    for k1, c1 in left:
+        c1 *= scale
+        for k2, c2 in right:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
 
 
 def _grlex_key(exps: tuple[int, ...]):
@@ -200,14 +240,12 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        out: dict[tuple[int, ...], Scalar] = {}
-        get = out.get
-        right = list(other.terms.items())
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                exps = tuple(map(add, e1, e2))
-                out[exps] = get(exps, 0) + c1 * c2
-        return self._new(_clean(out))
+        top = _top_exponent(self.terms) + _top_exponent(other.terms)
+        shifts, mask = _field_layout(len(self.vars), max(1, top.bit_length()))
+        acc: dict[int, Scalar] = {}
+        _mul_acc(acc, [(_pack_key(e, shifts), c) for e, c in self.terms.items()],
+                 [(_pack_key(e, shifts), c) for e, c in other.terms.items()])
+        return self._new(_unpack_terms(acc.items(), shifts, mask))
 
     __rmul__ = __mul__
 
@@ -402,14 +440,12 @@ def _substitute(terms: Mapping[tuple[int, ...], Scalar], value, zero: "Poly") ->
     """The sum over ``terms`` of c * prod_i value(i)^e_i, in the ring of ``zero``.
 
     ``value(i)`` is asked for only when variable i occurs, and each power is
-    formed once per (variable, exponent).  A term that reaches zero stops
-    multiplying.
+    formed once per (variable, exponent).  A term starts as its coefficient,
+    so its first factor is a scalar product, and stops multiplying once zero.
     """
-    one = tuple(0 for _ in zero.vars)
     out = zero
     powers: dict[tuple[int, int], Poly] = {}
-    for exps, c in terms.items():
-        term = zero._new({one: c})
+    for exps, term in terms.items():
         for i, e in enumerate(exps):
             if e:
                 power = powers.get((i, e))

@@ -9,10 +9,10 @@ terms, first in row-major order on ties), which keeps the products and
 exact divisions small.
 
 All the r x r minors of a matrix come instead from one cofactor expansion
-whose sub-minors are shared (``iter_minors``).  It divides nothing, and its
-monomials are packed into single integers while it runs.  The 100 minors
-of size 9 of the Bordiga jet matrix cost about 4000 sub-minors this way,
-against 100 separate eliminations.
+whose sub-minors are shared (``iter_minors``).  It divides nothing and
+runs on ``exactpoly``'s packed product loop.  The 100 minors of size 9 of
+the Bordiga jet matrix reach 4046 sub-minors this way, in about 25 ms
+(2-vCPU Linux VM, Python 3.11.7), against 100 separate eliminations.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from math import comb, gcd, lcm
 from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
-from .exactpoly import Poly, _clean, _trusted, as_scalar
+from .exactpoly import (Poly, _field_layout, _mul_acc, _pack_key, _top_exponent,
+                        _trusted, _unpack_terms, as_scalar)
 
 MINOR_COUNT_LIMIT = 10 ** 5
 # Largest number of sub-minors one iter_minors call may reach.  The bundled
@@ -154,28 +155,6 @@ def minor_count(nrows: int, ncols: int, r: int) -> int:
     return comb(nrows, r) * comb(ncols, r)
 
 
-def _packer(entries: Sequence[Poly], nvars: int, r: int):
-    """Pack and unpack functions for the monomials of r x r minors.
-
-    A minor's exponent of a variable is at most r times the largest entry
-    exponent, so a field one bit wider than that never carries into the
-    next one, and a product of monomials is one integer addition.
-    """
-    top = max((max(e, default=0) for p in entries for e in p.terms),
-              default=0)
-    bits = (r * top).bit_length() + 1
-    shifts = range(0, nvars * bits, bits)
-    mask = (1 << bits) - 1
-
-    def pack(exps):
-        return sum(e << s for e, s in zip(exps, shifts))
-
-    def unpack(packed):
-        return tuple((packed >> s) & mask for s in shifts)
-
-    return pack, unpack
-
-
 def _reachable_keys(nz: list[int], row_sets: list[int], col_sets: list[int],
                     nrows: int, r: int) -> list[set[int]]:
     """The keys of the sub-minors the shared expansion uses, level 1 to r.
@@ -225,8 +204,8 @@ def iter_minors(matrix: Sequence[Sequence[Poly]], r: int):
     ``sum_k (-1)^k M[R_k][c0] * minor(R - R_k, rest)``, and each sub-minor,
     keyed by its row set and column suffix, is computed once.  A pass over
     the keys alone finds the sub-minors that nonzero entries reach (see
-    ``_reachable_keys``); the levels are then built bottom up over packed
-    monomials (see ``_packer``), keeping only the level below, and zero
+    ``_reachable_keys``); the levels are then built bottom up with
+    ``exactpoly._mul_acc``, keeping only the level below, and zero
     sub-minors drop out of the level above.
     """
     nrows = len(matrix)
@@ -243,9 +222,12 @@ def iter_minors(matrix: Sequence[Sequence[Poly]], r: int):
             f"{count} minors of size {r} exceed the limit of {MINOR_COUNT_LIMIT}"
         )
     vars = matrix[0][0].vars
-    pack, unpack = _packer([p for row in matrix for p in row], len(vars), r)
+    # a minor's exponent is at most r times the largest entry exponent, so a
+    # field one bit wider than that never carries
+    top = max(_top_exponent(p.terms) for row in matrix for p in row)
+    shifts, mask = _field_layout(len(vars), (r * top).bit_length() + 1)
     # columns[c][i]: the terms of M[i][c] as (packed monomial, coefficient)
-    columns = [[[(pack(e), k) for e, k in row[c].terms.items()]
+    columns = [[[(_pack_key(e, shifts), k) for e, k in row[c].terms.items()]
                 for row in matrix] for c in range(ncols)]
     nz = [sum(1 << i for i, row in enumerate(matrix) if row[c].terms)
           for c in range(ncols)]
@@ -255,7 +237,8 @@ def iter_minors(matrix: Sequence[Sequence[Poly]], r: int):
     col_sets = [sum(1 << c for c in cols) for cols in col_subsets]
 
     full = (1 << nrows) - 1
-    below: dict[int, dict[int, object]] = {0: {0: 1}}  # the empty minor
+    # each sub-minor as its nonzero (packed monomial, coefficient) pairs
+    below: dict[int, list] = {0: [(0, 1)]}  # the empty minor
     for keys in _reachable_keys(nz, row_sets, col_sets, nrows, r):
         level = {}
         for key in keys:
@@ -267,37 +250,23 @@ def iter_minors(matrix: Sequence[Sequence[Poly]], r: int):
             rows = key & full
             hit = rows & nz[c0]
             acc: dict[int, object] = {}
-            get = acc.get
             while hit:
                 bit = hit & -hit
                 hit ^= bit
                 sub = below.get(base ^ bit)
-                if sub is None:
-                    continue
-                odd = (rows & (bit - 1)).bit_count() & 1
-                for e1, c1 in column[bit.bit_length() - 1]:
-                    if odd:
-                        c1 = -c1
-                    for e2, c2 in sub.items():
-                        e = e1 + e2
-                        acc[e] = get(e, 0) + c1 * c2
-            value = {e: c for e, c in acc.items() if c}
+                if sub is not None:
+                    sign = -1 if (rows & (bit - 1)).bit_count() & 1 else 1
+                    _mul_acc(acc, column[bit.bit_length() - 1], sub, sign)
+            value = [(e, c) for e, c in acc.items() if c]
             if value:
                 level[key] = value
         below = level
 
     zero = Poly.zero(vars)
-    monomials: dict[int, tuple[int, ...]] = {}
     for rows, row_set in zip(row_subsets, row_sets):
         for cols, col_set in zip(col_subsets, col_sets):
             value = below.get(row_set | col_set << nrows)
             if value is None:
                 yield (rows, cols), zero
-                continue
-            terms = {}
-            for e, c in value.items():
-                exps = monomials.get(e)
-                if exps is None:
-                    exps = monomials[e] = unpack(e)
-                terms[exps] = c
-            yield (rows, cols), _trusted(vars, _clean(terms))
+            else:
+                yield (rows, cols), _trusted(vars, _unpack_terms(value, shifts, mask))

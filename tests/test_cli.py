@@ -129,9 +129,11 @@ def test_every_class_and_degree_path_warns_out_of_range(tmp_path, capsys,
         warned = first == FORMAL
     assert warned is not in_range
     assert not any(line.startswith("warning:") for line in rest)
-    # the structured payload carries no warning line
+    # the structured payload carries no warning line, and says whether N is
+    # in range on every path
     code, out, err = run(capsys, *argv, "--format", "structured")
     assert code == 0 and err == "" and "warning" not in out
+    assert json.loads(out)["result"]["in_range"] is in_range
 
 
 def test_degree_base_and_data_conflict(tmp_path, capsys):

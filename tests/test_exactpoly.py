@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -77,6 +78,96 @@ def test_fraction_coefficients_stay_exact():
     x, y, w = _vars()
     p = x * Fraction(1, 3) + y * Fraction(1, 6)
     assert (p * 6) == 2 * x + y
+
+
+# -- the packed product against the tuple-keyed loop it replaced -----------
+
+
+def _tuple_product(a, b):
+    """a * b by adding exponent tuples entrywise: no packing, no shared loop."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exps = tuple(map(add, e1, e2))
+            out[exps] = out.get(exps, 0) + c1 * c2
+    return {e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in out.items() if c}
+
+
+def _typed(terms):
+    return {e: (type(c), c) for e, c in terms.items()}
+
+
+def _check_product(a, b):
+    got = a * b
+    assert type(got) is Poly and got.vars == a.vars
+    assert _typed(got.terms) == _typed(_tuple_product(a, b)), (a, b)
+
+
+def _random_coefficient(rng):
+    num = rng.choice([n for n in range(-6, 7) if n])
+    return Fraction(num, rng.choice((2, 3, 4))) if rng.random() < 0.4 else num
+
+
+def _random_poly(rng, vars, size, top):
+    return Poly(vars, {tuple(rng.randint(0, top) for _ in vars): _random_coefficient(rng)
+                       for _ in range(size)})
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_product_matches_the_tuple_keyed_loop(seed):
+    rng = random.Random(4400 + seed)
+    vars = rng.choice([(), ("x",), V, ("a", "b", "c", "d", "e")])
+    sizes = rng.choice([(0, 4), (1, 1), (1, 9), (9, 1), (4, 6), (12, 12)])
+    a = _random_poly(rng, vars, sizes[0], rng.randint(0, 6))
+    b = _random_poly(rng, vars, sizes[1], rng.randint(0, 6))
+    _check_product(a, b)
+    _check_product(b, a)
+    _check_product(a, a)
+
+
+def test_product_of_constants_and_zero_variable_polynomials():
+    for vars in ((), V):
+        two, third = Poly.const(vars, 2), Poly.const(vars, Fraction(1, 3))
+        for a, b in ((two, third), (third, third), (two, Poly.zero(vars))):
+            _check_product(a, b)
+        assert (third * Poly.const(vars, 6)).terms == {(0,) * len(vars): 2}
+    x, y, w = _vars()
+    _check_product(Poly.const(V, Fraction(-3, 2)), x ** 3 - Fraction(1, 2) * y * w + 7)
+
+
+def test_product_cancels_to_zero_and_to_integers():
+    x, y, w = _vars()
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [(x * half + y * third, x * half - y * third),  # the x*y terms cancel
+             (x - y, x ** 2 + x * y + y ** 2),  # every middle term cancels
+             (x * Fraction(2, 3) + w * Fraction(3, 4), y * Fraction(3, 2) - w * 4)]
+    for a, b in cases:
+        _check_product(a, b)
+    assert (x - y) * (x ** 2 + x * y + y ** 2) == x ** 3 - y ** 3
+    assert ((x * half + y * third) * (x * half - y * third)).terms == {
+        (2, 0, 0): Fraction(1, 4), (0, 2, 0): Fraction(-1, 9)}
+    # Fractions whose products are whole are stored as ints
+    assert _typed((x * Fraction(2, 3) * (y * Fraction(3, 2))).terms) == {(1, 1, 0): (int, 1)}
+
+
+@pytest.mark.parametrize("bits", range(1, 8))
+def test_product_fields_filled_to_the_last_bit_do_not_carry(bits):
+    # the field width is the bit length of the largest exponent sum; a sum of
+    # 2^w - 1 fills a field and a sum of 2^w widens it, and a carry out of
+    # any field would move a term to another monomial
+    rng = random.Random(bits)
+    for target in (2 ** bits - 1, 2 ** bits):
+        for top_a in sorted({0, 1, target // 2, target - 1, target} & set(range(target + 1))):
+            top_b = target - top_a
+            a = Poly(V, {(top_a, top_a, top_a): 3, (top_a, 0, top_a): Fraction(1, 2),
+                         (0, top_a, 0): -1})
+            b = Poly(V, {(top_b, top_b, top_b): -2, (top_b, top_b, 0): 5,
+                         (0, 0, top_b): Fraction(2, 3)})
+            a = a + _random_poly(rng, V, 3, top_a)
+            b = b + _random_poly(rng, V, 3, top_b)
+            _check_product(a, b)
+            _check_product(b, a)
 
 
 def test_degrees():

@@ -125,6 +125,42 @@ def test_iter_minors_match_bareiss_with_coefficient_types(seed):
                     == {e: type(c) for e, c in full.terms.items()})
 
 
+def _scalar_det(m):
+    """Determinant of a matrix of Fractions by permutations: no polynomial
+    product is formed."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_iter_minors_with_fraction_entries_match_det_poly_and_evaluation(seed):
+    # every entry has non-integral Fraction coefficients, so the packed sums
+    # are Fractions that may cancel or turn whole; the values also agree with
+    # scalar determinants at a rational point, which form no polynomial product
+    rng = random.Random(7100 + seed)
+    nrows, ncols = rng.randint(2, 5), rng.randint(2, 5)
+    m = [[Poly(V, {(rng.randint(0, 3), rng.randint(0, 2)):
+                   Fraction(rng.choice((-5, -3, -1, 1, 3, 5)), rng.choice((2, 3, 6)))
+                   for _ in range(rng.randint(1, 3))})
+          for _ in range(ncols)] for _ in range(nrows)]
+    point = {"x": Fraction(rng.randint(-7, 7), 5), "y": Fraction(rng.randint(-7, 7), 3)}
+    at_point = [[entry.eval_at(point) for entry in row] for row in m]
+    for r in range(1, min(nrows, ncols) + 1):
+        for (rows, cols), value in iter_minors(m, r):
+            full = det_poly([[m[i][j] for j in cols] for i in rows])
+            assert value == full, (seed, rows, cols)
+            assert ({e: type(c) for e, c in value.terms.items()}
+                    == {e: type(c) for e, c in full.terms.items()})
+            assert value.eval_at(point) == _scalar_det(
+                [[at_point[i][j] for j in cols] for i in rows])
+
+
 def test_iter_minors_refuses_too_many_shared_subminors_at_once():
     # a dense 20 x 20 matrix has only 36100 minors of size 18, but they
     # share 72 million sub-minors; the key pass refuses before any product
