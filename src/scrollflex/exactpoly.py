@@ -20,11 +20,11 @@ Every sparse product in the package (``Poly`` products, ``chern``'s graded
 products, ``linalg.iter_minors``' cofactor sums) runs in one loop,
 ``_mul_acc``, over monomials packed into single integers (``_field_layout``).
 
-Subclasses reuse the rest: every result is built through ``_new`` and
-``_scalar``, and printing sorts terms by ``_print_key``, so a subclass that
-overrides those three (and its product) keeps the rest of the arithmetic.
-So does the univariate view behind ``poly_gcd``, whose division by a monic
-divisor gives the exact remainder.
+Subclasses set five hooks and keep every operator: results are built by
+``_new`` (constants by ``_scalar``), printed in ``_print_key`` order and
+multiplied by ``_product``, and only operands over the same ``_space()``
+compare equal.  The univariate view behind ``poly_gcd`` keeps the subclass
+too; its division by a monic divisor gives the exact remainder.
 """
 
 from __future__ import annotations
@@ -192,7 +192,11 @@ class Poly:
         return _trusted(self.vars, terms)
 
     def _scalar(self, value: Scalar) -> "Poly":
-        return Poly.const(self.vars, value)
+        value = as_scalar(value)
+        return self._new({tuple(0 for _ in self.vars): value} if value else {})
+
+    def _space(self):
+        return self.vars
 
     def _check(self, other: "Poly") -> None:
         if type(other) is not Poly:
@@ -240,14 +244,18 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
+        return self._new(self._product(other))
+
+    __rmul__ = __mul__
+
+    def _product(self, other: "Poly") -> dict:
+        """The canonical terms of self * other, for checked operands."""
         top = _top_exponent(self.terms) + _top_exponent(other.terms)
         shifts, mask = _field_layout(len(self.vars), max(1, top.bit_length()))
         acc: dict[int, Scalar] = {}
         _mul_acc(acc, [(_pack_key(e, shifts), c) for e, c in self.terms.items()],
                  [(_pack_key(e, shifts), c) for e, c in other.terms.items()])
-        return self._new(_unpack_terms(acc.items(), shifts, mask))
-
-    __rmul__ = __mul__
+        return _unpack_terms(acc.items(), shifts, mask)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -267,7 +275,7 @@ class Poly:
             other = self._scalar(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self._space() == other._space() and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
@@ -491,19 +499,20 @@ def _from_univariate(coeffs: dict[int, Poly], like: Poly, index: int) -> Poly:
 
 def _pseudo_rem(f: dict[int, Poly], g: dict[int, Poly]) -> dict[int, Poly]:
     """Pseudo-remainder of univariate views f by g: right up to content,
-    which is all the PRS loop needs, and exact when g is monic."""
+    which is all the PRS loop needs, and exact when g is monic.  A step
+    cancels the leading entry of f, so only the tail of g multiplies."""
     dg = max(g)
     lg = g[dg]
+    tail = [(d - dg, c) for d, c in g.items() if d != dg]
     monic = lg == 1
     f = dict(f)
     while f and max(f) >= dg:
         df = max(f)
-        lf = f[df]
-        new = dict(f) if monic else {d: c * lg for d, c in f.items()}
-        for d, c in g.items():
-            shifted = d + df - dg
+        lf = f.pop(df)
+        new = f if monic else {d: c * lg for d, c in f.items()}
+        for d, c in tail:
             term = lf * c
-            new[shifted] = new.get(shifted, term * 0) - term
+            new[d + df] = new[d + df] - term if d + df in new else -term
         f = {d: c for d, c in new.items() if not c.is_zero()}
     return f
 

@@ -126,7 +126,7 @@ def _eliminate(rows: Sequence[Sequence[Poly]]) -> tuple[int, Poly | None]:
             row = m[i]
             lead = row[step]
             for j in range(step + 1, len(top)):
-                num = row[j] * pivot
+                num = row[j] if row[j].is_zero() else row[j] * pivot
                 if not (lead.is_zero() or top[j].is_zero()):
                     num = num - lead * top[j]
                 row[j] = num if prev is None else num.exact_div(prev)

@@ -490,19 +490,47 @@ def test_equal_classes_hash_equal():
     assert {a, b} == {a}
 
 
+def test_equality_needs_the_same_ring_on_both_sides():
+    ring = surface_ring()
+    one, poly = ring.one(), Poly.const(ring.names, 1)
+    assert not one == poly and not poly == one
+    base = [GradedVariable("c1", 1, "base"), GradedVariable("c2", 2, "base"),
+            GradedVariable("v1", 1), GradedVariable("v2", 2)]
+    for a, b in ((ring, surface_ring(3)),
+                 (GradedRing(base, 2, {"base": 1}), GradedRing(base, 2, {"base": 2}))):
+        assert a.names == b.names and a != b
+        for x, y in ((a.one(), b.one()), (a.variable("v1"), b.variable("v1"))):
+            assert x.terms == y.terms and not x == y and not y == x
+    twin = surface_ring()
+    assert twin is not ring and twin == ring
+    for x, y in ((ring.variable("c1") * 3 + 1, twin.variable("c1") * 3 + 1),
+                 (ring.scalar(2), twin.scalar(Fraction(4, 2)))):
+        assert x == y and hash(x) == hash(y)
+
+
+def test_bool_and_integral_fraction_scalars_keep_int_coefficients():
+    for x in (surface_ring().variable("c1") + 3, Poly.variable(("x",), "x") + 3):
+        for scalar in (True, Fraction(4, 2)):
+            for out in (x * scalar, scalar * x, x + scalar, x - scalar, scalar - x):
+                assert type(out) is type(x)
+                assert [type(c) for c in out.terms.values()] == [int, int], (x, scalar)
+        assert x - x + 1 == True and x - x + 2 == Fraction(4, 2)
+
+
 def test_graded_class_keeps_only_the_grading_on_top_of_poly():
     own = set(vars(GradedClass))
-    assert {"__mul__", "__rmul__", "series_inverse", "__eq__"} <= own
-    assert not own & {"__add__", "__sub__", "__neg__", "__pow__", "__str__"}
-    assert GradedClass.__rmul__ is GradedClass.__mul__
+    assert {"_new", "_print_key", "_product", "_space", "series_inverse"} <= own
+    assert not own & {"__add__", "__sub__", "__neg__", "__pow__", "__str__",
+                      "__eq__", "__hash__", "_scalar"}
+    assert GradedClass.__mul__ is GradedClass.__rmul__ is Poly.__mul__
     assert not hasattr(chern, "_coerce") and not hasattr(chern, "_print_key")
 
 
 def test_graded_products_never_use_the_plain_product(monkeypatch):
     def plain_product(self, other):
-        raise AssertionError("graded arithmetic reached Poly.__mul__")
+        raise AssertionError("graded arithmetic reached Poly._product")
 
-    monkeypatch.setattr(Poly, "__mul__", plain_product)
+    monkeypatch.setattr(Poly, "_product", plain_product)
     ring = surface_ring()
     x = ring.one() + ring.variable("c1") - ring.variable("v2") * Fraction(1, 3)
     assert x * x.series_inverse() == ring.one()

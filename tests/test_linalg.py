@@ -42,6 +42,26 @@ def test_det_poly_matches_cofactor_expansion(seed):
     assert det_poly(m) == naive_det(m)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_elimination_forms_no_product_with_a_zero_side(seed, monkeypatch):
+    rng = random.Random(300 + seed)
+    n = rng.randint(3, 5)
+    m = [[rand_poly(rng) if rng.random() < 0.6 else Poly.zero(V) for _ in range(n)]
+         for _ in range(n)]
+    expected = naive_det(m)
+    sides = []
+    product = Poly._product
+
+    def counted(a, b):
+        sides.append((len(a.terms), len(b.terms)))
+        return product(a, b)
+
+    monkeypatch.setattr(Poly, "_product", counted)
+    assert det_poly(m) == expected
+    rank_poly(m[:-1])
+    assert sides and all(a and b for a, b in sides)
+
+
 def test_det_poly_singular():
     x, y = Poly.variables(V)
     m = [[x, y], [x * 2, y * 2]]

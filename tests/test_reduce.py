@@ -96,6 +96,23 @@ def test_remainder_matches_the_rewriting_loop_at_the_top_of_the_range(n, m, k):
     assert all(exps[li] < setup.fiber_rank for exps in got.terms)
 
 
+@pytest.mark.parametrize("n, m", [(5, 3), (6, 2), (4, 4), (7, 5)])
+def test_reduce_of_a_power_of_L_forms_no_product_by_the_leading_one(n, m, monkeypatch):
+    # L^n takes m division steps, one per leading coefficient h_j(V), j < m,
+    # each nonzero under the base cap; a step multiplies its leading
+    # coefficient by each V_i of the relation and by nothing else
+    ring = scroll_ring(n, m)
+    r = n - m + 1
+    x = ring.variable("L") ** n
+    calls = []
+    product = GradedClass._product
+    monkeypatch.setattr(GradedClass, "_product",
+                        lambda a, b: calls.append(b) or product(a, b))
+    got = chern_wu_reduce(x, r)
+    assert len(calls) == m * min(r, m)
+    assert _typed(got) == _typed(rewrite_reduce(x, r))
+
+
 def test_univariate_view_round_trip_keeps_the_ring():
     rng = random.Random(1357)
     ring = scroll_ring(5, 3)
