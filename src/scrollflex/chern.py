@@ -7,12 +7,12 @@ lower-dimensional base use this to vanish above the base dimension.
 
 ``GradedClass`` subclasses ``exactpoly.Poly`` over the ring's names and
 overrides none of its operators, equality or hashing, only its hooks (the
-ring is the ``_space``); the grading drops non-admitted terms on
-construction.  Its ``_product`` (so powers), the series inverse and the
-bundle calculus below run on classes packed into grade groups (see
-``GradedRing``): a pair of groups whose summed grade passes the truncation
-or a sector cap is skipped whole, and every other pair goes to
-``exactpoly``'s shared product loop.
+ring is the ``_space``, and ``RingMismatchError`` the ``_mismatch``); the
+grading drops non-admitted terms on construction.  Its ``_product`` (so
+powers), the series inverse and the bundle calculus below run on classes
+packed into grade groups (see ``GradedRing``): a pair of groups whose
+summed grade passes the truncation or a sector cap is skipped whole, and
+every other pair goes to ``exactpoly``'s shared product loop.
 
 :class:`FormalBundle` pairs a rank with a total Chern class of constant term
 one.  Derived bundles (duals, twists by line classes, tensor products,
@@ -188,12 +188,13 @@ class GradedClass(Poly):
 
     Operators, equality, hashing, printing and the coefficient contract (an
     ``int`` while integral) are ``Poly``'s; the class sets the hooks ``_new``,
-    ``_print_key``, ``_product`` and ``_space`` (its ring).  The constructor
-    drops the terms the ring does not admit, and ``_product``, over packed
-    grade groups, never forms them.
+    ``_print_key``, ``_product``, ``_space`` (its ring) and ``_mismatch``
+    (``RingMismatchError``).  The constructor drops the terms the ring does
+    not admit, and ``_product``, over packed grade groups, never forms them.
     """
 
     __slots__ = ("ring",)
+    _mismatch = RingMismatchError
 
     def __init__(self, ring: GradedRing, terms: Mapping[tuple[int, ...], Scalar]):
         super().__init__(ring.names, terms)
@@ -239,14 +240,6 @@ class GradedClass(Poly):
         return all(self.ring.monomial_degree(e) == d for e in self.terms)
 
     # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: Poly) -> None:
-        ring = getattr(other, "ring", None)
-        if ring is not self.ring and ring != self.ring:
-            raise RingMismatchError(
-                f"cannot mix classes from {self.ring!r} and "
-                f"{ring if ring is not None else other.vars!r}"
-            )
 
     def _product(self, other: "GradedClass") -> dict:
         ring = self.ring

@@ -273,6 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # library warnings print as plain lines, without a source location
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             if None not in (getattr(args, "base", None), getattr(args, "data", None)):
                 raise ScrollflexError("--base and --data conflict; give exactly one")

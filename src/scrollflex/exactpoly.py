@@ -18,13 +18,15 @@ Coefficient contract:
 
 Every sparse product in the package (``Poly`` products, ``chern``'s graded
 products, ``linalg.iter_minors``' cofactor sums) runs in one loop,
-``_mul_acc``, over monomials packed into single integers (``_field_layout``).
+``_mul_acc``, over monomials packed into single integers (``_field_layout``),
+except ``scroll._integrate``'s, which adds Segre exponent tuples itself.
 
-Subclasses set five hooks and keep every operator: results are built by
+Subclasses set six hooks and keep every operator: results are built by
 ``_new`` (constants by ``_scalar``), printed in ``_print_key`` order and
-multiplied by ``_product``, and only operands over the same ``_space()``
-compare equal.  The univariate view behind ``poly_gcd`` keeps the subclass
-too; its division by a monic divisor gives the exact remainder.
+multiplied by ``_product``.  Only operands over the same ``_space()``
+compare equal or mix; ``_check`` refuses any other pair with the stricter
+of their ``_mismatch`` errors.  The univariate view behind ``poly_gcd`` keeps
+the subclass too; its division by a monic divisor gives the exact remainder.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from math import lcm as int_lcm
 from operator import add, lshift, sub
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_integer
 
 Scalar = Union[int, Fraction]
 
@@ -118,6 +120,7 @@ class Poly:
     __slots__ = ("vars", "terms")
 
     _print_key = staticmethod(_grlex_key)
+    _mismatch = InvalidInputError
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Scalar] | None = None):
         self.vars = tuple(vars)
@@ -125,8 +128,8 @@ class Poly:
             raise InvalidInputError(f"duplicate variable names in {self.vars}")
         clean: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(self.vars) or any(e < 0 for e in exps):
+            exps = tuple(exps)
+            if len(exps) != len(self.vars) or not all(is_integer(e) and e >= 0 for e in exps):
                 raise InvalidInputError(f"bad exponent vector {exps} for {self.vars}")
             clean[exps] = clean.get(exps, 0) + as_scalar(coeff)
         self.terms = _clean(clean)
@@ -199,12 +202,13 @@ class Poly:
         return self.vars
 
     def _check(self, other: "Poly") -> None:
-        if type(other) is not Poly:
-            other._check(self)  # a subclass operand decides what it mixes with
-        elif self.vars != other.vars:
-            raise InvalidInputError(
-                f"variable tuples differ: {self.vars} vs {other.vars}"
-            )
+        """Refuse an operand over another ``_space()``, with the stricter of
+        the two operands' ``_mismatch`` errors."""
+        mine, theirs = self._space(), other._space()
+        if mine is not theirs and mine != theirs:
+            error = (other._mismatch if issubclass(other._mismatch, self._mismatch)
+                     else self._mismatch)
+            raise error(f"cannot mix operands over {mine!r} and {theirs!r}")
 
     def _combine(self, other, op):
         """``op(self, other)`` for ``op`` in (add, sub), in one pass."""
@@ -519,8 +523,7 @@ def _pseudo_rem(f: dict[int, Poly], g: dict[int, Poly]) -> dict[int, Poly]:
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Greatest common divisor, normalized to primitive integer form."""
-    if p.vars != q.vars:
-        raise InvalidInputError("gcd of polynomials over different variables")
+    p._check(q)
     if p.is_zero():
         return q.normalized() if not q.is_zero() else q
     if q.is_zero():

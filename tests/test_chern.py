@@ -12,7 +12,7 @@ from scrollflex.chern import (FormalBundle, GradedClass, GradedRing,
                               trivial_bundle)
 from scrollflex.errors import (InvalidInputError, ResourceLimitError,
                                RingMismatchError)
-from scrollflex.exactpoly import Poly
+from scrollflex.exactpoly import Poly, poly_gcd
 
 from .test_properties import _one_plus_product, _root_bundle
 
@@ -413,6 +413,15 @@ def test_serialization_round_trip():
     assert again.ring == ring
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "3", -1])
+def test_payload_refuses_an_exponent_that_is_not_a_natural_int(bad):
+    ring = GradedRing([GradedVariable("L", 1)], 3)
+    payload = (3 * ring.variable("L")).to_payload()
+    payload["terms"][0][0][0] = bad
+    with pytest.raises(InvalidInputError, match="bad exponent vector"):
+        GradedClass.from_payload(payload)
+
+
 def test_substitute_homogeneity_enforced():
     ring = surface_ring()
     target = surface_ring()
@@ -508,6 +517,41 @@ def test_equality_needs_the_same_ring_on_both_sides():
         assert x == y and hash(x) == hash(y)
 
 
+def _mixes(a, b):
+    return (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a.exact_div(b))
+
+
+def test_operands_mix_only_over_one_space():
+    ring = surface_ring()
+    base = [GradedVariable("c1", 1, "base"), GradedVariable("c2", 2, "base"),
+            GradedVariable("v1", 1), GradedVariable("v2", 2)]
+    cls, poly = ring.variable("c1"), Poly.variable(ring.names, "c1")
+    renamed = Poly.variable(ring.names[::-1], "c1")
+    truncated = surface_ring(3).variable("c1")
+    low, high = (GradedRing(base, 2, {"base": cap}).variable("v1") for cap in (1, 2))
+    # a plain Poly mismatch stays an InvalidInputError, never a RingMismatchError
+    for a, b, error in ((poly, renamed, InvalidInputError),
+                        (cls, poly, RingMismatchError),
+                        (cls, truncated, RingMismatchError),
+                        (low, high, RingMismatchError)):
+        for x, y in ((a, b), (b, a)):
+            for mix in _mixes(x, y):
+                with pytest.raises(InvalidInputError) as caught:
+                    mix()
+                assert type(caught.value) is error, (x, y)
+    with pytest.raises(InvalidInputError) as caught:
+        poly_gcd(poly, renamed)
+    assert type(caught.value) is InvalidInputError
+    # equal spaces built as separate objects still mix
+    v1 = surface_ring().variable("v1")
+    assert v1.ring is not ring and v1.ring == ring
+    assert cls + v1 - v1 == cls and (cls * v1).exact_div(v1) == cls
+    x = Poly.variable(list(ring.names), "c1")
+    assert x.vars is not poly.vars and x.vars == poly.vars
+    assert poly + x - x == poly and (poly * x).exact_div(x) == poly
+    assert poly_gcd(poly * x, x) == poly
+
+
 def test_bool_and_integral_fraction_scalars_keep_int_coefficients():
     for x in (surface_ring().variable("c1") + 3, Poly.variable(("x",), "x") + 3):
         for scalar in (True, Fraction(4, 2)):
@@ -521,7 +565,8 @@ def test_graded_class_keeps_only_the_grading_on_top_of_poly():
     own = set(vars(GradedClass))
     assert {"_new", "_print_key", "_product", "_space", "series_inverse"} <= own
     assert not own & {"__add__", "__sub__", "__neg__", "__pow__", "__str__",
-                      "__eq__", "__hash__", "_scalar"}
+                      "__eq__", "__hash__", "_scalar", "_check"}
+    assert GradedClass._mismatch is RingMismatchError
     assert GradedClass.__mul__ is GradedClass.__rmul__ is Poly.__mul__
     assert not hasattr(chern, "_coerce") and not hasattr(chern, "_print_key")
 

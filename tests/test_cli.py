@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,20 @@ def test_jet_prints_a_library_warning_without_its_source(tmp_path, capsys):
     # the warning comes before an error line
     code, out, err = run(capsys, "jet", str(path), "--trials", "0")
     assert (code, out, err) == (1, "", warning + "error: need at least one trial\n")
+
+
+def test_library_warnings_print_under_an_error_filter(tmp_path, capsys):
+    from scrollflex.jets import BUNDLED_PROBES
+
+    path = tmp_path / "bordiga.json"
+    path.write_text(json.dumps(BUNDLED_PROBES["bordiga"].build().to_payload()),
+                    encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "jet", str(path), "--trials", "2")
+    assert code == 0 and "generic jet rank (order 2): 9" in out
+    assert err == ("warning: no constant coordinate; the chart in (x, y, w) "
+                   "is not normalized\n")
 
 
 def test_jet_coordinates_may_end_in_blanks(tmp_path, capsys):

@@ -23,6 +23,13 @@ def test_construction_drops_zero_coefficients():
     assert (x + y - y) == x
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "3", -1])
+def test_construction_refuses_an_exponent_that_is_not_a_natural_int(bad):
+    with pytest.raises(InvalidInputError, match="bad exponent vector"):
+        Poly(V, {(bad, 0, 0): 1})
+    assert Poly(V, {(1, 0, 0): 1}) == _vars()[0]
+
+
 def test_arithmetic_basics():
     x, y, w = _vars()
     p = (x + y) * (x - y)
