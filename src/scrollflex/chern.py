@@ -8,7 +8,8 @@ lower-dimensional base use this to vanish above the base dimension.
 ``GradedClass`` subclasses ``exactpoly.Poly`` over the ring's names and
 overrides none of its operators, equality or hashing, only its hooks (the
 ring is the ``_space``, and ``RingMismatchError`` the ``_mismatch``); the
-grading drops non-admitted terms on construction.  Its ``_product`` (so
+grading drops non-admitted terms on construction, and ``substitute`` checks
+its values (a number is a constant class) with ``_check``.  Its ``_product`` (so
 powers), the series inverse and the bundle calculus below run on classes
 packed into grade groups (see ``GradedRing``): a pair of groups whose
 summed grade passes the truncation or a sector cap is skipped whole, and
@@ -43,7 +44,7 @@ from typing import Mapping, Sequence
 from ._record import Record, set_field
 from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
 from .exactpoly import (Poly, Scalar, _canon, _clean, _field_layout, _mul_acc,
-                        _pack_key, _substitute, _unpack_terms, as_scalar)
+                        _pack_key, _substitute, _unpack_terms)
 
 # Largest estimated work (see ``check_work``) of a derived bundle or a class,
 # in term operations.  In-process on a 2-vCPU Linux VM (Python 3.11.7) they
@@ -145,8 +146,7 @@ class GradedRing:
         return self.scalar(1)
 
     def scalar(self, value: Scalar) -> "GradedClass":
-        value = as_scalar(value)
-        return _trusted(self, {tuple(0 for _ in self.names): value} if value else {})
+        return self.zero()._scalar(value)
 
     def variable(self, name: str) -> "GradedClass":
         i = self.index(name)
@@ -191,6 +191,7 @@ class GradedClass(Poly):
     ``_print_key``, ``_product``, ``_space`` (its ring) and ``_mismatch``
     (``RingMismatchError``).  The constructor drops the terms the ring does
     not admit, and ``_product``, over packed grade groups, never forms them.
+    ``substitute`` checks its values (a number is a constant class) with ``_check``.
     """
 
     __slots__ = ("ring",)
@@ -275,27 +276,20 @@ class GradedClass(Poly):
             inv.append(_convolve(ring, parts, inv, d, lambda d, i: -1, 1))
         return self._new(_unpack(ring, inv))
 
-    def alternate_signs(self) -> "GradedClass":
-        """Negate every odd-degree graded piece (Chern classes of a dual)."""
-        return self._new({
-            e: (-c if self.ring.monomial_degree(e) % 2 else c)
-            for e, c in self.terms.items()
-        })
-
     def substitute(self, target: GradedRing,
-                   mapping: Mapping[str, "GradedClass"]) -> "GradedClass":
+                   mapping: Mapping[str, "GradedClass | Scalar"]) -> "GradedClass":
         """Evaluate the class with each variable replaced by a target class.
 
-        Every variable occurring in a term must be mapped; values must be
-        homogeneous of the variable's weight (or zero).
+        Every variable in a term must be mapped to a number or to a class that
+        passes ``_check`` against ``target``, homogeneous of its weight or zero.
         """
+        zero = target.zero()
         values: dict[int, GradedClass] = {}
         for name, value in mapping.items():
             i = self.ring.index(name)
-            if value.ring != target:
-                raise RingMismatchError(
-                    f"substitution value for {name!r} lives in the wrong ring"
-                )
+            if not isinstance(value, Poly):
+                value = target.scalar(value)
+            zero._check(value)
             if not value.is_zero() and not value.is_homogeneous(self.ring.weights[i]):
                 raise InvalidInputError(
                     f"substitution for {name!r} must be homogeneous of degree "
@@ -310,7 +304,7 @@ class GradedClass(Poly):
                 )
             return values[i]
 
-        return _substitute(self.terms, value, target.zero())
+        return _substitute(self.terms, value, zero)
 
     # -- io ------------------------------------------------------------------
 
@@ -322,11 +316,8 @@ class GradedClass(Poly):
         }
 
     @classmethod
-    def from_payload(cls, payload: Mapping, ring: GradedRing | None = None) -> "GradedClass":
-        found = GradedRing.from_descriptor(payload["ring"])
-        if ring is not None and ring != found:
-            raise RingMismatchError("payload ring does not match the expected ring")
-        return cls(found, {
+    def from_payload(cls, payload: Mapping) -> "GradedClass":
+        return cls(GradedRing.from_descriptor(payload["ring"]), {
             tuple(e): Fraction(num, den) for e, num, den in payload["terms"]
         })
 
@@ -508,7 +499,9 @@ def bundle_from_classes(rank: int, classes: Sequence[GradedClass]) -> FormalBund
 
 def dual(e: FormalBundle) -> FormalBundle:
     """Same rank, with c_i replaced by (-1)^i c_i."""
-    return FormalBundle(e.rank, e.total_chern.alternate_signs())
+    c = e.total_chern
+    return FormalBundle(e.rank, c._new({
+        m: -a if c.ring.monomial_degree(m) % 2 else a for m, a in c.terms.items()}))
 
 
 def direct_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:

@@ -19,7 +19,9 @@ Coefficient contract:
 Every sparse product in the package (``Poly`` products, ``chern``'s graded
 products, ``linalg.iter_minors``' cofactor sums) runs in one loop,
 ``_mul_acc``, over monomials packed into single integers (``_field_layout``),
-except ``scroll._integrate``'s, which adds Segre exponent tuples itself.
+except ``scroll._integrate``'s, which adds Segre exponent tuples itself, as
+unpacking 1000 keys of a 1001-variable ring (0.22 s) outlasts all the rest of
+``degree_class`` at (1000,999,2) (0.09-0.19 s; Python 3.11.7, 2-vCPU VM).
 
 Subclasses set six hooks and keep every operator: results are built by
 ``_new`` (constants by ``_scalar``), printed in ``_print_key`` order and
@@ -109,6 +111,12 @@ def _mul_acc(acc: dict, left: Iterable, right: Iterable, scale: Scalar = 1) -> N
             acc[k] = get(k, 0) + c1 * c2
 
 
+def _var_index(vars: tuple[str, ...], name: str) -> int:
+    if name not in vars:
+        raise InvalidInputError(f"unknown variable {name!r} (ring has {vars})")
+    return vars.index(name)
+
+
 def _grlex_key(exps: tuple[int, ...]):
     # sort key for descending graded-lex printing
     return (-sum(exps), tuple(-e for e in exps))
@@ -150,10 +158,8 @@ class Poly:
     @classmethod
     def variable(cls, vars: Sequence[str], name: str) -> "Poly":
         vars = tuple(vars)
-        if name not in vars:
-            raise InvalidInputError(f"unknown variable {name!r} (ring has {vars})")
-        exps = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {exps: 1})
+        i = _var_index(vars, name)
+        return cls(vars, {(0,) * i + (1,) + (0,) * (len(vars) - i - 1): 1})
 
     @classmethod
     def variables(cls, vars: Sequence[str]) -> tuple["Poly", ...]:
@@ -173,7 +179,7 @@ class Poly:
         return Fraction(self.terms.get(tuple(0 for _ in self.vars), 0))
 
     def degree_in(self, name: str) -> int:
-        i = self.vars.index(name)
+        i = _var_index(self.vars, name)
         if not self.terms:
             return -1
         return max(e[i] for e in self.terms)
@@ -287,7 +293,7 @@ class Poly:
     # -- calculus and substitution -------------------------------------
 
     def diff(self, name: str) -> "Poly":
-        i = self.vars.index(name)
+        i = _var_index(self.vars, name)
         out: dict[tuple[int, ...], Scalar] = {}
         for exps, c in self.terms.items():
             if exps[i] == 0:

@@ -485,9 +485,6 @@ class DegreeResult(Record):
 
     __slots__ = ("value", "symbolic", "setup", "asserted")
 
-    def __int__(self):
-        return self.value
-
 
 def degree_class(setup: ScrollSetup) -> GradedClass:
     """pi_* of the degeneracy class dotted with L^(n - codim), on Y.

@@ -429,6 +429,51 @@ def test_substitute_homogeneity_enforced():
         ring.variable("c2").substitute(target, {"c2": target.variable("c1")})
 
 
+@pytest.mark.parametrize("value, error", [
+    (lambda ring: Poly.variable(ring.names, "c1"), RingMismatchError),
+    (lambda ring: surface_ring(3).variable("c1"), RingMismatchError),
+    (lambda ring: 3, InvalidInputError),
+    (lambda ring: 1.5, InvalidInputError),
+    (lambda ring: "x", InvalidInputError),
+], ids=["poly", "other-truncation", "nonzero-number", "float", "string"])
+def test_substitute_checks_each_value_against_the_target_ring(value, error):
+    ring = surface_ring()
+    with pytest.raises(InvalidInputError) as info:
+        ring.variable("c1").substitute(ring, {"c1": value(ring)})
+    assert type(info.value) is error
+
+
+def test_substitute_reads_a_number_as_a_constant_class():
+    ring = surface_ring()
+    cls = 2 + 3 * ring.variable("c1") + ring.variable("c2")
+    assert cls.substitute(ring, {"c1": 0, "c2": Fraction(0)}) == 2
+    assert cls.substitute(ring, {"c1": 0, "c2": ring.variable("v2")}) == 2 + ring.variable("v2")
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: GradedVariable(""), InvalidInputError),
+    (lambda: GradedVariable("x", 0), InvalidInputError),
+    (lambda: GradedRing([GradedVariable("x"), GradedVariable("x")], 2), InvalidInputError),
+    (lambda: GradedRing([GradedVariable("x")], -1), InvalidInputError),
+    (lambda: GradedRing([GradedVariable("x")], 2, {"base": 1}), InvalidInputError),
+    (lambda: surface_ring().index("z"), InvalidInputError),
+    (lambda: FormalBundle(-1, surface_ring().one()), InvalidInputError),
+    (lambda: FormalBundle(1, surface_ring().scalar(2)), InvalidInputError),
+    (lambda: bundle_from_classes(1, []), InvalidInputError),
+    (lambda: bundle_from_classes(
+        2, [surface_ring().variable("c1") + surface_ring().variable("c2")]), InvalidInputError),
+    (lambda: tensor(trivial_bundle(surface_ring(), 1), trivial_bundle(surface_ring(3), 1)),
+     RingMismatchError),
+    (lambda: sym_power(trivial_bundle(surface_ring(), 2), -1), InvalidInputError),
+], ids=["empty-name", "weight-0", "duplicate-names", "truncation-minus-1",
+        "unused-sector-cap", "unknown-index", "rank-minus-1", "constant-term-2",
+        "no-classes", "non-homogeneous-c1", "tensor-across-rings", "sym-power-minus-1"])
+def test_chern_refusals(make, error):
+    with pytest.raises(InvalidInputError) as info:
+        make()
+    assert type(info.value) is error
+
+
 def test_canonical_string_order():
     ring = GradedRing([GradedVariable("L", 1),
                        GradedVariable("C1", 1, "base"),

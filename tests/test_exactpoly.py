@@ -392,3 +392,30 @@ def test_str_readable():
     x, y, w = _vars()
     assert str(x ** 2 - y + 1) == "x^2 - y + 1"
     assert str(Poly.zero(V)) == "0"
+
+
+@pytest.mark.parametrize("call", [lambda p: p.diff("z"), lambda p: p.degree_in("z")],
+                         ids=["diff", "degree_in"])
+def test_unknown_variable_names_are_refused_with_a_typed_error(call):
+    x, y, w = _vars()
+    with pytest.raises(InvalidInputError,
+                       match=r"unknown variable 'z' \(ring has \('x', 'y', 'w'\)\)"):
+        call(x * y + w)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x, y: x.constant_value(),
+    lambda x, y: Poly.zero(V).leading(),
+    lambda x, y: x ** -1,
+    lambda x, y: x.subs({"x": Poly.variable(("a",), "a")}),
+    lambda x, y: (x + y).subs({"y": 1}, vars=("y",)),
+    lambda x, y: (x + y).eval_at({"x": 1}),
+    lambda x, y: x.exact_div(Poly.zero(V)),
+    lambda x, y: common_divisor([]),
+], ids=["constant-value", "leading-of-zero", "negative-power", "subs-foreign-value",
+        "subs-absent-variable", "eval-missing-value", "divide-by-zero", "empty-content"])
+def test_exactpoly_refusals(make):
+    x, y, w = _vars()
+    with pytest.raises(InvalidInputError) as info:
+        make(x, y)
+    assert type(info.value) is InvalidInputError

@@ -108,6 +108,18 @@ def test_iter_minors_guard():
         list(iter_minors(m, 15))
 
 
+@pytest.mark.parametrize("make", [
+    lambda x, y: det_poly([]),
+    lambda x, y: det_poly([[x, y]]),
+    lambda x, y: list(iter_minors([[x, y]], 2)),
+], ids=["det-empty", "det-not-square", "minor-past-shape"])
+def test_linalg_refusals(make):
+    x, y = Poly.variables(V)
+    with pytest.raises(InvalidInputError) as info:
+        make(x, y)
+    assert type(info.value) is InvalidInputError
+
+
 def _sparse_entry(rng, vars):
     # zero half the time; otherwise up to three terms with int or Fraction
     # coefficients, some of them integral Fractions

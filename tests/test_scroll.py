@@ -37,6 +37,21 @@ def test_max_rank_examples():
     assert max_rank(4, 3, 2) == 14
 
 
+@pytest.mark.parametrize("make", [
+    lambda: max_rank(2, 3, 1),
+    lambda: max_rank(3, 2, 0),
+    lambda: ScrollSetup(3, 2, 2, 2),
+    lambda: pushforward(chern.GradedRing([chern.GradedVariable("L")], 2).variable("L"), 2),
+    lambda: scroll._monomial_factors(3),
+    lambda: degree_of_inflection(ScrollSetup(3, 2, 2, 10), NumericalBaseData(3, {"c1^3": 1})),
+], ids=["max-rank-m-past-n", "max-rank-k-0", "ambient-below-dim", "pushforward-no-base",
+        "monomial-not-a-string", "data-of-another-dimension"])
+def test_scroll_refusals(make):
+    with pytest.raises(InvalidInputError) as info:
+        make()
+    assert type(info.value) is InvalidInputError
+
+
 def test_max_rank_increment_identity():
     from math import comb
     for n, m, k in ((3, 2, 2), (4, 3, 2), (5, 2, 3), (6, 4, 2)):
