@@ -19,9 +19,13 @@ Coefficient contract:
 Every sparse product in the package (``Poly`` products, ``chern``'s graded
 products, ``linalg.iter_minors``' cofactor sums) runs in one loop,
 ``_mul_acc``, over monomials packed into single integers (``_field_layout``),
-except ``scroll._integrate``'s, which adds Segre exponent tuples itself, as
-unpacking 1000 keys of a 1001-variable ring (0.22 s) outlasts all the rest of
-``degree_class`` at (1000,999,2) (0.09-0.19 s; Python 3.11.7, 2-vCPU VM).
+with two exceptions.  ``scroll._integrate`` adds Segre exponent tuples
+itself, as unpacking 1000 keys of a 1001-variable ring (0.22 s) outlasts all
+the rest of ``degree_class`` at (1000,999,2) (0.09-0.19 s; Python 3.11.7,
+2-vCPU VM).  A ``Poly`` product with a one-term operand adds that term's
+exponent tuple to each of the other's: most products in Bareiss elimination
+have such a side, and packing them made 100 Bordiga 9 x 9 determinants
+about 1.5x slower (318 against 213 ms, same host).
 
 Subclasses set six hooks and keep every operator: results are built by
 ``_new`` (constants by ``_scalar``), printed in ``_print_key`` order and
@@ -259,7 +263,15 @@ class Poly:
     __rmul__ = __mul__
 
     def _product(self, other: "Poly") -> dict:
-        """The canonical terms of self * other, for checked operands."""
+        """The canonical terms of self * other, for checked operands.
+
+        A one-term operand shifts the other's terms, in the other's order, by
+        its monomial; packing would cost more than that product.
+        """
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            one, many = (self, other) if len(self.terms) == 1 else (other, self)
+            [(e1, c1)] = one.terms.items()
+            return {tuple(map(add, e1, e)): _canon(c1 * c) for e, c in many.terms.items()}
         top = _top_exponent(self.terms) + _top_exponent(other.terms)
         shifts, mask = _field_layout(len(self.vars), max(1, top.bit_length()))
         acc: dict[int, Scalar] = {}
@@ -312,10 +324,10 @@ class Poly:
             if name in mapping:
                 v = mapping[name]
                 if isinstance(v, Poly):
-                    if v.vars != target:
+                    if v._space() != target:
                         raise InvalidInputError(
-                            f"substitution value for {name!r} lives over {v.vars}, "
-                            f"expected {target}"
+                            f"substitution value for {name!r} lives over "
+                            f"{v._space()!r}, expected {target}"
                         )
                     values.append(v)
                 else:

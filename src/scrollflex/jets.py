@@ -19,7 +19,8 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb
+from operator import add, mul
 from typing import Sequence
 
 from ._record import Record, set_field
@@ -243,42 +244,63 @@ def jet_matrix(spec: JetProbeSpec, point: Sequence[Fraction]) -> list[list[Fract
 
 
 def _scaled_layout(matrix: JetMatrix):
-    """The nonzero entries of the matrix against its distinct scaled monomials.
+    """The matrix's terms, in layers, against its distinct scaled monomials.
 
     An entry ``sum c x^e`` in a row whose largest exponents are ``d``,
     evaluated at ``x_v = p_v/q_v`` and multiplied by ``prod q_v^d_v``, is
-    ``sum c prod p_v^e_v q_v^(d_v - e_v)``.  Returns the row width with each
-    row's nonzero entries as (column, [(coefficient, monomial index)]), and
-    the factors ``p_v^e_v q_v^(d_v - e_v)`` other than 1, as (v, e_v,
-    d_v - e_v), with each monomial as a tuple of factor indices.
+    ``sum c prod p_v^e_v q_v^(d_v - e_v)``.  Returns two parts:
+
+    * each row as term layers.  Layer t is a pair of tuples as wide as the
+      row: the coefficient of each entry's term t and that term's monomial
+      index, with coefficient 0 and monomial 0 where the entry has t terms
+      or fewer.  A zero row is one such layer of zeros (monomial 0 exists,
+      as the first row holds the nonzero coordinates);
+    * the factors ``p_v^e_v q_v^(d_v - e_v)`` as (v, e_v, d_v - e_v), the
+      number of distinct monomials, and for each variable v the factor index
+      of v in each monomial, so a monomial is the product of one factor per
+      variable.
     """
     factors: dict[tuple, int] = {}
     monomials: dict[tuple, int] = {}
 
     def monomial(exps, top):
         key = tuple(factors.setdefault((v, e, d - e), len(factors))
-                    for v, (e, d) in enumerate(zip(exps, top)) if d)
+                    for v, (e, d) in enumerate(zip(exps, top)))
         return monomials.setdefault(key, len(monomials))
 
     rows = []
     for row in matrix:
         top = tuple(map(max, zip(*(e for entry in row for e in entry.terms))))
-        rows.append([(j, [(c, monomial(e, top)) for e, c in entry.terms.items()])
-                     for j, entry in enumerate(row) if entry.terms])
-    return (len(matrix[0]), rows), (list(factors), list(monomials))
+        depth = max(1, *(len(entry.terms) for entry in row))
+        layers = [([0] * len(row), [0] * len(row)) for _ in range(depth)]
+        for j, entry in enumerate(row):
+            for (coeffs, slots), (e, c) in zip(layers, entry.terms.items()):
+                coeffs[j] = c
+                slots[j] = monomial(e, top)
+        rows.append([(tuple(coeffs), tuple(slots)) for coeffs, slots in layers])
+    return rows, (list(factors), len(monomials), list(zip(*monomials)))
 
 
 def _scaled_rows(layout, monomials, point: Sequence[Fraction]) -> list[list]:
-    """The jet matrix at ``point`` with each row scaled as in ``_scaled_layout``."""
-    width, rows = layout
-    factors, keys = monomials
-    values = [point[v].numerator ** e * point[v].denominator ** f
-              for v, e, f in factors]
-    values = [prod([values[i] for i in key]) for key in keys]
-    scaled = [[0] * width for _ in rows]
-    for row, entries in zip(scaled, rows):
-        for j, terms in entries:
-            row[j] = sum([c * values[i] for c, i in terms])
+    """The jet matrix at ``point`` with each row scaled as in ``_scaled_layout``.
+
+    A row is the sum of its layers, each the products of its coefficients
+    with the values of its monomials, so every entry adds its terms in order.
+    """
+    factors, count, columns = monomials
+    nums = [p.numerator for p in point]
+    dens = [p.denominator for p in point]
+    factor = [nums[v] ** e * dens[v] ** f for v, e, f in factors].__getitem__
+    values = [1] * count
+    for column in columns:
+        values = map(mul, values, map(factor, column))
+    value = list(values).__getitem__
+    scaled = []
+    for (coeffs, slots), *rest in layout:
+        row = map(mul, coeffs, map(value, slots))
+        for coeffs, slots in rest:
+            row = map(add, row, map(mul, coeffs, map(value, slots)))
+        scaled.append(list(row))
     return scaled
 
 

@@ -35,10 +35,14 @@ MINOR_COUNT_LIMIT = 10 ** 5
 MINOR_KEY_LIMIT = 5 * 10 ** 5
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The row times the lcm of its denominators; the rank is unchanged."""
-    if all(type(x) is int for x in row):
-        return list(row)
+def _integer_row(row: Sequence[Fraction]) -> Sequence[int]:
+    """The row times the lcm of its denominators; the rank is unchanged.
+
+    An all-``int`` row comes back as it is: ``rank_rational`` replaces rows
+    and never writes into one.
+    """
+    if {*map(type, row)} <= {int}:
+        return row
     row = [x if type(x) is int else as_scalar(x) for x in row]
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]

@@ -8,6 +8,12 @@ twice more through the family's base preset, once from the closed form in
 the three are compared; any mismatch aborts with an internal consistency
 error.  Surviving points that the source arguments exclude geometrically
 are annotated, never dropped.
+
+The scan sweeps the last sweep variable innermost.  Each part of the
+equation, the coefficient of a power of the solved variable, is a
+polynomial in that variable: its integer coefficients are computed once
+per point of the other sweep variables and evaluated at each value by
+Horner's rule.
 """
 
 from __future__ import annotations
@@ -150,31 +156,47 @@ def _on_preset(form: Poly, preset: str, vars: tuple[str, ...],
 
 
 def _integer_parts(eq: Poly, sweep: tuple[str, ...],
-                   solve: str) -> list[list[tuple[int, tuple[int, ...]]]]:
-    """The equation as integer term lists, one per power of ``solve``.
+                   solve: str) -> list[list[list[tuple[int, tuple[int, ...]]]]]:
+    """The equation as integer term lists, by powers of ``solve`` and then of
+    the last sweep variable.
 
-    Entry ``p`` lists ``(coefficient, exponents over sweep)`` for the terms
-    of ``solve^p``, every coefficient times the lcm of the denominators, so
-    the lists evaluate with ints and give the equation up to that factor.
+    Entry ``[p][k]`` lists ``(coefficient, exponents over the other sweep
+    variables)`` for the terms of ``solve^p t^k``, ``t`` the last sweep
+    variable, every coefficient times the lcm of the denominators, so the
+    lists evaluate with ints and give the equation up to that factor.
     """
-    index = [eq.vars.index(name) for name in sweep]
+    *index, last = [eq.vars.index(name) for name in sweep]
     at = eq.vars.index(solve)
     den = lcm(*(c.denominator for c in eq.terms.values()))
-    parts: list[list[tuple[int, tuple[int, ...]]]] = [[], []]
+    parts: list[list[list[tuple[int, tuple[int, ...]]]]] = [[], []]
     for exps, c in eq.terms.items():
         while len(parts) <= exps[at]:
             parts.append([])
-        parts[exps[at]].append(((c * den).numerator,
-                                tuple(exps[i] for i in index)))
+        part = parts[exps[at]]
+        while len(part) <= exps[last]:
+            part.append([])
+        part[exps[last]].append(((c * den).numerator,
+                                 tuple(exps[i] for i in index)))
     return parts
 
 
-def _evaluate(terms, point) -> int:
-    return sum(c * prod(map(pow, point, exps)) for c, exps in terms)
+def _coefficients(part, outer) -> list[int]:
+    """A part's coefficients in the last sweep variable at the point ``outer``
+    of the others, highest power first."""
+    return [sum([c * prod(map(pow, outer, exps)) for c, exps in terms])
+            for terms in reversed(part)]
+
+
+def _horner(coefficients: list[int], t: int) -> int:
+    value = 0
+    for c in coefficients:
+        value = value * t + c
+    return value
 
 
 def scan(problem: ScanProblem) -> ScanReport:
-    """Enumerate every integer point within bounds and screen it."""
+    """Enumerate every integer point within bounds and screen it, by the
+    Horner sweep of the module docstring."""
     sweep_ranges = []
     for name in problem.sweep:
         b = problem.bounds[name]
@@ -182,33 +204,35 @@ def scan(problem: ScanProblem) -> ScanReport:
     survivors: list[Survivor] = []
     excluded: list[tuple[dict, str]] = []
     notes = list(problem.notes)
-    constant, linear, *higher = _integer_parts(
-        problem.equation, problem.sweep, problem.solve)
+    parts = _integer_parts(problem.equation, problem.sweep, problem.solve)
+    *outer_ranges, inner_range = sweep_ranges
     candidates = 0
-    for combo in itertools.product(*sweep_ranges):
-        candidates += 1
-        if any(_evaluate(terms, combo) for terms in higher):
-            raise InvalidInputError(
-                f"equation is not linear in {problem.solve}")
-        a = _evaluate(linear, combo)
-        b = _evaluate(constant, combo)
-        if not a:
-            if not b:
-                notes.append(f"equation degenerates at "
-                             f"{dict(zip(problem.sweep, combo))}: every "
-                             f"{problem.solve} solves it")
-            continue
-        solved, remainder = divmod(-b, a)
-        if remainder:
-            continue
-        point = dict(zip(problem.sweep, combo))
-        point[problem.solve] = solved
-        failed = next(
-            (c for c in problem.constraints if not c.holds(point)), None)
-        if failed is not None:
-            excluded.append((point, f"{failed.name}: {failed.reason}"))
-            continue
-        survivors.append(Survivor(point, problem.annotate(point)))
+    for outer in itertools.product(*outer_ranges):
+        constant, linear, *higher = [_coefficients(part, outer) for part in parts]
+        for t in inner_range:
+            candidates += 1
+            if any(_horner(h, t) for h in higher):
+                raise InvalidInputError(
+                    f"equation is not linear in {problem.solve}")
+            a = _horner(linear, t)
+            b = _horner(constant, t)
+            if not a:
+                if not b:
+                    notes.append(f"equation degenerates at "
+                                 f"{dict(zip(problem.sweep, (*outer, t)))}: "
+                                 f"every {problem.solve} solves it")
+                continue
+            solved, remainder = divmod(-b, a)
+            if remainder:
+                continue
+            point = dict(zip(problem.sweep, (*outer, t)))
+            point[problem.solve] = solved
+            failed = next(
+                (c for c in problem.constraints if not c.holds(point)), None)
+            if failed is not None:
+                excluded.append((point, f"{failed.name}: {failed.reason}"))
+                continue
+            survivors.append(Survivor(point, problem.annotate(point)))
 
     if problem.exceptional is not None:
         verdict = "exceptional condition"

@@ -470,7 +470,7 @@ def evaluate_symbolic(cls: GradedClass,
         if not isinstance(value, Poly):
             out[one] = get(one, 0) + as_scalar(value) * coeff
             continue
-        if value.vars != vars:
+        if value._space() != vars:
             raise InvalidInputError(f"assignment for {key!r} uses foreign variables")
         for e, c in value.terms.items():
             out[e] = get(e, 0) + c * coeff

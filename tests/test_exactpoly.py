@@ -177,6 +177,41 @@ def test_product_fields_filled_to_the_last_bit_do_not_carry(bits):
             _check_product(b, a)
 
 
+def _packed_product(a, b):
+    """The terms of a * b from the packed multiply-accumulate loop, which
+    ``Poly`` runs for every product without a one-term operand."""
+    top = exactpoly._top_exponent(a.terms) + exactpoly._top_exponent(b.terms)
+    shifts, mask = exactpoly._field_layout(len(a.vars), max(1, top.bit_length()))
+    acc = {}
+    exactpoly._mul_acc(acc, [(exactpoly._pack_key(e, shifts), c) for e, c in a.terms.items()],
+                       [(exactpoly._pack_key(e, shifts), c) for e, c in b.terms.items()])
+    return exactpoly._unpack_terms(acc.items(), shifts, mask)
+
+
+def _ordered(terms):
+    return [(e, type(c), c) for e, c in terms.items()]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_one_term_products_equal_the_packed_route(seed):
+    # same terms, coefficient types and term order, in both operand orders
+    rng = random.Random(9100 + seed)
+    vars = rng.choice([(), ("x",), V, ("a", "b", "c", "d", "e")])
+    top = rng.randint(0, 6)
+    one = _random_poly(rng, vars, 1, top)
+    coefficients = (rng.randint(-9, 9) or 1, Fraction(rng.choice((-3, 2, 5)), 3),
+                    Fraction(3, 2), Fraction(-2, 3))
+    for c in coefficients:
+        single = Poly(vars, {next(iter(one.terms)): c})
+        for other in (Poly.zero(vars), _random_poly(rng, vars, 1, top),
+                      _random_poly(rng, vars, rng.randint(2, 12), top),
+                      _random_poly(rng, vars, 5, top) * Fraction(2, 3)):
+            for a, b in ((single, other), (other, single)):
+                got = a * b
+                assert type(got) is Poly and got.vars == vars
+                assert _ordered(got.terms) == _ordered(_packed_product(a, b)), (a, b)
+
+
 def test_degrees():
     x, y, w = _vars()
     p = x ** 2 * y + w

@@ -8,13 +8,13 @@ the primitive-row elimination.
 import random
 import warnings
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
 from scrollflex import jets, linalg
 from scrollflex.errors import InvalidInputError
-from scrollflex.jets import BUNDLED_PROBES, JetProbeSpec, probe_rank
+from scrollflex.jets import BUNDLED_PROBES, JetProbeSpec, jet_matrix, probe_rank
 from scrollflex.linalg import rank_rational
 
 
@@ -74,6 +74,49 @@ def test_scaled_jet_rows_match_bareiss(name, seed):
         assert rank_rational(rows) == expected[-1], (name, seed)
     assert probe_rank(spec).per_trial == tuple(expected)
     assert max(expected) == BUNDLED_PROBES[name].expected_rank
+
+
+def _entry_sums(spec, point):
+    """The jet rows at ``point`` as ``_scaled_rows`` was first written: each
+    row times ``prod q_v^d_v``, ``d`` its largest exponents, and each entry
+    the sum over its terms, in order, of ``c prod p_v^e_v q_v^(d_v - e_v)``."""
+    out = []
+    for row in jets._shared_jet_matrix(spec):
+        top = [max(column) for column in zip(*(e for entry in row for e in entry.terms))]
+        out.append([sum([c * prod(x.numerator ** e * x.denominator ** (d - e)
+                                  for x, e, d in zip(point, exps, top))
+                         for exps, c in entry.terms.items()])
+                    for entry in row])
+    return out
+
+
+def _typed_rows(rows):
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+@pytest.mark.filterwarnings("ignore:no constant coordinate")
+@pytest.mark.parametrize("name", sorted(BUNDLED_PROBES) + ["zero-rows"])
+def test_layered_rows_equal_the_per_entry_sums(name):
+    if name == "zero-rows":
+        # entries of one to three terms, Fraction coefficients, a constant
+        # column, and rows of order 4 that are zero throughout
+        spec = JetProbeSpec(("u", "v"), ("1", "u", "u^2*v + 1/2*v",
+                                         "3*u*v^2 - u + 2/3"), 4, trials=16, seed=3)
+    else:
+        base = BUNDLED_PROBES[name].build()
+        spec = JetProbeSpec(base.variables, base.coordinates, base.order,
+                            trials=16, seed=11, height=base.height)
+    layout, monomials = jets._scaled_layout(jets._shared_jet_matrix(spec))
+    rng = random.Random(spec.seed)
+    zero_rows = 0
+    for _ in range(spec.trials):
+        point = jets._random_point(spec, rng)
+        rows = jets._scaled_rows(layout, monomials, point)
+        assert _typed_rows(rows) == _typed_rows(_entry_sums(spec, point)), name
+        assert len(rows) == len(jet_matrix(spec, point))
+        zero_rows += sum(not any(row) for row in rows)
+    if name == "zero-rows":
+        assert zero_rows
 
 
 # -- dense, shaped and mixed matrices ----------------------------------------
@@ -160,6 +203,31 @@ def test_rows_mixing_ints_and_fractions_match_bareiss():
     assert rank_rational([[Fraction(1, 2), 1], [1, Fraction(2)]]) == 1
     assert rank_rational([[Fraction(1, 3), Fraction(1, 6)],
                           [2, Fraction(1, 5)]]) == 2
+
+
+def test_rank_leaves_the_rows_it_is_given_as_they_were():
+    # all-int rows are eliminated as given, not copied, so nothing may write
+    # into them; tuples, mixed rows and jet rows alike
+    rng = random.Random(19)
+    for case in range(150):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.choice((0, rng.randint(-9, 9)) if case % 3
+                         else (0, Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+              for _ in range(ncols)] for _ in range(nrows)]
+        if case % 5 == 0:
+            m = [tuple(row) for row in m]
+        given = list(m)
+        before = _typed_rows(m)
+        rank = rank_rational(m)
+        assert rank == bareiss_rank(m), f"case {case}"
+        assert all(a is b for a, b in zip(m, given)) and len(m) == len(given)
+        assert _typed_rows(m) == before, f"case {case}"
+    spec = BUNDLED_PROBES["p1-fourth"].build()
+    layout, monomials = jets._scaled_layout(jets._shared_jet_matrix(spec))
+    rows = jets._scaled_rows(layout, monomials, jets._random_point(spec, random.Random(2)))
+    before = _typed_rows(rows)
+    assert rank_rational(rows) == BUNDLED_PROBES["p1-fourth"].expected_rank
+    assert _typed_rows(rows) == before
 
 
 @pytest.mark.parametrize("rows", [[[0.1]], [["a"]], [[1, None]],

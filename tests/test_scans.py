@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
@@ -354,3 +355,118 @@ def test_scan_loop_matches_oracle_on_random_linear_equations(seed):
     got = scan(problem).to_payload()
     assert (got["candidates"], got["survivors"], got["excluded"],
             got["notes"]) == expected
+
+
+# -- the Horner sweep against the pointwise loop it replaced -----------------
+
+
+def _evaluate(terms, point) -> int:
+    return sum(c * prod(map(pow, point, exps)) for c, exps in terms)
+
+
+def _pointwise_scan(problem):
+    """The scan loop as it was before the Horner sweep: every part of the
+    equation, a power of the solved variable as integer terms over the
+    sweep variables, evaluated afresh at every candidate."""
+    eq = problem.equation
+    index = [eq.vars.index(name) for name in problem.sweep]
+    at = eq.vars.index(problem.solve)
+    den = lcm(*(c.denominator for c in eq.terms.values()))
+    parts = [[], []]
+    for exps, c in eq.terms.items():
+        while len(parts) <= exps[at]:
+            parts.append([])
+        parts[exps[at]].append(((c * den).numerator, tuple(exps[i] for i in index)))
+    constant, linear, *higher = parts
+    ranges = [range(problem.bounds[n].lo, max(problem.bounds[n].hi + 1, problem.bounds[n].lo))
+              for n in problem.sweep]
+    survivors, excluded, notes = [], [], list(problem.notes)
+    candidates = 0
+    for combo in itertools.product(*ranges):
+        candidates += 1
+        if any(_evaluate(terms, combo) for terms in higher):
+            raise InvalidInputError(f"equation is not linear in {problem.solve}")
+        a = _evaluate(linear, combo)
+        b = _evaluate(constant, combo)
+        if not a:
+            if not b:
+                notes.append(f"equation degenerates at {dict(zip(problem.sweep, combo))}: "
+                             f"every {problem.solve} solves it")
+            continue
+        solved, remainder = divmod(-b, a)
+        if remainder:
+            continue
+        point = dict(zip(problem.sweep, combo))
+        point[problem.solve] = solved
+        failed = next((c for c in problem.constraints if not c.holds(point)), None)
+        if failed is not None:
+            excluded.append((point, f"{failed.name}: {failed.reason}"))
+        else:
+            survivors.append(scans.Survivor(point, problem.annotate(point)))
+    if problem.exceptional is not None:
+        verdict = "exceptional condition"
+    elif not survivors:
+        verdict = "empty"
+    elif all(s.annotation for s in survivors):
+        verdict = "empty after geometric exclusions"
+    else:
+        verdict = "survivors listed"
+    return scans.ScanReport(problem.family, problem.params, candidates, survivors,
+                            excluded, verdict, problem.bounds, tuple(notes))
+
+
+def _same_report(got, want):
+    got, want = got.to_payload(), want.to_payload()
+    for field in ("candidates", "survivors", "excluded", "notes", "verdict"):
+        assert got[field] == want[field], field
+    assert got == want
+
+
+@pytest.mark.parametrize("family,params", [
+    ("P2_N10", {}), ("P2_N9", {}),
+    *(("P3", {"ell": ell}) for ell in (2, 3, 4)),
+    *(("Q3", {"ell": ell}) for ell in (2, 3, 4)),
+    *(("Fe", {"e": e}) for e in range(4)),
+    *(("ProductsBxP1", {"q": q}) for q in (1, 2, 3)),
+])
+@pytest.mark.parametrize("scale", (1, 2))
+def test_horner_sweep_matches_the_pointwise_loop(family, params, scale):
+    problem = build_problem(family, **params)
+    if scale != 1:
+        problem = problem.scaled(scale)
+    _same_report(scan(problem), _pointwise_scan(problem))
+
+
+def _two_variable_problem(equation, a_window=(-4, 6)):
+    return scans.ScanProblem(
+        "two-variable", {}, equation, ("a", "d"), "b",
+        {"a": scans.Bound(*a_window, "window"), "d": scans.Bound(-3, 5, "window")},
+        (scans.Constraint("odd-b", "b must be odd", lambda p: p["b"] % 2),), lambda p: None)
+
+
+def test_a_degenerate_point_is_noted_in_sweep_order():
+    a, b, d = Poly.variables(("a", "b", "d"))
+    # the b coefficient vanishes on the lines a = 3 and a = -2, and the
+    # constant at (3, 1) and (-2, 4) only
+    constant = ((a - 3) ** 2 + (d - 1) ** 2) * ((a + 2) ** 2 + (d - 4) ** 2)
+    problem = _two_variable_problem((a - 3) * (a + 2) * b + constant)
+    report = scan(problem)
+    _same_report(report, _pointwise_scan(problem))
+    assert [n for n in report.notes if "degenerates" in n] == [
+        "equation degenerates at {'a': -2, 'd': 4}: every b solves it",
+        "equation degenerates at {'a': 3, 'd': 1}: every b solves it"]
+    assert report.candidates == 11 * 9
+
+
+@pytest.mark.parametrize("window", [(-4, 6), (4, 6)])
+def test_a_nonzero_quadratic_part_is_refused(window):
+    a, b, d = Poly.variables(("a", "b", "d"))
+    # the b^2 part vanishes only at a = 3, which the second window misses
+    equation = (a - 3) * b * b + (d + 2) * b - a
+    with pytest.raises(InvalidInputError, match="not linear in b"):
+        scan(_two_variable_problem(equation, window))
+    with pytest.raises(InvalidInputError, match="not linear in b"):
+        _pointwise_scan(_two_variable_problem(equation, window))
+    # on the line a = 3 alone it vanishes at every candidate and is no refusal
+    problem = _two_variable_problem(equation, (3, 3))
+    _same_report(scan(problem), _pointwise_scan(problem))

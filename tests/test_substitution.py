@@ -15,7 +15,8 @@ import pytest
 from scrollflex.chern import GradedClass, GradedRing, GradedVariable
 from scrollflex.errors import InvalidInputError
 from scrollflex.exactpoly import Poly, monomial_text, parse_poly
-from scrollflex.scroll import base_ring, canonical_monomial, graded_to_poly
+from scrollflex.scroll import (base_ring, canonical_monomial, evaluate_symbolic,
+                               graded_to_poly)
 
 CASES = 120
 
@@ -189,6 +190,21 @@ def test_graded_to_poly_refuses_a_name_missing_from_the_target():
     assert graded_to_poly(3 * c1 * c1, ("c1", "d")) == 3 * Poly.variable(("c1", "d"), "c1") ** 2
     with pytest.raises(InvalidInputError, match="unknown variable 'v2'"):
         graded_to_poly(c1 * c1 + v2, ("c1", "c2", "v1"))
+
+
+def test_a_graded_value_over_the_same_names_is_refused_by_its_own_message():
+    ring = base_ring(2, 2)
+    c1 = Poly.variable(ring.names, "c1")
+    with pytest.raises(InvalidInputError,
+                       match=r"substitution value for 'c1' lives over GradedRing"):
+        c1.subs({"c1": ring.variable("c1")})
+    with pytest.raises(InvalidInputError,
+                       match=r"substitution value for 'c1' lives over \('x',\)"):
+        c1.subs({"c1": Poly.variable(("x",), "x")})
+    assert c1.subs({"c1": Poly.variable(ring.names, "c2")}) == Poly.variable(ring.names, "c2")
+    with pytest.raises(InvalidInputError, match="assignment for 'c2' uses foreign variables"):
+        evaluate_symbolic(ring.variable("c2"), {"c2": ring.variable("c1")}, ring.names)
+    assert evaluate_symbolic(ring.variable("c2"), {"c2": c1}, ring.names) == c1
 
 
 # -- monomial text -------------------------------------------------------------
