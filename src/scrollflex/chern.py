@@ -42,7 +42,8 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ._record import Record, set_field
-from .errors import InvalidInputError, ResourceLimitError, RingMismatchError
+from .errors import (InvalidInputError, ResourceLimitError, RingMismatchError,
+                     require_integer)
 from .exactpoly import (Poly, Scalar, _canon, _clean, _field_layout, _mul_acc,
                         _pack_key, _substitute, _unpack_terms)
 
@@ -62,8 +63,7 @@ class GradedVariable(Record):
     def __init__(self, name: str, weight: int = 1, sector: str | None = None):
         if not name or not isinstance(name, str):
             raise InvalidInputError("variable name must be a nonempty string")
-        if weight < 1:
-            raise InvalidInputError(f"weight of {name} must be >= 1")
+        require_integer(weight, f"weight of {name} must be an integer >= 1", 1)
         set_field(self, "name", name)
         set_field(self, "weight", weight)
         set_field(self, "sector", sector)
@@ -95,8 +95,7 @@ class GradedRing:
         self.names = tuple(v.name for v in self.variables)
         if len(set(self.names)) != len(self.names):
             raise InvalidInputError("variable names must be unique in a ring")
-        if truncation < 0:
-            raise InvalidInputError("truncation must be non-negative")
+        require_integer(truncation, "truncation must be a non-negative integer", 0)
         self.weights = tuple(v.weight for v in self.variables)
         self.truncation = truncation
         self.sector_caps = MappingProxyType(dict(sector_caps or {}))
@@ -450,8 +449,7 @@ class FormalBundle:
     __slots__ = ("rank", "ring", "_total", "_sums")
 
     def __init__(self, rank: int, total_chern: GradedClass):
-        if not isinstance(rank, int) or rank < 0:
-            raise InvalidInputError("bundle rank must be a non-negative integer")
+        require_integer(rank, "bundle rank must be a non-negative integer", 0)
         if total_chern.constant_term != 1:
             raise InvalidInputError("total Chern class must have constant term 1")
         self.rank = rank
@@ -624,8 +622,7 @@ def sym_power(e: FormalBundle, k: int) -> FormalBundle:
     order to order, w_t(i+1) = p(S^i E) + sum_(s<=t) C(t, s) w_s(i): each
     order is one product pass and O(truncation^3) part additions.
     """
-    if not isinstance(k, int) or k < 0:
-        raise InvalidInputError("symmetric power order must be a non-negative integer")
+    require_integer(k, "symmetric power order must be a non-negative integer", 0)
     if k == 0:
         return trivial_bundle(e.ring, 1)
     ring, top = e.ring, e.ring.truncation

@@ -1,5 +1,5 @@
-"""Shared exception types for the engine, and the checks that turn
-malformed input files into them."""
+"""Shared exception types, the checks that turn malformed input into them,
+and ``require_integer``, the single rule for every integer argument."""
 
 import json
 
@@ -47,6 +47,13 @@ def is_integer(value) -> bool:
     """Whether ``value`` is an ``int`` and not a ``bool``, which JSON's
     ``true`` and ``false`` parse to."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_integer(value, message: str, least: int | None = None) -> None:
+    """Raise ``InvalidInputError(message)`` unless ``value`` passes
+    ``is_integer`` and, when ``least`` is given, is at least ``least``."""
+    if not is_integer(value) or least is not None and value < least:
+        raise InvalidInputError(message)
 
 
 def require_fields(payload, fields, what: str) -> None:

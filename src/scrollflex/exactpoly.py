@@ -46,7 +46,7 @@ from math import lcm as int_lcm
 from operator import add, lshift, sub
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InvalidInputError, is_integer
+from .errors import InvalidInputError, is_integer, require_integer
 
 Scalar = Union[int, Fraction]
 
@@ -280,8 +280,7 @@ class Poly:
         return _unpack_terms(acc.items(), shifts, mask)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise InvalidInputError("polynomial powers take non-negative integers")
+        require_integer(exponent, "polynomial powers take non-negative integers", 0)
         if not exponent:
             return self._scalar(1)
         # left to right, so every product that is not a square takes the base

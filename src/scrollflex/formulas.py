@@ -20,11 +20,10 @@ Scalar conventions for degree polynomials:
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from math import comb
 
 from .chern import GradedClass, GradedRing
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_integer
 from .exactpoly import Poly
 from .scroll import scroll_ring
 
@@ -57,6 +56,7 @@ def degree_substitution_m3_r2() -> dict[str, Poly]:
 
 def threefold_surface_class(part: int, ring: GradedRing | None = None) -> GradedClass:
     """Graded pieces of the order-2 degeneracy class for (n, m) = (3, 2)."""
+    require_integer(part, "graded part must be 1, 2 or 3")
     ring = ring or scroll_ring(3, 2)
     L, C1, C2, V1, V2 = (ring.variable(s) for s in ("L", "C1", "C2", "V1", "V2"))
     if part == 1:
@@ -72,6 +72,7 @@ def threefold_surface_class(part: int, ring: GradedRing | None = None) -> Graded
 
 def fourfold_threefold_class(codim: int, ring: GradedRing | None = None) -> GradedClass:
     """Order-2 degeneracy classes for (n, m) = (4, 3), codimension 2..4."""
+    require_integer(codim, "codimension must be 2, 3 or 4")
     ring = ring or scroll_ring(4, 3)
     L, C1, C2, C3, V1, V2 = (ring.variable(s)
                              for s in ("L", "C1", "C2", "C3", "V1", "V2"))
@@ -97,8 +98,8 @@ def fourfold_threefold_class(codim: int, ring: GradedRing | None = None) -> Grad
 
 def divisor_class(n: int, m: int, ring: GradedRing | None = None) -> GradedClass:
     """Codimension-one degeneracy class: -(n+2) C1 + (m+1) V1 + binom(m+1,2) L."""
-    if not 2 <= m < n:
-        raise InvalidInputError("need 2 <= m < n")
+    require_integer(m, "need integers 2 <= m < n", 2)
+    require_integer(n, "need integers 2 <= m < n", m + 1)
     ring = ring or scroll_ring(n, m)
     return (-(n + 2) * ring.variable("C1") + (m + 1) * ring.variable("V1")
             + comb(m + 1, 2) * ring.variable("L"))
@@ -106,6 +107,7 @@ def divisor_class(n: int, m: int, ring: GradedRing | None = None) -> GradedClass
 
 def divisor_degree_m2(n: int) -> tuple[Poly, Poly]:
     """Two equivalent degree expressions in the divisor case over a surface."""
+    require_integer(n, "need an integer n >= 3", 3)
     d, g2, v1, v2, c2 = _sv("d"), _sv("g2"), _sv("v1"), _sv("v2"), _sv("c2")
     first = (4 - n) * d + (n + 2) * g2 - (n - 1) * v2
     second = (4 - n) * v1 * v1 + (n + 2) * g2 - 3 * v2
@@ -117,6 +119,7 @@ def divisor_degree_m2(n: int) -> tuple[Poly, Poly]:
 
 def surface_degree(N: int) -> Poly:
     """Degree of the order-2 locus for n=3, m=2 in ambient dimension N."""
+    require_integer(N, "ambient dimension must be 8, 9 or 10")
     d, g2, c1, c2, v1, v2 = (_sv(s) for s in SURFACE_VARS)
     if N == 8:
         return 5 * g2 + v1 * v1 - 3 * v2
@@ -154,6 +157,7 @@ def projection_remark() -> Poly:
 
 def fourfold_degree(codim: int) -> Poly:
     """Degree of the order-2 locus for n=4, m=3, codimension 1..4."""
+    require_integer(codim, "codimension must be 1, 2, 3 or 4")
     d, c1, c2, c3, v1, v2 = (_fv(s) for s in FOURFOLD_VARS)
     if codim == 1:
         return 8 * d + 2 * v1 ** 3 - 6 * c1 * v1 ** 2 + 6 * c1 * v2
@@ -181,6 +185,9 @@ def abelian_class(m: int, k: int, ell: int,
     Terms whose formal L-power would be negative are dropped; usage with
     ell < m is flagged with a warning since only the leading terms remain.
     """
+    require_integer(m, "abelian closed forms cover m = 2 and m = 3 only")
+    require_integer(k, "osculation order k must be an integer >= 1", 1)
+    require_integer(ell, "codimension ell must be an integer >= 0", 0)
     if m == 2:
         mu = k + 1
         nu = comb(k + 1, 2)
@@ -195,7 +202,7 @@ def abelian_class(m: int, k: int, ell: int,
             stacklevel=2,
         )
     ring = ring or scroll_ring(m + 2, m)
-    if ell < 0 or ell > ring.truncation:
+    if ell > ring.truncation:
         raise InvalidInputError(f"codimension {ell} is outside the grading")
     L, V1, V2 = ring.variable("L"), ring.variable("V1"), ring.variable("V2")
     out = comb(ell + mu - 1, mu - 1) * L ** ell
@@ -214,6 +221,8 @@ def abelian_class(m: int, k: int, ell: int,
 
 def abelian_surface_degree(k: int, ell: int) -> Poly:
     """Degree over an abelian surface in (d, g2), any codimension."""
+    require_integer(k, "osculation order k must be an integer >= 1", 1)
+    require_integer(ell, "codimension ell must be an integer >= 1", 1)
     vars = ("d", "g2")
     d, g2 = Poly.variables(vars)
     nu = comb(k + 1, 2)
@@ -225,15 +234,11 @@ def abelian_surface_degree(k: int, ell: int) -> Poly:
 def abelian_example4_degree(k: int) -> int:
     """Flex count for the order-two secant threefold scroll over a quotient
     abelian surface: a quintic in k at polarization type p = (k+1)^2 + 2.
+    The count is an integer: p is even for odd k, the quintic for even k.
     """
-    if k < 2:
-        raise InvalidInputError("the family needs k >= 2")
+    require_integer(k, "the family needs an integer k >= 2", 2)
     p = (k + 1) ** 2 + 2
-    value = Fraction(p, 2) * (k ** 5 + 5 * k ** 4 + 13 * k ** 3
-                              + 19 * k ** 2 + 16 * k + 6)
-    if value.denominator != 1:
-        raise InvalidInputError(f"flex count {value} is not an integer")
-    return int(value)
+    return p * (k ** 5 + 5 * k ** 4 + 13 * k ** 3 + 19 * k ** 2 + 16 * k + 6) // 2
 
 
 # -- the divisor-case exception table -----------------------------------------
@@ -247,6 +252,7 @@ def thm_details_exception_degree(case: int, **params):
     Parameters: case 2 takes d; case 3 takes d, q, f, g (f, g the degrees of
     the two rank-2 bundles on the base curve); case 4 takes d, q, f, A, M.
     """
+    require_integer(case, "case must be 1, 2, 3 or 4")
     if case == 1:
         if params:
             raise InvalidInputError("case 1 takes no parameters")

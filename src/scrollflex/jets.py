@@ -24,8 +24,8 @@ from operator import add, mul
 from typing import Sequence
 
 from ._record import Record, set_field
-from .errors import (InvalidInputError, ResourceLimitError, is_integer,
-                     load_json, require_fields)
+from .errors import (InvalidInputError, ResourceLimitError, load_json,
+                     require_fields, require_integer)
 from .exactpoly import Poly, _NAME_RE, as_scalar, common_divisor, parse_poly
 from .linalg import iter_minors, rank_poly, rank_rational
 
@@ -69,16 +69,10 @@ class JetProbeSpec(Record):
                 raise InvalidInputError(f"variable name {v!r} is not a plain name")
         if not isinstance(coordinates, (list, tuple)):
             raise InvalidInputError("coordinates must be a list")
-        for name, value in (("jet order", order), ("trials", trials),
-                            ("seed", seed), ("height", height)):
-            if not is_integer(value):
-                raise InvalidInputError(f"{name} must be an integer")
-        if order < 1:
-            raise InvalidInputError("jet order must be >= 1")
-        if trials < 1:
-            raise InvalidInputError("need at least one trial")
-        if height < 1:
-            raise InvalidInputError("sampling height must be >= 1")
+        require_integer(order, "jet order must be an integer >= 1", 1)
+        require_integer(trials, "need at least one trial", 1)
+        require_integer(seed, "seed must be an integer")
+        require_integer(height, "sampling height must be an integer >= 1", 1)
         if not coordinates:
             raise InvalidInputError("need at least one coordinate function")
         rows = comb(len(variables) + order, order)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Sequence
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, require_integer
 from .exactpoly import (Poly, _field_layout, _mul_acc, _pack_key, _top_exponent,
                         _trusted, _unpack_terms, as_scalar)
 
@@ -214,6 +214,7 @@ def iter_minors(matrix: Sequence[Sequence[Poly]], r: int):
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
+    require_integer(r, f"minor size must be an integer, got {r!r}")
     if r < 1:
         raise InvalidInputError(f"minor size must be at least 1, got {r}")
     if r > min(nrows, ncols):

@@ -25,7 +25,7 @@ from math import lcm, prod
 from typing import Callable, Mapping
 
 from ._record import Record
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError, require_integer
 from .exactpoly import Poly, monomial_text, parse_poly
 from .formulas import fourfold_degree, p2_specialization_n9, surface_degree
 from .scroll import (BASE_PRESETS, SCAN_FAMILIES as FAMILIES, ScrollSetup,
@@ -334,6 +334,7 @@ def _p3_printed(ell: int, vars) -> Poly:
 
 def _threefold_base_problem(family: str, ell: int) -> ScanProblem:
     """Fourfold scrolls over projective 3-space or the quadric threefold."""
+    require_integer(ell, "codimension must be an integer")
     if ell not in (2, 3, 4):
         raise InvalidInputError("codimension must be 2, 3 or 4 for these scans")
     preset = "p3" if family == "P3" else "q3"
@@ -439,8 +440,7 @@ def _hyperbola_problem(family: str, value: int,
 
 
 def _fe_problem(e: int) -> ScanProblem:
-    if e < 0:
-        raise InvalidInputError("the Hirzebruch invariant e must be >= 0")
+    require_integer(e, "the Hirzebruch invariant e must be an integer >= 0", 0)
     constraints = (
         Constraint("ample-on-fibers", "a = deg V on a fiber >= 2",
                    lambda p: p["a"] >= 2),
@@ -464,8 +464,7 @@ def _fe_problem(e: int) -> ScanProblem:
 
 
 def _bxp1_problem(q: int) -> ScanProblem:
-    if q < 1:
-        raise InvalidInputError("the base curve genus q must be >= 1")
+    require_integer(q, "the base curve genus q must be an integer >= 1", 1)
     constraints = (
         Constraint("ample-on-fibers", "a = deg V on a rational fiber >= 2",
                    lambda p: p["a"] >= 2),
@@ -504,7 +503,7 @@ def build_problem(family: str, **params) -> ScanProblem:
             f"scan family {family} {takes}, not {', '.join(foreign)}")
     if param is None:
         return build()
-    return build(int(params.get(param, default)))
+    return build(params.get(param, default))
 
 
 def run_family(family: str, **params) -> ScanReport:

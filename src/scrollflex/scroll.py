@@ -30,7 +30,8 @@ from .chern import (FormalBundle, GradedClass, GradedRing, GradedVariable,
                     trivial_bundle)
 from ._record import Record, set_field
 from .errors import (IncompleteDataError, InvalidInputError,
-                     ResourceLimitError, is_integer, require_fields)
+                     ResourceLimitError, is_integer, require_fields,
+                     require_integer)
 from .exactpoly import (Poly, Scalar, _as_univariate, _clean,
                         _from_univariate, _pseudo_rem, _substitute, as_scalar,
                         monomial_text)
@@ -44,12 +45,20 @@ MAX_RANK_ORDERS = 1000
 MAX_RANK_DIGITS = 1000
 
 
+def _check_rank_arguments(n: int, m: int, k: int) -> None:
+    require_integer(m, "base dimension m must be an integer >= 1", 1)
+    require_integer(n, "dimension n must be an integer >= m", m)
+    require_integer(k, "osculation order k must be an integer >= 1", 1)
+
+
 def max_rank(n: int, m: int, k: int) -> int:
     """Largest generic rank a k-th jet evaluation can have on an n-fold scroll."""
-    if not (1 <= m <= n):
-        raise InvalidInputError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if k < 1:
-        raise InvalidInputError("osculation order k must be >= 1")
+    _check_rank_arguments(n, m, k)
+    return _jet_rank(n, m, k)
+
+
+def _jet_rank(n: int, m: int, k: int) -> int:
+    """``max_rank`` on arguments already checked, as a setup's are."""
     return (n - m) * comb(m + k - 1, k - 1) + comb(m + k, k)
 
 
@@ -59,6 +68,7 @@ def rank_breakdown(n: int, m: int, k: int) -> list[tuple[int, int]]:
     Refuses more than MAX_RANK_ORDERS orders, and a rank of more than
     MAX_RANK_DIGITS digits, before computing any of them.
     """
+    _check_rank_arguments(n, m, k)
     if k + 1 > MAX_RANK_ORDERS:
         raise ResourceLimitError(
             f"k={k} lists {k + 1} orders, over the limit {MAX_RANK_ORDERS}")
@@ -66,7 +76,7 @@ def rank_breakdown(n: int, m: int, k: int) -> list[tuple[int, int]]:
     a, b = m + k, min(m, k)
     low_bits = max(b, b * (a.bit_length() - b.bit_length() - 1))
     if (3 * low_bits > 10 * MAX_RANK_DIGITS
-            or max_rank(n, m, k) >= 10 ** MAX_RANK_DIGITS):
+            or _jet_rank(n, m, k) >= 10 ** MAX_RANK_DIGITS):
         raise ResourceLimitError(
             f"the rank for n={n}, m={m}, k={k} has over {MAX_RANK_DIGITS} "
             f"digits, over the limit")
@@ -84,12 +94,13 @@ class ScrollSetup(Record):
     __slots__ = ("n", "m", "k", "N")
 
     def __init__(self, n: int, m: int, k: int, N: int):
-        if not (1 <= m < n):
-            raise InvalidInputError(f"need 1 <= m < n, got m={m}, n={n}")
-        if k < 1:
-            raise InvalidInputError("osculation order k must be >= 1")
-        if N < n:
-            raise InvalidInputError("ambient dimension must be at least dim X")
+        # every degree query builds a setup: exact ints in range pass in one
+        # test, which implies each check below; those decide everything else
+        if not (type(n) is type(m) is type(k) is type(N) is int
+                and 1 <= m < n <= N and k >= 1):
+            _check_rank_arguments(n, m, k)
+            require_integer(n, "dimension n must be an integer above m", m + 1)
+            require_integer(N, "ambient dimension N must be an integer >= n", n)
         set_field(self, "n", n)
         set_field(self, "m", m)
         set_field(self, "k", k)
@@ -101,7 +112,7 @@ class ScrollSetup(Record):
 
     @property
     def max_jet_rank(self) -> int:
-        return max_rank(self.n, self.m, self.k)
+        return _jet_rank(self.n, self.m, self.k)
 
     @property
     def codim(self) -> int:
@@ -398,6 +409,24 @@ def _canonical_key(key: str) -> tuple[str, int]:
     return canonical_monomial(key), weight
 
 
+def _canonical_table(assignments: Mapping) -> dict:
+    """A symbolic table keyed by canonical base-monomial spellings.  Two
+    spellings of one monomial with different values are refused as in
+    ``NumericalBaseData``, whose own loop also checks weights and values;
+    a key that is not a base monomial is left out, as no pairing reads it."""
+    clean, source = {}, {}
+    for key, value in assignments.items():
+        try:
+            ck = _canonical_key(key)[0]
+        except InvalidInputError:
+            continue
+        first = source.setdefault(ck, key)
+        if clean.setdefault(ck, value) != value:
+            raise InvalidInputError(
+                f"keys {first!r} and {key!r} both name {ck} with different values")
+    return clean
+
+
 class NumericalBaseData(Record):
     """Intersection numbers of Y paired against weight-m monomials.
 
@@ -408,8 +437,7 @@ class NumericalBaseData(Record):
     __slots__ = ("dimension", "assignments")
 
     def __init__(self, dimension: int, assignments: Mapping[str, int]):
-        if not is_integer(dimension):
-            raise InvalidInputError("dimension must be an integer")
+        require_integer(dimension, "dimension must be an integer")
         if not isinstance(assignments, Mapping):
             raise InvalidInputError("assignments must map monomials to integers")
         clean, source = {}, {}
@@ -454,7 +482,8 @@ class NumericalBaseData(Record):
 def evaluate_symbolic(cls: GradedClass,
                       assignments: Mapping[str, Union[Poly, Scalar]],
                       vars: Sequence[str]) -> Poly:
-    """Pair a degree-m class against symbolic intersection values."""
+    """Pair a degree-m class against symbolic intersection values; a table
+    that misses a key is read again by canonical spellings."""
     vars = tuple(vars)
     total = Poly.zero(vars)  # checks the names
     one = tuple(0 for _ in vars)
@@ -475,6 +504,9 @@ def evaluate_symbolic(cls: GradedClass,
         for e, c in value.terms.items():
             out[e] = get(e, 0) + c * coeff
     if missing:
+        canonical = _canonical_table(assignments)
+        if canonical.keys() & missing:
+            return evaluate_symbolic(cls, canonical, vars)
         raise IncompleteDataError(missing)
     return total._new(_clean(out))
 

@@ -446,11 +446,25 @@ def test_unknown_variable_names_are_refused_with_a_typed_error(call):
     lambda x, y: (x + y).subs({"y": 1}, vars=("y",)),
     lambda x, y: (x + y).eval_at({"x": 1}),
     lambda x, y: x.exact_div(Poly.zero(V)),
+    lambda x, y: x.exact_div(0),
     lambda x, y: common_divisor([]),
 ], ids=["constant-value", "leading-of-zero", "negative-power", "subs-foreign-value",
-        "subs-absent-variable", "eval-missing-value", "divide-by-zero", "empty-content"])
+        "subs-absent-variable", "eval-missing-value", "divide-by-zero",
+        "divide-by-zero-number", "empty-content"])
 def test_exactpoly_refusals(make):
     x, y, w = _vars()
     with pytest.raises(InvalidInputError) as info:
         make(x, y)
     assert type(info.value) is InvalidInputError
+
+
+def test_zero_and_number_operands_of_division_content_and_gcd():
+    x, y, w = _vars()
+    zero = Poly.zero(V)
+    half = x.exact_div(2)
+    assert half == x * Fraction(1, 2) and half.terms == {(1, 0, 0): Fraction(1, 2)}
+    assert zero.monomial_content() == (0, 0, 0)
+    assert zero.normalized() is zero
+    assert poly_gcd(zero, 2 * x - 4 * y) == x - 2 * y
+    assert poly_gcd(-3 * y, zero) == y
+    assert poly_gcd(zero, zero).is_zero()

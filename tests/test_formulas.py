@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from scrollflex import formulas
@@ -9,6 +11,21 @@ from scrollflex.scroll import scroll_ring
 def test_divisor_class_validation():
     with pytest.raises(InvalidInputError):
         formulas.divisor_class(3, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: formulas.threefold_surface_class(4),
+    lambda: formulas.fourfold_threefold_class(5),
+    lambda: formulas.fourfold_degree(5),
+    lambda: formulas.abelian_class(2, 2, 5),
+    lambda: formulas.thm_details_exception_degree(2, q=1),
+    lambda: formulas.thm_details_exception_degree(3, d=Fraction(1, 2), q=1, f=0, g=0),
+], ids=["threefold-part-4", "fourfold-class-codim-5", "fourfold-degree-codim-5",
+        "abelian-codim-past-the-grading", "exception-unknown-parameter",
+        "exception-non-integer-degree"])
+def test_formula_refusals(make):
+    with pytest.raises(InvalidInputError):
+        make()
 
 
 def test_threefold_class_part_is_homogeneous():

@@ -218,6 +218,33 @@ def test_spec_validation():
     assert seen[0].filename == __file__
 
 
+@pytest.mark.parametrize("make", [
+    lambda: JetProbeSpec(["x"], ["1", Poly.variable(("y",), "y")], 1),
+    lambda: jet_matrix(JetProbeSpec(["x"], ["1", "x"], 1), (1, 2)),
+    lambda: product_rank_identity(jets.veronese_chart(order=1), 1),
+], ids=["coordinate-over-other-variables", "point-of-wrong-dimension",
+        "product-identity-at-order-1"])
+def test_jets_refusals(make):
+    with pytest.raises(InvalidInputError):
+        make()
+
+
+def test_a_chart_flat_at_every_sample_point_gets_the_resample_notice():
+    # x^2 (x - 1)^2 (x + 1)^2 and its derivative vanish at -1, 0 and 1, the
+    # only points of height 1; such a chart has no constant coordinate
+    with pytest.warns(UserWarning, match="no constant coordinate"):
+        spec = JetProbeSpec(["x"], ["x^2*(x - 1)^2*(x + 1)^2"], 1, height=1)
+    scan = probe_rank(spec)
+    assert scan.rank == 0 and set(scan.per_trial) == {0}
+    assert scan.note == "resample notice: every sample point gave the zero matrix"
+
+
+def test_all_minors_zero_give_a_zero_content():
+    report = inflection_equations(JetProbeSpec(["x"], ["1", "2"], 1), 2)
+    assert [str(m) for m in report.minors] == ["0"]
+    assert report.content.is_zero() and report.nonzero_minors == 0
+
+
 @pytest.mark.parametrize("name", ["a b", "1x", ""])
 def test_spec_refuses_a_variable_name_the_parser_cannot_read(name):
     # a spec over "a b" or "1x" wrote a payload that from_payload refused,

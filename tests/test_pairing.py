@@ -192,6 +192,53 @@ def test_numeric_evaluate_matches_string_keyed_sum_500():
     assert incomplete
 
 
+def _respelled_p2(**extra):
+    table = BASE_PRESETS["p2"].assignments()
+    table["v1*c1"] = table.pop("c1*v1")
+    return {**table, **extra}
+
+
+def test_symbolic_pairing_reads_a_table_by_canonical_spelling():
+    setup = ScrollSetup(3, 2, 2, 9)
+    want = symbolic_degree(setup, BASE_PRESETS["p2"].assignments(), ("v", "y"))
+    _same_poly(symbolic_degree(setup, _respelled_p2(), ("v", "y")), want)
+    # the numeric route reads the same spelling to the same degree
+    numbers = {key: int(poly.constant_value()) for key, poly
+               in BASE_PRESETS["p2"].assignments(v=4, y=4).items()}
+    numbers["v1*c1"] = numbers.pop("c1*v1")
+    degree = degree_of_inflection(setup, NumericalBaseData(2, numbers)).value
+    assert want.eval_at({"v": 4, "y": 4}) == degree
+
+
+def test_symbolic_pairing_refuses_two_values_for_one_monomial():
+    v = Poly.variable(("v", "y"), "v")
+    with pytest.raises(InvalidInputError,
+                       match=r"keys 'v1\*c1' and 'v1\^1\*c1' both name c1\*v1"):
+        symbolic_degree(ScrollSetup(3, 2, 2, 9),
+                        _respelled_p2(**{"v1^1*c1": 3 * v + 1}), ("v", "y"))
+
+
+def test_symbolic_pairing_lists_a_key_still_missing_after_respelling():
+    table = _respelled_p2()
+    del table["v2"]
+    with pytest.raises(IncompleteDataError) as err:
+        symbolic_degree(ScrollSetup(3, 2, 2, 9), table, ("v", "y"))
+    assert err.value.missing == ("v2",)
+
+
+def test_symbolic_pairing_ignores_a_key_that_is_not_a_base_monomial():
+    # complete or not, a table's extra key is never read: a miss is still
+    # reported as missing data, and a respelled table still pairs
+    setup = ScrollSetup(3, 2, 2, 9)
+    want = symbolic_degree(setup, BASE_PRESETS["p2"].assignments(), ("v", "y"))
+    for table in (BASE_PRESETS["p2"].assignments(), _respelled_p2()):
+        _same_poly(symbolic_degree(setup, {**table, "note": 0}, ("v", "y")), want)
+        del table["v2"]
+        with pytest.raises(IncompleteDataError) as err:
+            symbolic_degree(setup, {**table, "note": 0}, ("v", "y"))
+        assert err.value.missing == ("v2",)
+
+
 def test_evaluate_symbolic_refuses_duplicate_names():
     cls = base_ring(2, 2).variable("c2")
     with pytest.raises(InvalidInputError, match="duplicate variable names"):

@@ -127,6 +127,18 @@ def test_a_parameter_the_family_does_not_take_is_refused(family, foreign):
         run_family(family, **foreign)
 
 
+@pytest.mark.parametrize("make", [
+    lambda x, y: scans._positivity_bound(x * y - x ** 2, "x", 2, 0),
+    lambda x, y: scans._positivity_bound(x ** 2 - 5, "x", 2, 0),
+    lambda x, y: scans._positivity_bound(x * 0, "x", 2, 0),
+    lambda x, y: scans._p3_printed(5, ("x", "y", "d")),
+], ids=["positivity-form-not-univariate", "positivity-lead-positive",
+        "positivity-form-zero", "p3-printed-codimension-5"])
+def test_scan_helper_refusals(make):
+    with pytest.raises(InvalidInputError):
+        make(*Poly.variables(("x", "y")))
+
+
 def test_exceptional_condition_takes_only_the_family():
     with pytest.raises(TypeError):
         exceptional_condition("Fe", e=0)
