@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 from ._record import Record, set_field
 from .errors import (InvalidInputError, ResourceLimitError, RingMismatchError,
-                     require_integer)
+                     require_fields, require_integer)
 from .exactpoly import (Poly, Scalar, _canon, _clean, _field_layout, _mul_acc,
                         _pack_key, _substitute, _unpack_terms)
 
@@ -99,9 +99,11 @@ class GradedRing:
         self.weights = tuple(v.weight for v in self.variables)
         self.truncation = truncation
         self.sector_caps = MappingProxyType(dict(sector_caps or {}))
-        for sector in self.sector_caps:
+        for sector, cap in self.sector_caps.items():
             if not any(v.sector == sector for v in self.variables):
                 raise InvalidInputError(f"sector cap for unused sector {sector!r}")
+            require_integer(cap, f"cap of sector {sector!r} must be a "
+                                 "non-negative integer", 0)
         self._index = {name: i for i, name in enumerate(self.names)}
         # the truncation, then each sector cap
         self.limits = (truncation, *self.sector_caps.values())
@@ -178,8 +180,16 @@ class GradedRing:
 
     @classmethod
     def from_descriptor(cls, payload: Mapping) -> "GradedRing":
-        variables = [GradedVariable(n, w, s) for n, w, s in payload["variables"]]
-        return cls(variables, payload["truncation"], payload.get("sector_caps") or None)
+        require_fields(payload, ("variables", "truncation"), "ring descriptor")
+        entries = payload["variables"]
+        if not (isinstance(entries, list)
+                and all(isinstance(v, list) and len(v) == 3
+                        and (v[2] is None or isinstance(v[2], str)) for v in entries)):
+            raise InvalidInputError("ring variables must be [name, weight, sector] lists")
+        caps = payload.get("sector_caps") or None
+        if caps is not None and not isinstance(caps, dict):
+            raise InvalidInputError("sector caps must be a JSON object")
+        return cls([GradedVariable(*v) for v in entries], payload["truncation"], caps)
 
 
 class GradedClass(Poly):
@@ -229,12 +239,6 @@ class GradedClass(Poly):
     @property
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get(tuple(0 for _ in self.ring.names), 0))
-
-    def homogeneous_part(self, d: int) -> "GradedClass":
-        return self._new({
-            e: c for e, c in self.terms.items()
-            if self.ring.monomial_degree(e) == d
-        })
 
     def is_homogeneous(self, d: int) -> bool:
         return all(self.ring.monomial_degree(e) == d for e in self.terms)
@@ -316,9 +320,20 @@ class GradedClass(Poly):
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "GradedClass":
-        return cls(GradedRing.from_descriptor(payload["ring"]), {
-            tuple(e): Fraction(num, den) for e, num, den in payload["terms"]
-        })
+        require_fields(payload, ("ring", "terms"), "class payload")
+        ring = GradedRing.from_descriptor(payload["ring"])
+        terms = payload["terms"]
+        # JSON's unhashable values are lists and objects
+        if not (isinstance(terms, list)
+                and all(isinstance(t, list) and len(t) == 3 and isinstance(t[0], list)
+                        and not any(isinstance(e, (list, dict)) for e in t[0])
+                        for t in terms)):
+            raise InvalidInputError(
+                "class terms must be [exponents, numerator, denominator] lists")
+        for _, num, den in terms:
+            require_integer(num, "class term numerators must be integers")
+            require_integer(den, "class term denominators must be integers >= 1", 1)
+        return cls(ring, {tuple(e): Fraction(num, den) for e, num, den in terms})
 
 
 

@@ -375,6 +375,7 @@ class MinorReport(Record):
 
 def inflection_equations(spec: JetProbeSpec, size: int) -> MinorReport:
     """Minors of order ``size`` with the common polynomial content factored out."""
+    require_integer(size, f"minor size must be an integer, got {size!r}")
     matrix = _shared_jet_matrix(spec)
     nrows, ncols = len(matrix), len(matrix[0])
     if size > min(nrows, ncols):
@@ -403,8 +404,13 @@ class ProductRankCheck(Record):
         return self.predicted == self.direct
 
 
+def _check_fiber_dim(fiber_dim: int) -> None:
+    require_integer(fiber_dim, "fiber dimension must be a non-negative integer", 0)
+
+
 def segre_product_spec(base: JetProbeSpec, fiber_dim: int) -> JetProbeSpec:
     """Chart of base x P^fiber_dim under the Segre embedding."""
+    _check_fiber_dim(fiber_dim)
     names = base.variables + tuple(f"t{j}" for j in range(1, fiber_dim + 1))
     lifted = [c.subs({}, vars=names) for c in base.coordinates]
     coords = list(lifted)
@@ -421,6 +427,7 @@ def product_rank_identity(base: JetProbeSpec, fiber_dim: int) -> ProductRankChec
     The k-jet rank of base x P^s equals s * (rank at order k-1) plus the
     rank at order k, and the direct probe of the product chart must agree.
     """
+    _check_fiber_dim(fiber_dim)
     if base.order < 2:
         raise InvalidInputError("the identity needs order >= 2 on the base")
     high = generic_jet_rank(base)

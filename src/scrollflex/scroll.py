@@ -45,9 +45,13 @@ MAX_RANK_ORDERS = 1000
 MAX_RANK_DIGITS = 1000
 
 
-def _check_rank_arguments(n: int, m: int, k: int) -> None:
+def _check_dimensions(n: int, m: int) -> None:
     require_integer(m, "base dimension m must be an integer >= 1", 1)
     require_integer(n, "dimension n must be an integer >= m", m)
+
+
+def _check_rank_arguments(n: int, m: int, k: int) -> None:
+    _check_dimensions(n, m)
     require_integer(k, "osculation order k must be an integer >= 1", 1)
 
 
@@ -147,9 +151,15 @@ def expected_codim(setup: ScrollSetup) -> CodimResult:
 RING_CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=RING_CACHE_SIZE)
+@lru_cache(maxsize=RING_CACHE_SIZE, typed=True)
 def scroll_ring(n: int, m: int) -> GradedRing:
-    """Ring of classes on X: L, C_1..C_m, V_1..V_min(r, m); truncation n."""
+    """Ring of classes on X: L, C_1..C_m, V_1..V_min(r, m); truncation n.
+
+    Needs ``1 <= m <= n``, as ``max_rank`` does (``m = n`` is fiber rank 1).
+    The cache keys by type as well, so ``True`` or ``1.0`` never hits the
+    entry of ``1`` and is refused on its miss.
+    """
+    _check_dimensions(n, m)
     r = n - m + 1
     variables = [GradedVariable("L", 1)]
     variables += [GradedVariable(f"C{i}", i, BASE_SECTOR) for i in range(1, m + 1)]
@@ -276,6 +286,10 @@ def _inverted_summands(base: GradedRing, n: int, m: int, k: int) -> tuple:
             last.rank)
 
 
+def _check_fiber_rank(r: int) -> None:
+    require_integer(r, "fiber rank r must be an integer >= 1", 1)
+
+
 def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:
     """The remainder of x, as a polynomial in L, by the monic relation
     sum_i (-1)^i V_i L^(r-i) = 0.
@@ -285,6 +299,7 @@ def chern_wu_reduce(x: GradedClass, r: int) -> GradedClass:
     homogeneous, so every term put back on its L-power is admitted.  This
     gives the ``reduced`` form of a class; fiber integration does not need it.
     """
+    _check_fiber_rank(r)
     ring = x.ring
     li = ring.index("L")
     relation = {r - i: ring.variable(f"V{i}") * (-1) ** i
@@ -300,6 +315,7 @@ def pushforward(x: GradedClass, r: int) -> GradedClass:
     Intersection Theory, 3.1); terms of L-degree below r - 1 integrate to
     zero, and C_i and V_i rename to their lowercase base counterparts.
     """
+    _check_fiber_rank(r)
     ring = x.ring
     m = ring.sector_caps.get(BASE_SECTOR)
     if m is None:

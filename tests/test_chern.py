@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -14,7 +15,7 @@ from scrollflex.errors import (InvalidInputError, ResourceLimitError,
                                RingMismatchError)
 from scrollflex.exactpoly import Poly, poly_gcd
 
-from .test_properties import _one_plus_product, _root_bundle
+from .test_properties import _degree_part, _one_plus_product, _root_bundle
 
 
 def ring_b(truncation=3):
@@ -128,7 +129,7 @@ def test_twisted_square_tangent_threefold():
     L, C1, C2, C3 = (ring.variable(n) for n in ("L", "C1", "C2", "C3"))
     s2 = bundle_from_classes(
         6, [4 * C1, 5 * (C1 ** 2 + C2), 2 * C1 ** 3 + 11 * C1 * C2 + 7 * C3])
-    c = tensor_line(s2, L, -1).total_chern.homogeneous_part
+    c = partial(_degree_part, tensor_line(s2, L, -1).total_chern)
     assert c(1) == 4 * C1 - 6 * L
     assert c(2) == 5 * (C1 ** 2 + C2) - 20 * C1 * L + 15 * L ** 2
     assert c(3) == (2 * C1 ** 3 + 11 * C1 * C2 + 7 * C3
@@ -150,7 +151,7 @@ def test_tensor_surface_components():
         classes = [v1, v2] + [ring.zero()] * (n - 3)
         V = bundle_from_classes(n - 1, classes)
         T = bundle_from_classes(2, [c1, c2])
-        c = tensor(dual(V), T).total_chern.homogeneous_part
+        c = partial(_degree_part, tensor(dual(V), T).total_chern)
         assert c(1) == -2 * v1 + (n - 1) * c1
         from math import comb
         assert c(2) == (v1 ** 2 + 2 * v2 - (2 * n - 3) * v1 * c1
@@ -162,8 +163,8 @@ def test_tensor_threefold_components():
                        GradedVariable("c3", 3), GradedVariable("v1", 1),
                        GradedVariable("v2", 2)], 3)
     c1, c2, c3, v1, v2 = (ring.variable(s) for s in ("c1", "c2", "c3", "v1", "v2"))
-    c = tensor(dual(bundle_from_classes(2, [v1, v2])),
-               bundle_from_classes(3, [c1, c2, c3])).total_chern.homogeneous_part
+    c = partial(_degree_part, tensor(dual(bundle_from_classes(2, [v1, v2])),
+                                     bundle_from_classes(3, [c1, c2, c3])).total_chern)
     assert c(1) == -3 * v1 + 2 * c1
     assert c(2) == 3 * v1 ** 2 + 3 * v2 - 5 * c1 * v1 + c1 ** 2 + 2 * c2
     assert c(3) == (-(v1 ** 3) - 6 * v1 * v2 + 4 * c1 * (v1 ** 2 + v2)
@@ -174,7 +175,7 @@ def test_tensor_of_lines_adds_first_chern():
     ring = surface_ring()
     a = bundle_from_classes(1, [ring.variable("c1")])
     b = bundle_from_classes(1, [ring.variable("v1")])
-    assert (tensor(a, b).total_chern.homogeneous_part(1)
+    assert (_degree_part(tensor(a, b).total_chern, 1)
             == ring.variable("c1") + ring.variable("v1"))
 
 
@@ -419,6 +420,32 @@ def test_payload_refuses_an_exponent_that_is_not_a_natural_int(bad):
     payload = (3 * ring.variable("L")).to_payload()
     payload["terms"][0][0][0] = bad
     with pytest.raises(InvalidInputError, match="bad exponent vector"):
+        GradedClass.from_payload(payload)
+
+
+_RING = {"variables": [["L", 1, None]], "truncation": 3, "sector_caps": {}}
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param({}, id="empty-object"),
+    pytest.param([], id="not-an-object"),
+    pytest.param({"ring": _RING}, id="no-terms"),
+    pytest.param({"ring": [], "terms": []}, id="ring-not-an-object"),
+    pytest.param({"ring": {"variables": [["L", 1, None]]}, "terms": []},
+                 id="ring-without-truncation"),
+    pytest.param({"ring": {**_RING, "variables": [["L", 1]]}, "terms": []},
+                 id="variable-not-a-triple"),
+    pytest.param({"ring": {**_RING, "variables": [["L", 1, ["s"]]]}, "terms": []},
+                 id="sector-not-a-name"),
+    pytest.param({"ring": {**_RING, "sector_caps": [1]}, "terms": []},
+                 id="caps-not-an-object"),
+    pytest.param({"ring": _RING, "terms": [[[1], 3]]}, id="term-not-a-triple"),
+    pytest.param({"ring": _RING, "terms": [[[[1]], 3, 1]]}, id="nested-exponents"),
+    pytest.param({"ring": _RING, "terms": [[[1], 3, 0]]}, id="zero-denominator"),
+    pytest.param({"ring": _RING, "terms": [[[1], "3", 1]]}, id="string-numerator"),
+])
+def test_payload_refuses_a_malformed_class(payload):
+    with pytest.raises(InvalidInputError):
         GradedClass.from_payload(payload)
 
 

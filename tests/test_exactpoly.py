@@ -251,6 +251,17 @@ def test_exact_div_and_failure():
     assert (x ** 2 - y ** 2).exact_div(x - y) == x + y
     with pytest.raises(InvalidInputError):
         (x ** 2 - y ** 2 + 1).exact_div(x - y)
+    with pytest.raises(InvalidInputError, match="exact rational"):
+        x.exact_div(1.5)
+
+
+def test_operands_that_are_not_numbers_are_not_implemented():
+    x, y, w = _vars()
+    with pytest.raises(TypeError):
+        x + "a"
+    with pytest.raises(TypeError):
+        x * "a"
+    assert (x == "a") is False
 
 
 def test_gcd_simple():
@@ -381,6 +392,8 @@ def test_parse_rejects_garbage():
         parse_poly("z + 1", V)
     with pytest.raises(InvalidInputError):
         parse_poly("x / y", V)
+    with pytest.raises(InvalidInputError, match="polynomial text"):
+        parse_poly(5, V)
 
 
 def test_parse_keeps_signs_and_powers():

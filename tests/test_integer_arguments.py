@@ -11,11 +11,13 @@ from scrollflex.chern import (FormalBundle, GradedRing, GradedVariable,
 from scrollflex.errors import InvalidInputError
 from scrollflex.exactpoly import Poly
 from scrollflex import formulas
-from scrollflex.jets import JetProbeSpec
+from scrollflex.jets import (BUNDLED_PROBES, JetProbeSpec, inflection_equations,
+                             product_rank_identity, segre_product_spec)
 from scrollflex.linalg import iter_minors
 from scrollflex.scans import build_problem
-from scrollflex.scroll import (NumericalBaseData, ScrollSetup, max_rank,
-                               rank_breakdown)
+from scrollflex.scroll import (NumericalBaseData, ScrollSetup, chern_wu_reduce,
+                               max_rank, pushforward, rank_breakdown,
+                               scroll_ring)
 
 
 def _abelian_class(m=2, k=2, ell=2):
@@ -34,6 +36,8 @@ def _probe(**fields):
 
 
 _X = Poly.variables(("x", "y"))
+_L = scroll_ring(3, 2).variable("L")
+_SEGRE = BUNDLED_PROBES["segre-2-1"].build()
 _MATRIX = [[_X[0], _X[1]], [_X[1], _X[0]]]
 
 # each entry point with one integer argument left free, and its floor: the
@@ -41,6 +45,8 @@ _MATRIX = [[_X[0], _X[1]], [_X[1], _X[0]]]
 ENTRIES = {
     "GradedVariable-weight": (lambda v: GradedVariable("x", v), 1),
     "GradedRing-truncation": (lambda v: GradedRing([GradedVariable("x")], v), 0),
+    "GradedRing-sector-cap": (
+        lambda v: GradedRing([GradedVariable("x", 1, "s")], 2, {"s": v}), 0),
     "FormalBundle-rank": (lambda v: FormalBundle(v, _ring().one()), 0),
     "sym_power-order": (lambda v: sym_power(trivial_bundle(_ring(), 2), v), 0),
     "Poly-pow": (lambda v: _X[0] ** v, 0),
@@ -55,7 +61,11 @@ ENTRIES = {
     "rank_breakdown-m": (lambda v: rank_breakdown(3, v, 2), 1),
     "rank_breakdown-k": (lambda v: rank_breakdown(3, 2, v), 1),
     "NumericalBaseData-dimension": (lambda v: NumericalBaseData(v, {}), None),
+    "chern_wu_reduce-r": (lambda v: chern_wu_reduce(_L, v), 1),
     "iter_minors-r": (lambda v: list(iter_minors(_MATRIX, v)), 1),
+    "segre_product_spec-fiber_dim": (lambda v: segre_product_spec(_probe(), v), 0),
+    "product_rank_identity-fiber_dim": (
+        lambda v: product_rank_identity(_probe(order=2), v), 0),
     "JetProbeSpec-order": (lambda v: _probe(order=v), 1),
     "JetProbeSpec-trials": (lambda v: _probe(trials=v), 1),
     "JetProbeSpec-seed": (lambda v: _probe(seed=v), None),
@@ -113,3 +123,31 @@ def test_minor_size_message_tells_a_non_integer_from_a_small_one():
         list(iter_minors(_MATRIX, 1.5))
     with pytest.raises(InvalidInputError, match=r"must be at least 1, got 0"):
         list(iter_minors(_MATRIX, 0))
+
+
+# entry points where a generic case above could raise InvalidInputError for
+# an unrelated reason (an empty base sector at m = 0, no variable v1 at
+# r = 0, iter_minors behind inflection_equations), or whose rule ties two
+# arguments: each refusal must name the rule it breaks
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: scroll_ring(3, 2.5), "base dimension m", id="scroll_ring-m-half"),
+    pytest.param(lambda: scroll_ring(3, 0), "base dimension m", id="scroll_ring-m-below"),
+    pytest.param(lambda: scroll_ring(2, 3), "n must be an integer >= m",
+                 id="scroll_ring-n-below-m"),
+    pytest.param(lambda: scroll_ring(3.0, 2), "n must be an integer >= m",
+                 id="scroll_ring-n-float"),
+    pytest.param(lambda: pushforward(_L, 1.5), "fiber rank", id="pushforward-r-half"),
+    pytest.param(lambda: pushforward(_L, True), "fiber rank", id="pushforward-r-bool"),
+    pytest.param(lambda: pushforward(_L, 0), "fiber rank", id="pushforward-r-below"),
+    pytest.param(lambda: inflection_equations(_SEGRE, "2"), "must be an integer",
+                 id="inflection_equations-size-string"),
+])
+def test_integer_arguments_refuse_with_their_own_message(make, message):
+    with pytest.raises(InvalidInputError, match=message):
+        make()
+
+
+def test_scroll_ring_refuses_a_bool_its_cache_files_under_one():
+    scroll_ring(3, 1)
+    with pytest.raises(InvalidInputError, match="base dimension m"):
+        scroll_ring(3, True)

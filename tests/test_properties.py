@@ -59,6 +59,12 @@ def test_series_inverse_identity_500():
         assert x * x.series_inverse() == ring.one(), f"case {case}"
 
 
+def _degree_part(cls, d):
+    """The terms of a graded class of degree ``d`` in its ring's grading."""
+    return GradedClass(cls.ring, {e: c for e, c in cls.terms.items()
+                                  if cls.ring.monomial_degree(e) == d})
+
+
 def _truncated(ring, poly):
     """The terms of a plain polynomial that the ring admits."""
     return {e: c for e, c in poly.terms.items() if ring.admits(e)}

@@ -202,6 +202,29 @@ def test_an_engine_slip_trips_the_three_way_guard(monkeypatch, family, params):
         build_problem(family, **params)
 
 
+def test_a_preset_table_that_lacks_a_key_is_an_internal_error(monkeypatch):
+    p2 = scans.BASE_PRESETS["p2"]
+
+    class Partial:
+        def assignments(self, **values):
+            table = p2.assignments(**values)
+            del table["c1*v1"]
+            return table
+
+    monkeypatch.setitem(scans.BASE_PRESETS, "p2", Partial())
+    with pytest.raises(InternalConsistencyError, match="preset p2 lacks c1\\*v1"):
+        build_problem("P2_N10")
+
+
+def test_a_printed_p3_equation_without_positive_d_and_y_is_an_internal_error(
+        monkeypatch):
+    printed = scans._p3_printed
+    monkeypatch.setattr(scans, "_p3_printed", lambda ell, vars: -printed(ell, vars))
+    monkeypatch.setattr(scans, "_require_equal", lambda *sides: None)
+    with pytest.raises(InternalConsistencyError, match="positive d and y"):
+        build_problem("P3", ell=2)
+
+
 def test_closed_sides_match_the_forms_they_replace():
     # the closed sides typed out by hand before they were derived on presets
     vars = ("a", "b", "d")

@@ -22,6 +22,8 @@ from scrollflex.scroll import (BASE_PRESETS, NumericalBaseData, ScrollSetup,
                                tangent_bundle, tautological_subsheaf_bundle,
                                total_chern_E_k)
 
+from .test_properties import _degree_part
+
 
 # -- rank bound ----------------------------------------------------------------
 
@@ -160,7 +162,7 @@ def test_chern_wu_idempotent_and_degree_preserving():
     once = chern_wu_reduce(cls, 3)
     assert chern_wu_reduce(once, 3) == once
     for degree in range(ring.truncation + 1):
-        reduced = chern_wu_reduce(cls.homogeneous_part(degree), 3)
+        reduced = chern_wu_reduce(_degree_part(cls, degree), 3)
         assert reduced.is_zero() or reduced.is_homogeneous(degree)
         assert all(exps[ring.index("L")] <= 2 for exps in reduced.terms)
 
@@ -191,7 +193,7 @@ def test_pushforward_of_hyperplane_powers_is_the_segre_class():
             L = hyperplane_class(scroll_ring(n, m))
             for i in range(m + 1):
                 got = pushforward(L ** (r - 1 + i), r)
-                assert got == segre.homogeneous_part(i), (n, m, i)
+                assert got == _degree_part(segre, i), (n, m, i)
 
 
 def full_ring_pushforward(x, r, shift):
@@ -342,7 +344,7 @@ def test_class_at_codim_truncation_matches_full_truncation(n, m, k):
         setup = ScrollSetup(n, m, k, N)
         got = inflection_class(setup)
         assert got.ring == ring
-        assert _typed(got) == _typed(full.homogeneous_part(setup.codim)), N
+        assert _typed(got) == _typed(_degree_part(full, setup.codim)), N
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
