@@ -8,15 +8,21 @@ Every command imports ``scroll`` with ``chern``, ``exactpoly`` and ``errors``;
 ``jet`` adds ``jets`` and ``linalg``, ``scan`` adds ``scans`` and
 ``formulas``, and ``verify`` imports all of these.  Records are plain
 slotted classes, so start-up generates no code and imports no ``inspect``.
+
+One table, ``COMMANDS``, lists every command's handler and arguments;
+``parse_args`` reads argv against it and builds the help text and the usage
+errors from it.  Parsing needs no argument-parsing library: importing and
+setting one up cost about 5 ms, more than the engine spends on most
+requests.  Usage errors exit with status 2 and ``-h`` with status 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import warnings
+from types import SimpleNamespace
 
 from .errors import InvalidInputError, ScrollflexError, load_json
 from .scroll import (BASE_PRESETS, SCAN_FAMILIES, NumericalBaseData,
@@ -38,7 +44,7 @@ def _resolve_path(name: str) -> str:
     return name
 
 
-def _emit(config: argparse.Namespace, payload: dict, pretty_lines: list[str]) -> None:
+def _emit(config: SimpleNamespace, payload: dict, pretty_lines: list[str]) -> None:
     if config.format == "structured":
         options = {name: value for name, value in vars(config).items()
                    if value is not None}
@@ -49,7 +55,7 @@ def _emit(config: argparse.Namespace, payload: dict, pretty_lines: list[str]) ->
             print(line)
 
 
-def _cmd_rank(config: argparse.Namespace) -> int:
+def _cmd_rank(config: SimpleNamespace) -> int:
     breakdown = rank_breakdown(config.n, config.m, config.k)
     value = max_rank(config.n, config.m, config.k)
     lines = [f"maximal generic jet rank: {value}"]
@@ -58,7 +64,7 @@ def _cmd_rank(config: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_class(config: argparse.Namespace) -> int:
+def _cmd_class(config: SimpleNamespace) -> int:
     setup = ScrollSetup(config.n, config.m, config.k, config.N)
     codim = expected_codim(setup)
     ring = scroll_ring(setup.n, setup.m)
@@ -85,7 +91,7 @@ def _cmd_class(config: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_degree(config: argparse.Namespace) -> int:
+def _cmd_degree(config: SimpleNamespace) -> int:
     setup = ScrollSetup(config.n, config.m, config.k, config.N)
     if config.data is not None:
         data = NumericalBaseData.from_payload(load_json(_resolve_path(config.data)))
@@ -126,7 +132,7 @@ def _formal(setup: ScrollSetup, lines: list[str]) -> list[str]:
     return ["warning: setup out of range; value is formal"] + lines
 
 
-def _cmd_scan(config: argparse.Namespace) -> int:
+def _cmd_scan(config: SimpleNamespace) -> int:
     from . import scans
 
     params = {name: getattr(config, name) for name in ("ell", "e", "q")
@@ -153,7 +159,7 @@ def _cmd_scan(config: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_jet(config: argparse.Namespace) -> int:
+def _cmd_jet(config: SimpleNamespace) -> int:
     from . import jets
 
     path = _resolve_path(config.spec)
@@ -183,7 +189,7 @@ def _cmd_jet(config: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(config: argparse.Namespace) -> int:
+def _cmd_verify(config: SimpleNamespace) -> int:
     from . import verify
 
     results = verify.run_checks(filter=config.filter)
@@ -203,81 +209,206 @@ def _cmd_verify(config: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scrollflex",
-        description="Exact degeneracy classes, degrees, jet ranks and "
-                    "integer-point scans for projective-bundle scrolls.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command table: each command's handler, help line, positionals and
+# options.  An argument is (flag, dest, type, choices, required, help); a
+# positional's flag is its dest.  Parsing, help, usage errors and dispatch
+# all read this table.
+_DIMS = (("--n", "n", int, None, True, "dimension of the scroll"),
+         ("--m", "m", int, None, True, "dimension of the base"),
+         ("--k", "k", int, None, True, "osculation order"))
+_AMBIENT = ("--N", "N", int, None, True, "ambient projective dimension")
+_FORMAT = ("--format", "format", str, ("pretty", "structured"), False,
+           "human-readable report (the default) or a JSON document")
+_HELP = ("--help", "help", None, None, False, "show this help message and exit")
 
-    def dims(p, ambient=True):
-        p.add_argument("--n", type=int, required=True, help="dimension of the scroll")
-        p.add_argument("--m", type=int, required=True, help="dimension of the base")
-        p.add_argument("--k", type=int, required=True, help="osculation order")
-        if ambient:
-            p.add_argument("--N", type=int, required=True,
-                           help="ambient projective dimension")
-
-    def fmt(p):
-        p.add_argument("--format", choices=("pretty", "structured"),
-                       default="pretty")
-
-    p = sub.add_parser("rank", help="maximal generic jet rank and its breakdown")
-    dims(p, ambient=False)
-    fmt(p)
-
-    p = sub.add_parser("class", help="degeneracy class, raw and reduced")
-    dims(p)
-    fmt(p)
-
-    p = sub.add_parser("degree", help="degree of the degeneracy locus")
-    dims(p)
-    p.add_argument("--base", choices=sorted(BASE_PRESETS),
-                   help="bundled base preset (symbolic slots)")
-    p.add_argument("--data", help="JSON file of intersection numbers")
-    fmt(p)
-
-    p = sub.add_parser("scan", help="integer-point scan of a base family")
-    p.add_argument("family", choices=SCAN_FAMILIES)
-    p.add_argument("--l", dest="ell", type=int, help="codimension (P3/Q3)")
-    p.add_argument("--e", type=int, help="Hirzebruch invariant (Fe)")
-    p.add_argument("--q", type=int, help="base curve genus (ProductsBxP1)")
-    fmt(p)
-
-    p = sub.add_parser("jet", help="generic jet rank of a probe spec file")
-    p.add_argument("spec", help="JSON probe specification")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--minors", type=int,
-                   help="also report the common content of minors of this size")
-    fmt(p)
-
-    p = sub.add_parser("verify", help="run the full regression table")
-    p.add_argument("--filter", help="only run checks whose id contains this")
-    fmt(p)
-    return parser
-
-
-_DISPATCH = {
-    "rank": _cmd_rank,
-    "class": _cmd_class,
-    "degree": _cmd_degree,
-    "scan": _cmd_scan,
-    "jet": _cmd_jet,
-    "verify": _cmd_verify,
+COMMANDS = {
+    "rank": (_cmd_rank, "maximal generic jet rank and its breakdown", (),
+             (*_DIMS, _FORMAT)),
+    "class": (_cmd_class, "degeneracy class, raw and reduced", (),
+              (*_DIMS, _AMBIENT, _FORMAT)),
+    "degree": (_cmd_degree, "degree of the degeneracy locus", (), (
+        *_DIMS, _AMBIENT,
+        ("--base", "base", str, tuple(sorted(BASE_PRESETS)), False,
+         "bundled base preset (symbolic slots)"),
+        ("--data", "data", str, None, False, "JSON file of intersection numbers"),
+        _FORMAT)),
+    "scan": (_cmd_scan, "integer-point scan of a base family",
+             (("family", "family", str, SCAN_FAMILIES, True, "base family to scan"),), (
+        ("--l", "ell", int, None, False, "codimension (P3/Q3)"),
+        ("--e", "e", int, None, False, "Hirzebruch invariant (Fe)"),
+        ("--q", "q", int, None, False, "base curve genus (ProductsBxP1)"),
+        _FORMAT)),
+    "jet": (_cmd_jet, "generic jet rank of a probe spec file",
+            (("spec", "spec", str, None, True, "JSON probe specification"),), (
+        ("--seed", "seed", int, None, False, "sampling seed, in place of the file's"),
+        ("--trials", "trials", int, None, False,
+         "number of sample points, in place of the file's"),
+        ("--minors", "minors", int, None, False,
+         "also report the common content of minors of this size"),
+        _FORMAT)),
+    "verify": (_cmd_verify, "run the full regression table", (), (
+        ("--filter", "filter", str, None, False,
+         "only run checks whose id contains this"),
+        _FORMAT)),
 }
+_DESCRIPTION = ("Exact degeneracy classes, degrees, jet ranks and integer-point scans\n"
+                "for projective-bundle scrolls.")
+
+
+def _word(argument: tuple) -> str:
+    """An argument as usage and help write it: its flag, then its metavar."""
+    flag, dest, _, choices, _, _ = argument
+    if choices:
+        metavar = "{" + ",".join(choices) + "}"
+    else:
+        metavar = dest if flag == dest else dest.upper()
+    return metavar if flag == dest else f"{flag} {metavar}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: scrollflex [-h] {{{','.join(COMMANDS)}}} ..."
+    _, _, positionals, options = COMMANDS[command]
+    words = [_word(a) for a in positionals]
+    words += [_word(a) if a[4] else f"[{_word(a)}]" for a in options]
+    return " ".join([f"usage: scrollflex {command} [-h]", *words])
+
+
+def _help(command: str | None) -> str:
+    """The usage line, a summary and one row per command or argument."""
+    if command is None:
+        summary, heading = _DESCRIPTION, "commands:"
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+        closing = ["", "scrollflex <command> -h lists the arguments of a command."]
+    else:
+        (_, summary, positionals, options), heading = COMMANDS[command], "arguments:"
+        rows = [("-h, --help", _HELP[5])]
+        rows += [(_word(a), a[5]) for a in positionals + options]
+        closing = []
+    lines = [_usage(command), "", summary, "", heading]
+    for left, text in rows:
+        lines += ([f"  {left:<20}  {text}"] if len(left) <= 20
+                  else [f"  {left}", f"{'':24}{text}"])
+    return "\n".join(lines + closing)
+
+
+def _refuse(command: str | None, message: str):
+    """Print the usage line and ``message`` to stderr and exit with status 2."""
+    prog = "scrollflex" if command is None else f"scrollflex {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _option(arg: str, flags: dict, command: str):
+    """What a word of argv names: None for a value, else (argument, flag,
+    inline value), where argument is None for an unknown option.
+
+    A word names an option by its exact flag, then as ``--flag=value``, then
+    by a unique prefix of a long flag.  Failing those, ``-`` alone, a
+    negative number or a word with a space in it is a value, and any other
+    word that starts with ``-`` is an unknown option.
+    """
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in flags:
+        return flags[arg], arg, None
+    head, eq, inline = arg.partition("=")
+    value = inline if eq else None
+    if eq and head in flags:
+        return flags[head], head, value
+    if arg[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(head)]
+        if len(matches) > 1:
+            _refuse(command, f"ambiguous option: {arg} could match "
+                             f"{', '.join(matches)}")
+        if matches:
+            return flags[matches[0]], matches[0], value
+    if arg[1:2].isdecimal() or arg[1:2] == "." and arg[2:3].isdecimal() or " " in arg:
+        return None
+    return None, arg, None
+
+
+def _store(config: dict, command: str, argument: tuple, value: str) -> None:
+    flag, dest, kind, choices, _, _ = argument
+    try:
+        value = kind(value)
+    except ValueError:
+        _refuse(command, f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+    if choices is not None and value not in choices:
+        _refuse(command, f"argument {flag}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    config[dest] = value
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The config of one command line, read against ``COMMANDS``.
+
+    It holds ``command`` and every argument of that command under its dest:
+    ``None`` for an absent option, ``"pretty"`` for an absent ``--format``
+    and the last value of a repeated option.  ``-h`` prints help and exits
+    with status 0; a usage error prints the usage line and
+    ``scrollflex <command>: error: ...`` to stderr and exits with status 2.
+    """
+    if not argv:
+        _refuse(None, "the following arguments are required: command")
+    command, *args = argv
+    if command in ("-h", "--h", "--he", "--hel", "--help"):
+        print(_help(None))
+        raise SystemExit(0)
+    if command not in COMMANDS:
+        _refuse(None, f"argument command: invalid choice: {command!r} "
+                      f"(choose from {', '.join(map(repr, COMMANDS))})")
+    _, _, positionals, options = COMMANDS[command]
+    flags = {"-h": _HELP, "--help": _HELP, **{a[0]: a for a in options}}
+    config = {"command": command, **dict.fromkeys(a[1] for a in positionals + options),
+              "format": "pretty"}
+    # every word after a "--" is a value
+    cut = args.index("--") if "--" in args else len(args)
+    words = ([(arg, _option(arg, flags, command)) for arg in args[:cut]]
+             + [(arg, None) for arg in args[cut + 1:]])
+    pending, extras = list(positionals), []
+    i = 0
+    while i < len(words):
+        arg, found = words[i]
+        i += 1
+        if found is None:
+            if pending:
+                _store(config, command, pending.pop(0), arg)
+            else:
+                extras.append(arg)
+            continue
+        argument, flag, value = found
+        if argument is None:
+            extras.append(arg)
+        elif argument is _HELP:
+            if value is not None:
+                _refuse(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            print(_help(command))
+            raise SystemExit(0)
+        else:
+            if value is None:
+                if i == len(words) or words[i][1] is not None:
+                    _refuse(command, f"argument {flag}: expected one argument")
+                value = words[i][0]
+                i += 1
+            _store(config, command, argument, value)
+    missing = [a[0] for a in positionals + options if a[4] and config[a[1]] is None]
+    if missing:
+        _refuse(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _refuse(command, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**config)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     # library warnings print as plain lines, without a source location
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             if None not in (getattr(args, "base", None), getattr(args, "data", None)):
                 raise ScrollflexError("--base and --data conflict; give exactly one")
-            return _DISPATCH[args.command](args)
+            return COMMANDS[args.command][0](args)
         except (ScrollflexError, OSError) as exc:
             error = exc
         finally:

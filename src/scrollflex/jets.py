@@ -271,8 +271,15 @@ def _scaled_layout(matrix: JetMatrix):
             for (coeffs, slots), (e, c) in zip(layers, entry.terms.items()):
                 coeffs[j] = c
                 slots[j] = monomial(e, top)
-        rows.append([(tuple(coeffs), tuple(slots)) for coeffs, slots in layers])
-    return rows, (list(factors), len(monomials), list(zip(*monomials)))
+        rows.append(tuple((tuple(coeffs), tuple(slots)) for coeffs, slots in layers))
+    return tuple(rows), (tuple(factors), len(monomials), tuple(zip(*monomials)))
+
+
+@lru_cache(maxsize=64)
+def _chart_layout(variables: tuple[str, ...], coordinates: tuple[Poly, ...],
+                  order: int):
+    """``_scaled_layout`` of the chart's shared jet matrix, under its key."""
+    return _scaled_layout(_chart_jet_matrix(variables, coordinates, order))
 
 
 def _scaled_rows(layout, monomials, point: Sequence[Fraction]) -> list[list]:
@@ -326,7 +333,7 @@ class RankScan(Record):
 def probe_rank(spec: JetProbeSpec) -> RankScan:
     """Maximum jet rank over sampled rational points (lower bound for s_k)."""
     rng = random.Random(spec.seed)
-    layout, monomials = _scaled_layout(_shared_jet_matrix(spec))
+    layout, monomials = _chart_layout(spec.variables, spec.coordinates, spec.order)
     ranks = [rank_rational(_scaled_rows(layout, monomials, _random_point(spec, rng)))
              for _ in range(spec.trials)]
     note = "generic rank with confidence: sampled"

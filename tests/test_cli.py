@@ -556,25 +556,29 @@ def test_rank_over_a_curve_base(capsys):
     assert "maximal generic jet rank: 7" in out
 
 
-def test_cli_import_leaves_out_pathlib():
+def _modules_left_in(probe, names):
+    """Which of ``names`` a fresh ``python -S`` child has loaded after
+    ``probe``; -S keeps the site hook, which may import more, out of it."""
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, scrollflex.cli; print('pathlib' in sys.modules)"
-    done = subprocess.run([sys.executable, "-S", "-c", probe],
+    code = f"{probe}\nimport sys\nprint(sorted({set(names)!r} & set(sys.modules)))\n"
+    done = subprocess.run([sys.executable, "-S", "-c", code],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_out_pathlib():
+    assert _modules_left_in("import scrollflex.cli", ["pathlib"]) == "[]"
 
 
 def test_command_imports_leave_out_dataclasses_and_inspect():
-    # -S keeps the site hook, which may import more, out of the child
-    src = Path(__file__).resolve().parent.parent / "src"
-    probe = ("import sys\n"
-             "import scrollflex.cli\n"
-             "from scrollflex import jets, scans, formulas, verify\n"
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
-    done = subprocess.run([sys.executable, "-S", "-c", probe],
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    probe = ("import scrollflex.cli\n"
+             "from scrollflex import jets, scans, formulas, verify")
+    assert _modules_left_in(probe, ["dataclasses", "inspect"]) == "[]"
+
+
+def test_a_command_leaves_out_the_argument_parsing_modules():
+    probe = ("from scrollflex.cli import main\n"
+             "main(['rank', '--n', '3', '--m', '2', '--k', '2'])")
+    assert _modules_left_in(probe, ["argparse", "gettext", "locale"]) == "[]"

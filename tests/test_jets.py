@@ -395,6 +395,7 @@ def test_rank_and_minors_share_one_jet_matrix(monkeypatch):
     monkeypatch.setattr(jets, "symbolic_jet_matrix",
                         lambda spec: builds.append(spec) or build(spec))
     jets._chart_jet_matrix.cache_clear()
+    jets._chart_layout.cache_clear()
     spec = BUNDLED_PROBES["flag-threefold"].build()
     resampled = JetProbeSpec(spec.variables, spec.coordinates, spec.order,
                              trials=3, seed=9)
@@ -408,3 +409,28 @@ def test_rank_and_minors_share_one_jet_matrix(monkeypatch):
     assert len(builds) == 2
     shared = jets._shared_jet_matrix(spec)
     assert type(shared) is tuple and all(type(row) is tuple for row in shared)
+
+
+def test_probe_rank_lays_out_a_chart_once(monkeypatch):
+    import random
+
+    from scrollflex.linalg import rank_rational
+
+    layouts = []
+    lay_out = jets._scaled_layout
+    monkeypatch.setattr(jets, "_scaled_layout",
+                        lambda matrix: layouts.append(matrix) or lay_out(matrix))
+    jets._chart_layout.cache_clear()
+    base = BUNDLED_PROBES["flag-threefold"].build()
+    for seed in (3, 17):
+        spec = JetProbeSpec(base.variables, base.coordinates, base.order,
+                            trials=8, seed=seed)
+        # the ranks of rows from a layout built for this call alone
+        layout, monomials = lay_out(jets._shared_jet_matrix(spec))
+        rng = random.Random(seed)
+        expected = tuple(
+            rank_rational(jets._scaled_rows(layout, monomials,
+                                            jets._random_point(spec, rng)))
+            for _ in range(spec.trials))
+        assert probe_rank(spec).per_trial == expected
+    assert len(layouts) == 1

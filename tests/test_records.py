@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from scrollflex.chern import GradedVariable
-from scrollflex.cli import _emit, build_parser
+from scrollflex.cli import _emit, parse_args
 from scrollflex.exactpoly import Poly
 from scrollflex.jets import (BundledProbe, JetProbeSpec, MinorReport,
                              ProductRankCheck, RankScan)
@@ -200,7 +200,6 @@ _STRINGS = {"base": ("p2", "k3"), "data": ("data.json", "é-1", ""),
 def test_run_config_payload_round_trip(capsys):
     # structured output's config is exactly the options given
     rng = random.Random(20261018)
-    parser = build_parser()
     for case in range(CASES):
         command = rng.choice(sorted(_COMMANDS))
         positional, options = _COMMANDS[command]
@@ -217,7 +216,7 @@ def test_run_config_payload_round_trip(capsys):
                 flag = "--l" if name == "ell" else f"--{name}"
                 argv += [flag, str(value)]
         fields["format"] = "structured"
-        _emit(parser.parse_args(argv + ["--format", "structured"]), {}, [])
+        _emit(parse_args(argv + ["--format", "structured"]), {}, [])
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"config": fields, "result": {}}, f"case {case}"
 
