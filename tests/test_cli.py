@@ -1,3 +1,5 @@
+import gc
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +14,8 @@ from scrollflex import cli, formulas
 from scrollflex.chern import GradedClass
 from scrollflex.cli import main
 from scrollflex.scroll import BASE_PRESETS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -556,14 +560,18 @@ def test_rank_over_a_curve_base(capsys):
     assert "maximal generic jet rank: 7" in out
 
 
+def _child(*args):
+    """A fresh interpreter run with ``args`` on this checkout's ``src``."""
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+
+
 def _modules_left_in(probe, names):
     """Which of ``names`` a fresh ``python -S`` child has loaded after
     ``probe``; -S keeps the site hook, which may import more, out of it."""
-    src = Path(__file__).resolve().parent.parent / "src"
     code = f"{probe}\nimport sys\nprint(sorted({set(names)!r} & set(sys.modules)))\n"
-    done = subprocess.run([sys.executable, "-S", "-c", code],
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=60)
+    done = _child("-S", "-c", code)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
 
@@ -582,3 +590,60 @@ def test_a_command_leaves_out_the_argument_parsing_modules():
     probe = ("from scrollflex.cli import main\n"
              "main(['rank', '--n', '3', '--m', '2', '--k', '2'])")
     assert _modules_left_in(probe, ["argparse", "gettext", "locale"]) == "[]"
+
+
+def test_the_entry_point_freezes_the_heap_before_exit():
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['scrollflex', 'rank', '--n', '3', '--m', '2', '--k', '2']\n"
+            "runpy.run_module('scrollflex.cli', run_name='__main__', alter_sys=True)\n")
+    done = _child("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "frozen True"
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "rank", "--n", "3", "--m", "2", "--k", "2")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["rank", "--n", "3", "--m", "2", "--k", "2"], 0),
+    (["scan", "P3", "--e", "2"], 1),
+    (["class", "--n", "3", "--m", "2", "--k", "2"], 2),
+    (["-h"], 0),
+])
+def test_the_module_entry_point_answers_as_main(capsys, argv, status):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    done = _child("-m", "scrollflex.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (status, out.out, out.err)
+    assert code == status
+
+
+def test_a_closed_stdout_pipe_ends_the_request_quietly():
+    # about 1 MB of output, far more than a pipe holds
+    argv = ["class", "--n", "14", "--m", "13", "--k", "2", "--N", "131",
+            "--format", "structured"]
+    with subprocess.Popen([sys.executable, "-m", "scrollflex.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(1) == b"{"
+        child.stdout.close()
+        err = child.stderr.read()
+        status = child.wait(timeout=60)
+    assert (status, err) == (1, b"")
+
+
+def test_the_console_script_is_the_entry_point():
+    text = (SRC.parent / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    targets = dict(line.replace('"', "").split(" = ")
+                   for line in scripts.splitlines() if line.strip())
+    assert targets["scrollflex"] == "scrollflex.cli:run"
+    module, _, name = targets["scrollflex"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
