@@ -29,7 +29,8 @@ symmetric power fed to a tensor product or a twist makes no round trip
 through Chern classes.  Each operation meters itself before its first
 product; the tests check the operations against direct products over random
 integer roots.  ``scroll`` forms its class from two inverses in a ring
-without L, as binomially weighted degree parts (``_weighted_parts``).
+without L, as binomially weighted degree parts (``_weighted_parts``), of
+summands whose S^k E and S^(k-1)(E + O) share one recursion (``_sym_powers``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .exactpoly import (Poly, Scalar, _canon, _clean, _field_layout, _mul_acc,
 # in term operations.  In-process on a 2-vCPU Linux VM (Python 3.11.7) they
 # run at about 3 * 10^6 a second at the top of the range and 5 * 10^5 at
 # truncation 1, and the largest classes accepted are (22,21,2) at the top of
-# the range (1.5 s) and (4,2,624999) at codimension 1 (24 s).
+# the range (1.3 s) and (4,2,624999) at codimension 1 (11 s).
 WORK_LIMIT = 15 * 10 ** 6
 
 
@@ -638,8 +639,12 @@ def sym_power(e: FormalBundle, k: int) -> FormalBundle:
     order is one product pass and O(truncation^3) part additions.
     """
     require_integer(k, "symmetric power order must be a non-negative integer", 0)
-    if k == 0:
-        return trivial_bundle(e.ring, 1)
+    return _sym_powers(e, k)[0] if k else trivial_bundle(e.ring, 1)
+
+
+def _sym_powers(e: FormalBundle, k: int) -> tuple[FormalBundle, FormalBundle]:
+    """S^k E and S^(k-1)(E + O) for k >= 1, from one run of ``sym_power``'s
+    recursion: its last w_0(k) = sum_(j<k) p(S^j E) is p(S^(k-1)(E + O))."""
     ring, top = e.ring, e.ring.truncation
     # the orders' passes, Newton back, and Newton forth for an operand without
     # sums; an order adds t + 2 parts into each w_t(i)_u, each one operation
@@ -657,4 +662,5 @@ def sym_power(e: FormalBundle, k: int) -> FormalBundle:
               for u in range(top + 1 - t)] for t in range(top + 1)]
         sym = [_divide(_convolve(ring, p, [w[d - u][u] for u in range(d + 1)], d, comb), i)
                for d in range(top + 1)]
-    return _derived(ring, comb(e.rank + k - 1, k), sym)
+    return (_derived(ring, comb(e.rank + k - 1, k), sym),
+            _derived(ring, comb(e.rank + k - 1, k - 1), w[0]))

@@ -24,7 +24,7 @@ from operator import add, itemgetter
 from typing import Mapping, Sequence, Union
 
 from .chern import (FormalBundle, GradedClass, GradedRing, GradedVariable,
-                    _pass_work, _trusted, _weighted_parts,
+                    _pass_work, _sym_powers, _trusted, _weighted_parts,
                     admitted_monomials, bundle_from_classes, check_work,
                     direct_sum, dual, sym_power, tensor, tensor_line,
                     trivial_bundle)
@@ -199,22 +199,24 @@ def total_chern_E_k(setup: ScrollSetup, ring: GradedRing | None = None) -> Grade
     E_k is the sum of S^(i-1)T_Y (x) dual(V) for i = 1..k and S^k T_Y twisted
     down by the hyperplane class.  Since the sum of S^i T_Y over i < k is
     S^(k-1)(T_Y + O) (Macdonald, Symmetric Functions, I.2), c(E_k) is the
-    product of two derived bundles' classes.
+    product of two derived bundles' classes, formed apart from ``_summands``.
     """
     ring = ring or scroll_ring(setup.n, setup.m)
-    first, last = _summands(ring, setup.n, setup.m, setup.k)
-    return first.total_chern * tensor_line(last, hyperplane_class(ring), -1).total_chern
+    T = tangent_bundle(ring, setup.m)
+    last = tensor_line(sym_power(T, setup.k), hyperplane_class(ring), -1)
+    first = dual(tautological_subsheaf_bundle(ring, setup.n, setup.m))
+    if setup.k > 1:
+        first = tensor(sym_power(direct_sum(T, trivial_bundle(ring, 1)), setup.k - 1), first)
+    return first.total_chern * last.total_chern
 
 
 def _summands(ring: GradedRing, n: int, m: int, k: int) -> tuple[FormalBundle, FormalBundle]:
     """F = S^(k-1)(T_Y + O) (x) dual(V) and G = S^k T_Y, pulled back from Y,
-    so that E_k = F + G (x) L^-1; ``ring`` need not have L."""
-    T = tangent_bundle(ring, m)
-    last = sym_power(T, k)  # the largest estimate first, before any other pass
+    so that E_k = F + G (x) L^-1; ``ring`` need not have L.  One Adams
+    recursion, metered first as the largest estimate, yields both powers."""
+    last, lower = _sym_powers(tangent_bundle(ring, m), k)
     first = dual(tautological_subsheaf_bundle(ring, n, m))
-    if k > 1:
-        first = tensor(sym_power(direct_sum(T, trivial_bundle(ring, 1)), k - 1), first)
-    return first, last
+    return (tensor(lower, first) if k > 1 else first), last
 
 
 def inflection_class(setup: ScrollSetup, ring: GradedRing | None = None) -> GradedClass:

@@ -19,7 +19,9 @@ import pytest
 
 from scrollflex import chern, scroll
 from scrollflex.chern import (FormalBundle, GradedClass, GradedRing,
-                              GradedVariable, sym_power, tensor, tensor_line)
+                              GradedVariable, direct_sum, sym_power, tensor,
+                              tensor_line, trivial_bundle)
+from scrollflex.errors import ResourceLimitError
 from scrollflex.scroll import ScrollSetup, scroll_ring
 
 from .test_properties import _degree_part
@@ -157,10 +159,10 @@ def _random_bundle(ring, rng, rank, fractions):
     return FormalBundle(rank, total)
 
 
-def _random_ring(rng, capped):
+def _random_ring(rng, capped, lowest=1):
     nvars = rng.randint(1, 3)
     sectors = [rng.choice((None, "base")) for _ in range(nvars)]
-    truncation = rng.randint(1, 4)
+    truncation = rng.randint(lowest, 4)
     caps = None
     if capped:
         sectors[0] = "base"
@@ -447,6 +449,30 @@ def test_operations_on_carried_sums_match_the_rebuilt_bundle(truncation):
             assert _typed(got.total_chern) == _typed(want.total_chern)
 
 
+# -- S^k E and S^(k-1)(E + O) from one recursion --------------------------------------
+
+
+@pytest.mark.parametrize("seed, capped", [(seed, capped) for seed in range(8)
+                                          for capped in (False, True)])
+def test_one_recursion_yields_both_symmetric_powers(seed, capped):
+    rng = random.Random(f"both powers {seed} {capped}")
+    ring = _random_ring(rng, capped, lowest=0)
+    for rank in range(1, 6):
+        e = _random_bundle(ring, rng, rank, fractions=rng.random() < 0.5)
+        if rng.random() < 0.5:  # an operand that carries its power sums
+            e = tensor(e, FormalBundle(1, ring.one()))
+        for k in range(1, 7):
+            top, lower = chern._sym_powers(e, k)
+            want = sym_power(direct_sum(e, trivial_bundle(ring, 1)), k - 1)
+            assert lower.rank == want.rank, (rank, k)
+            assert _typed(lower.total_chern) == _typed(want.total_chern), (rank, k)
+            want = sym_power(e, k)
+            assert top.rank == want.rank, (rank, k)
+            assert _typed_sums(ring, top._sums) == _typed_sums(ring, want._sums), (rank, k)
+            if k <= 3:
+                assert _typed(top.total_chern) == _typed(oracle_sym_power(e, k).total_chern)
+
+
 # -- work, counted in term products -----------------------------------------------
 
 
@@ -477,11 +503,12 @@ def test_the_segre_series_pairs_each_degree_with_nonzero_parts_only(monkeypatch)
     assert count["products"] == 124750
 
 
-# Term products of the class route measured when each of chern's passes
-# still wrote its own loop.  ``_power_sums`` now forms (-1)^(d-1) d c_d as
-# the product of c_d with p_0 = 1, one more product per monomial of c_d.
-CLASS_PRODUCTS = {(14, 13, 2, 131): 131549, (6, 5, 3, 81): 1277,
-                  (5, 4, 5, 199): 726, (3, 2, 30, 962): 521, (40, 3, 3, 428): 241}
+# Term products of the class route, besides one product per monomial of
+# c_d in ``_power_sums``, which forms (-1)^(d-1) d c_d as the product of c_d
+# with p_0 = 1.  Both symmetric powers come from one Adams recursion, so
+# there is no S^(k-1)(T_Y + O) recursion and no product c(T_Y) * c(O).
+CLASS_PRODUCTS = {(14, 13, 2, 131): 130285, (6, 5, 3, 81): 1157,
+                  (5, 4, 5, 199): 585, (3, 2, 30, 962): 289, (40, 3, 3, 428): 208}
 
 
 @pytest.mark.parametrize("n,m,k,N", sorted(CLASS_PRODUCTS))
@@ -539,3 +566,26 @@ def test_the_work_estimate_bounds_the_counted_work_within_a_factor_8(monkeypatch
     scroll._class_terms.__wrapped__(scroll_ring(n, m), n, m, k, ell)
     counted = count["products"] + sum(additions)
     assert counted <= sum(estimates) <= 8 * counted
+
+
+def test_the_class_refusal_boundary_reads_the_order_estimate_alone(monkeypatch):
+    # at codimension 1, (4, 2, k) inverts its summands at truncation 1, and
+    # its first and largest estimate is that of S^k T_Y; stopping at that
+    # estimate runs no class
+    base = scroll._base_of(scroll_ring(4, 2), 1)
+    estimates = []
+
+    def stop(work, what):
+        estimates.append(work)
+        raise ResourceLimitError(what)
+
+    monkeypatch.setattr(chern, "check_work", stop)
+    for k in (624999, 625000):
+        assert ScrollSetup(4, 2, k, scroll.max_rank(4, 2, k) - 1).codim == 1
+        with pytest.raises(ResourceLimitError):
+            scroll._summands(base, 4, 2, k)
+    admitted, refused = estimates
+    assert admitted <= chern.WORK_LIMIT < refused
+    # the other estimates: a pass of the base ring before the summands, and
+    # the tensor product with dual(V), two passes and Newton forth
+    assert 3 * chern._pass_work(base) <= chern.WORK_LIMIT

@@ -8,8 +8,8 @@ from math import comb
 import pytest
 
 from scrollflex import chern, scroll
-from scrollflex.chern import (GradedClass, dual, sym_power, tensor,
-                              tensor_line)
+from scrollflex.chern import (GradedClass, direct_sum, dual, sym_power, tensor,
+                              tensor_line, trivial_bundle)
 from scrollflex.errors import (IncompleteDataError, InvalidInputError,
                                ResourceLimitError)
 from scrollflex.exactpoly import Poly, monomial_text
@@ -142,6 +142,19 @@ def test_total_chern_makes_two_symmetric_powers_at_any_order(monkeypatch):
     total_chern_E_k(ScrollSetup(3, 2, 8, 3), scroll_ring(3, 2))
     assert calls["sym_power"] <= 2
     assert calls["tensor"] <= 1 and calls["tensor_line"] <= 1
+
+
+def test_class_route_runs_one_adams_recursion(monkeypatch):
+    # S^k T_Y and S^(k-1)(T_Y + O) come from the same recursion, so the
+    # class route forms neither the Whitney sum nor a second symmetric power
+    calls = {"_sym_powers": 0, "sym_power": 0, "direct_sum": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(scroll, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(scroll, name, counted)
+    scroll._inverted_summands.__wrapped__(scroll._base_of(scroll_ring(3, 2), 2), 3, 2, 8)
+    assert calls == {"_sym_powers": 1, "sym_power": 0, "direct_sum": 0}
 
 
 # -- Chern-Wu reduction and pushforward -----------------------------------------------
@@ -412,6 +425,38 @@ def test_degree_class_matches_the_rewriting_rule(n, m, k):
 def _clear_class_caches():
     for cache in (scroll._degree_terms, scroll._class_terms, scroll._inverted_summands):
         cache.cache_clear()
+
+
+def _two_recursion_summands(ring, n, m, k):
+    """The summands of ``scroll._summands`` from two symmetric powers: S^k T_Y,
+    and S^(k-1) of the Whitney sum T_Y + O."""
+    T = tangent_bundle(ring, m)
+    first = dual(tautological_subsheaf_bundle(ring, n, m))
+    if k > 1:
+        first = tensor(sym_power(direct_sum(T, trivial_bundle(ring, 1)), k - 1), first)
+    return first, sym_power(T, k)
+
+
+# the benchmark's cold class setups over their whole range, large k at
+# codimensions 1 and 2, and the top of the range at k = 2
+COMPOSITION_SETUPS = [
+    (n, m, k, N) for n, m, k in [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 2, 2), (3, 2, 3),
+                                 (3, 2, 4), (4, 2, 2), (4, 2, 3), (4, 2, 4), (4, 3, 2),
+                                 (4, 3, 3)]
+    for N in range(max_rank(n, m, k) - 1, max_rank(n, m, k) + n - 1)
+] + [(4, 2, 300, 135753), (5, 3, 100, 520254), (14, 13, 2, 131)]
+
+
+@pytest.mark.parametrize("n,m,k,N", COMPOSITION_SETUPS)
+def test_class_route_matches_the_two_recursion_composition(monkeypatch, n, m, k, N):
+    setup = ScrollSetup(n, m, k, N)
+    _clear_class_caches()
+    got = inflection_class(setup), degree_class(setup)
+    _clear_class_caches()
+    monkeypatch.setattr(scroll, "_summands", _two_recursion_summands)
+    want = inflection_class(setup), degree_class(setup)
+    _clear_class_caches()
+    assert [_typed(x) for x in got] == [_typed(x) for x in want]
 
 
 @pytest.mark.parametrize("n,m,k", DEGREE_SETUPS)
