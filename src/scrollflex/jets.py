@@ -9,6 +9,9 @@ evaluated already multiplied by ``prod_v q_v^d_v``, where ``d_v`` is the
 row's largest exponent in ``v``, so integer charts give integer rows and the
 rank, which no nonzero row scaling changes, is found without fractions.  A
 fraction-free symbolic mode certifies small charts over the function field.
+Each rank probe, minor report and exact evaluation builds its own symbolic
+jet matrix; the only result kept across calls is the sampled rank of a
+bundled probe (``bundled_rank_scan``), which ``verify`` reads twice.
 """
 
 from __future__ import annotations
@@ -36,11 +39,13 @@ DEFAULT_HEIGHT = 100
 # 32 of p1-fifth at order 11 (4368 rows), take 0.1-0.2 s (Python 3.11,
 # 2-vCPU x86 host); the bundled probes need at most 21 rows.
 MAX_JET_ROWS = 5000
-# Largest jet rows times coordinate terms a trial may evaluate, which also
-# bounds the terms the build differentiates.  At the limit 8 trials of two
-# coordinates 1, (u + 2v + 1)^40 (861 rows), or of 13 such at the 20th power
-# (231 rows), take about 1 s on the same host; the bundled probes need at
-# most 672 (p1-fifth, 21 rows of 32 terms).
+# Largest jet rows times coordinate term words a trial may evaluate, each
+# term weighed in 64-bit words of its coefficient and its sampled power
+# (``_term_words``), which also bounds the terms the build differentiates.
+# At the limit 8 trials of two coordinates 1, (u + 2v + 1)^40 (order 13), or
+# of 1 and twelve (u + 2v + 1)^20 (order 10), and 204 trials of 1, (u + 1)^400
+# at order 1, take 0.5-1.1 s on the same host; the bundled probes need at
+# most 672 (p1-fifth, 21 rows of 32 one-word terms).
 MAX_JET_TERMS = 10 ** 6
 
 
@@ -53,7 +58,8 @@ class JetProbeSpec(Record):
     rows) than ``DEFAULT_TRIALS`` trials of a ``MAX_JET_ROWS``-row matrix
     are refused with ``ResourceLimitError``, and so, before any jet is built,
     are more evaluated terms (at least ``DEFAULT_TRIALS`` trials times jet
-    rows times coordinate terms) than ``DEFAULT_TRIALS * MAX_JET_TERMS``.
+    rows times coordinate term words) than ``DEFAULT_TRIALS * MAX_JET_TERMS``
+    words.
     """
 
     __slots__ = ("variables", "coordinates", "order", "trials", "seed", "height")
@@ -94,12 +100,14 @@ class JetProbeSpec(Record):
                 raise InvalidInputError("coordinate functions must be nonzero")
             coords.append(c)
         terms = sum(len(c.terms) for c in coords)
+        words = _term_words(coords, height)
         sampled = max(trials, DEFAULT_TRIALS)
-        if sampled * rows * terms > MAX_JET_TERMS * DEFAULT_TRIALS:
+        if sampled * rows * words > MAX_JET_TERMS * DEFAULT_TRIALS:
             raise ResourceLimitError(
                 f"{sampled} trials of {rows} jet rows over coordinates of {terms} "
-                f"terms need an estimated {sampled * rows * terms} evaluated terms, "
-                f"over the limit {MAX_JET_TERMS * DEFAULT_TRIALS}")
+                f"terms ({words} words) need an estimated {sampled * rows * words} "
+                f"words of evaluated terms, over the limit "
+                f"{MAX_JET_TERMS * DEFAULT_TRIALS}")
         set_field(self, "variables", variables)
         set_field(self, "coordinates", tuple(coords))
         set_field(self, "order", order)
@@ -147,6 +155,20 @@ class JetProbeSpec(Record):
     @classmethod
     def load(cls, path) -> "JetProbeSpec":
         return cls.from_payload(load_json(path))
+
+
+def _term_words(coords: Sequence[Poly], height: int) -> int:
+    """The coordinates' terms as sampled, in 64-bit words.
+
+    A term weighs its coefficient's bits plus those of its evaluated power
+    ``prod p_v^e_v q_v^(d_v - e_v)``, which in the first jet row, ``d`` the
+    chart's degrees, has ``sum d_v`` factors of at most ``height``'s bits;
+    ``bits // 64 + 1`` words, as ``exactpoly`` weighs a coefficient.
+    """
+    top = map(max, zip(*(e for c in coords for e in c.terms)))
+    power = sum(top) * height.bit_length()
+    return sum((abs(a.numerator).bit_length() + a.denominator.bit_length()
+                + power) // 64 + 1 for c in coords for a in c.terms.values())
 
 
 def _caller_stacklevel() -> int:
@@ -208,33 +230,13 @@ def symbolic_jet_matrix(spec: JetProbeSpec) -> JetMatrix:
     return tuple(rows.values())
 
 
-def _shared_jet_matrix(spec: JetProbeSpec) -> JetMatrix:
-    """The symbolic jet matrix, built once per (variables, coordinates, order).
-
-    Sampling settings are not part of the key, so a rank probe and the
-    minors of the same chart share one build.  The matrix is immutable;
-    callers that eliminate in place copy it first.
-    """
-    return _chart_jet_matrix(spec.variables, spec.coordinates, spec.order)
-
-
-@lru_cache(maxsize=64)
-def _chart_jet_matrix(variables: tuple[str, ...], coordinates: tuple[Poly, ...],
-                      order: int) -> JetMatrix:
-    # the fields come from a checked spec, so the chart skips the checks
-    chart = object.__new__(JetProbeSpec)
-    Record.__init__(chart, variables, coordinates, order, DEFAULT_TRIALS, 0,
-                    DEFAULT_HEIGHT)
-    return symbolic_jet_matrix(chart)
-
-
 def jet_matrix(spec: JetProbeSpec, point: Sequence[Fraction]) -> list[list[Fraction]]:
     """The exact jet matrix at a chart point of ints and Fractions."""
     if len(point) != spec.dimension:
         raise InvalidInputError("point dimension does not match the chart")
     values = {name: as_scalar(p) for name, p in zip(spec.variables, point)}
     return [[entry.eval_at(values) for entry in row]
-            for row in _shared_jet_matrix(spec)]
+            for row in symbolic_jet_matrix(spec)]
 
 
 def _scaled_layout(matrix: JetMatrix):
@@ -273,13 +275,6 @@ def _scaled_layout(matrix: JetMatrix):
                 slots[j] = monomial(e, top)
         rows.append(tuple((tuple(coeffs), tuple(slots)) for coeffs, slots in layers))
     return tuple(rows), (tuple(factors), len(monomials), tuple(zip(*monomials)))
-
-
-@lru_cache(maxsize=64)
-def _chart_layout(variables: tuple[str, ...], coordinates: tuple[Poly, ...],
-                  order: int):
-    """``_scaled_layout`` of the chart's shared jet matrix, under its key."""
-    return _scaled_layout(_chart_jet_matrix(variables, coordinates, order))
 
 
 def _scaled_rows(layout, monomials, point: Sequence[Fraction]) -> list[list]:
@@ -333,14 +328,14 @@ class RankScan(Record):
 def probe_rank(spec: JetProbeSpec) -> RankScan:
     """Maximum jet rank over sampled rational points (lower bound for s_k)."""
     rng = random.Random(spec.seed)
-    layout, monomials = _chart_layout(spec.variables, spec.coordinates, spec.order)
+    layout, monomials = _scaled_layout(symbolic_jet_matrix(spec))
     ranks = [rank_rational(_scaled_rows(layout, monomials, _random_point(spec, rng)))
              for _ in range(spec.trials)]
-    note = "generic rank with confidence: sampled"
+    rows = comb(spec.dimension + spec.order, spec.order)
     if max(ranks) == 0:
-        note = "resample notice: every sample point gave the zero matrix"
-    return RankScan(spec, max(ranks), tuple(ranks),
-                    comb(spec.dimension + spec.order, spec.order), note)
+        return RankScan(spec, 0, tuple(ranks), rows,
+                        "resample notice: every sample point gave the zero matrix")
+    return RankScan(spec, max(ranks), tuple(ranks), rows)
 
 
 def generic_jet_rank(spec: JetProbeSpec) -> int:
@@ -349,7 +344,7 @@ def generic_jet_rank(spec: JetProbeSpec) -> int:
 
 def symbolic_jet_rank(spec: JetProbeSpec) -> int:
     """Rank over the rational function field, fraction-free; exact but slower."""
-    return rank_poly(_shared_jet_matrix(spec))
+    return rank_poly(symbolic_jet_matrix(spec))
 
 
 class MinorReport(Record):
@@ -383,7 +378,7 @@ class MinorReport(Record):
 def inflection_equations(spec: JetProbeSpec, size: int) -> MinorReport:
     """Minors of order ``size`` with the common polynomial content factored out."""
     require_integer(size, f"minor size must be an integer, got {size!r}")
-    matrix = _shared_jet_matrix(spec)
+    matrix = symbolic_jet_matrix(spec)
     nrows, ncols = len(matrix), len(matrix[0])
     if size > min(nrows, ncols):
         raise InvalidInputError(
@@ -606,7 +601,6 @@ def bundled_rank_scan(name: str) -> RankScan:
     return probe_rank(BUNDLED_PROBES[name].build())
 
 
-@lru_cache(maxsize=None)
 def bundled_minor_report(name: str, size: int) -> MinorReport:
-    """Minor report of a bundled probe, computed once per process."""
+    """Minor report of a bundled probe, a fresh one on each call."""
     return inflection_equations(BUNDLED_PROBES[name].build(), size)

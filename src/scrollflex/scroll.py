@@ -38,7 +38,7 @@ from .exactpoly import (Poly, Scalar, _as_univariate, _clean,
 
 BASE_SECTOR = "base"
 # Entries kept per monomial-key cache of the pairing; a full ``verify`` run
-# fills 14 exponent keys and 5 text keys, a warm degree session 14 of each.
+# and a warm degree session each fill 14 exponent keys and 14 text keys.
 TABLE_CACHE_SIZE = 256
 # Largest rank report: orders listed by rank_breakdown, digits of max_rank.
 MAX_RANK_ORDERS = 1000
@@ -415,16 +415,16 @@ def _monomial_key(ring: GradedRing, exps: tuple[int, ...]) -> str:
 
 
 def canonical_monomial(key: str) -> str:
-    factors = _monomial_factors(key)
-    names = sorted(factors, key=lambda s: (s[0], int(s[1:])))
-    return monomial_text(names, [factors[name] for name in names])
+    return _canonical_key(key)[0]
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _canonical_key(key: str) -> tuple[str, int]:
     """A base monomial's canonical form and its weight, parsed once per key."""
-    weight = sum(int(name[1:]) * e for name, e in _monomial_factors(key).items())
-    return canonical_monomial(key), weight
+    factors = _monomial_factors(key)
+    names = sorted(factors, key=lambda s: (s[0], int(s[1:])))
+    weight = sum(int(name[1:]) * e for name, e in factors.items())
+    return monomial_text(names, [factors[name] for name in names]), weight
 
 
 def _canonical_table(assignments: Mapping) -> dict:

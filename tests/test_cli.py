@@ -392,6 +392,21 @@ def test_jet_sampling_past_the_row_budget_is_refused_at_once(tmp_path, capsys):
     assert err.startswith("error:") and "100000000 trials of 6 rows" in err
 
 
+def test_jet_terms_with_wide_powers_are_refused_at_once(tmp_path, capsys):
+    # two rows of 402 terms are few, but each sampled term of (u + 1)^400
+    # carries a power of about 2800 bits: weighed in words, 2000 trials are
+    # refused before any jet is built instead of running for seconds
+    payload = {"variables": ["u"], "coordinates": ["1", "(u + 1)^400"],
+               "order": 1}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jet", str(path), "--trials", "2000")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.startswith("error:") and "2000 trials of 2 jet rows" in err
+
+
 @pytest.mark.parametrize("seed", ["0", "170"])
 def test_jet_minor_content_does_not_depend_on_the_seed(tmp_path, capsys, seed):
     payload = {"variables": ["x", "y"], "order": 1,

@@ -130,6 +130,13 @@ def test_minor_content_cubic_scroll():
     assert report.content == v
 
 
+def test_editing_a_bundled_minor_report_leaves_the_next_one_intact():
+    first = bundled_minor_report("cubic-surface-scroll", 5)
+    first.minors.clear()
+    again = bundled_minor_report("cubic-surface-scroll", 5)
+    assert len(again.minors) == 6 and again.nonzero_minors == 1
+
+
 def test_minor_content_bordiga_divisible_by_y():
     report = bundled_minor_report("bordiga", 9)
     y = Poly.variable(("x", "y", "w"), "y")
@@ -319,20 +326,29 @@ def test_term_heavy_charts_are_refused_before_the_build(monkeypatch):
     with pytest.raises(ResourceLimitError, match=f"4950 jet rows over coordinates of "
                                                  f"{terms} terms"):
         JetProbeSpec(names, coords, 98)
-    # the largest order whose rows times terms stays within the limit
+    # the largest order whose rows times term words stays within the limit
+    words = jets._term_words(coords, jets.DEFAULT_HEIGHT)
     order = max(d for d in range(1, 99)
-                if comb(d + 2, 2) * terms <= jets.MAX_JET_TERMS)
-    assert JetProbeSpec(names, coords, order).order == order
+                if comb(d + 2, 2) * words <= jets.MAX_JET_TERMS)
+    assert JetProbeSpec(names, coords, order).order == order == 10
     with pytest.raises(ResourceLimitError, match="evaluated terms"):
         JetProbeSpec(names, coords, order + 1)
     assert JetProbeSpec(names, coords, order, trials=1).trials == 1
     # more trials than the default scale the evaluated terms: two rows of
-    # 1 + 401 terms, within the sampled-row limit up to 20000 trials
+    # 1 + 401 terms, within the sampled-row limit up to 20000 trials, each
+    # term weighing its coefficient's bits and those of a sampled power of
+    # degree 400, in 64-bit words
     line = (Poly.const(("u",), 1), (Poly.variable(("u",), "u") + 1) ** 400)
-    most = jets.MAX_JET_TERMS * jets.DEFAULT_TRIALS // (2 * 402)
-    assert JetProbeSpec(("u",), line, 1, trials=most).trials == most == 9950
-    with pytest.raises(ResourceLimitError, match="9951 trials of 2 jet rows"):
+    power = 400 * jets.DEFAULT_HEIGHT.bit_length()
+    words = sum((c.bit_length() + 1 + power) // 64 + 1
+                for c in [1] + [comb(400, j) for j in range(401)])
+    most = jets.MAX_JET_TERMS * jets.DEFAULT_TRIALS // (2 * words)
+    assert JetProbeSpec(("u",), line, 1, trials=most).trials == most == 204
+    with pytest.raises(ResourceLimitError, match="205 trials of 2 jet rows"):
         JetProbeSpec(("u",), line, 1, trials=most + 1)
+    # a larger sampling height makes every evaluated power wider
+    with pytest.raises(ResourceLimitError, match="evaluated terms"):
+        JetProbeSpec(("u",), line, 1, trials=most, height=10 ** 6)
 
 
 @pytest.mark.filterwarnings("ignore:no constant coordinate")
@@ -340,6 +356,7 @@ def test_bundled_probes_are_within_the_term_limit():
     fifth = BUNDLED_PROBES["p1-fifth"].build()
     rows = comb(fifth.dimension + fifth.order, fifth.order)
     assert rows * sum(len(c.terms) for c in fifth.coordinates) == 672
+    assert jets._term_words(fifth.coordinates, fifth.height) == 32
     budget = jets.MAX_JET_ROWS * jets.DEFAULT_TRIALS
     assert JetProbeSpec(fifth.variables, fifth.coordinates, fifth.order,
                         trials=budget // rows).trials == 1904
@@ -389,13 +406,7 @@ def test_point_rank_never_exceeds_generic_rank():
             assert rank_rational(jet_matrix(spec, point)) <= generic
 
 
-def test_rank_and_minors_share_one_jet_matrix(monkeypatch):
-    builds = []
-    build = jets.symbolic_jet_matrix
-    monkeypatch.setattr(jets, "symbolic_jet_matrix",
-                        lambda spec: builds.append(spec) or build(spec))
-    jets._chart_jet_matrix.cache_clear()
-    jets._chart_layout.cache_clear()
+def test_rank_and_minors_read_one_shape_of_jet_matrix():
     spec = BUNDLED_PROBES["flag-threefold"].build()
     resampled = JetProbeSpec(spec.variables, spec.coordinates, spec.order,
                              trials=3, seed=9)
@@ -404,33 +415,25 @@ def test_rank_and_minors_share_one_jet_matrix(monkeypatch):
     probe_rank(resampled)
     jet_matrix(resampled, (Fraction(1, 2), Fraction(-1, 3), Fraction(2)))
     symbolic_jet_rank(spec)
-    assert len(builds) == 1 and report.nonzero_minors == 9
-    probe_rank(spec.with_order(3))
-    assert len(builds) == 2
-    shared = jets._shared_jet_matrix(spec)
-    assert type(shared) is tuple and all(type(row) is tuple for row in shared)
+    assert report.nonzero_minors == 9
+    matrix = jets.symbolic_jet_matrix(spec)
+    assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
 
 
-def test_probe_rank_lays_out_a_chart_once(monkeypatch):
+def test_probe_rank_ranks_the_rows_of_its_chart_layout():
     import random
 
     from scrollflex.linalg import rank_rational
 
-    layouts = []
-    lay_out = jets._scaled_layout
-    monkeypatch.setattr(jets, "_scaled_layout",
-                        lambda matrix: layouts.append(matrix) or lay_out(matrix))
-    jets._chart_layout.cache_clear()
     base = BUNDLED_PROBES["flag-threefold"].build()
     for seed in (3, 17):
         spec = JetProbeSpec(base.variables, base.coordinates, base.order,
                             trials=8, seed=seed)
         # the ranks of rows from a layout built for this call alone
-        layout, monomials = lay_out(jets._shared_jet_matrix(spec))
+        layout, monomials = jets._scaled_layout(jets.symbolic_jet_matrix(spec))
         rng = random.Random(seed)
         expected = tuple(
             rank_rational(jets._scaled_rows(layout, monomials,
                                             jets._random_point(spec, rng)))
             for _ in range(spec.trials))
         assert probe_rank(spec).per_trial == expected
-    assert len(layouts) == 1

@@ -652,7 +652,7 @@ def test_scaled_ranks_equal_fraction_route(name):
     assert probe_rank(spec).per_trial == expected
     assert any(x < 0 for p in points for x in p)
     # each scaled row is the evaluated row times a positive constant
-    layout, monomials = jets._scaled_layout(jets._shared_jet_matrix(spec))
+    layout, monomials = jets._scaled_layout(jets.symbolic_jet_matrix(spec))
     kinds = set()
     for point in points:
         scaled = jets._scaled_rows(layout, monomials, point)

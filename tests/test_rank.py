@@ -65,7 +65,7 @@ def test_scaled_jet_rows_match_bareiss(name, seed):
         base = BUNDLED_PROBES[name].build()
         spec = JetProbeSpec(base.variables, base.coordinates, base.order,
                             trials=64, seed=seed, height=base.height)
-    layout, monomials = jets._scaled_layout(jets._shared_jet_matrix(spec))
+    layout, monomials = jets._scaled_layout(jets.symbolic_jet_matrix(spec))
     rng = random.Random(seed)
     expected = []
     for _ in range(spec.trials):
@@ -81,7 +81,7 @@ def _entry_sums(spec, point):
     row times ``prod q_v^d_v``, ``d`` its largest exponents, and each entry
     the sum over its terms, in order, of ``c prod p_v^e_v q_v^(d_v - e_v)``."""
     out = []
-    for row in jets._shared_jet_matrix(spec):
+    for row in jets.symbolic_jet_matrix(spec):
         top = [max(column) for column in zip(*(e for entry in row for e in entry.terms))]
         out.append([sum([c * prod(x.numerator ** e * x.denominator ** (d - e)
                                   for x, e, d in zip(point, exps, top))
@@ -106,7 +106,7 @@ def test_layered_rows_equal_the_per_entry_sums(name):
         base = BUNDLED_PROBES[name].build()
         spec = JetProbeSpec(base.variables, base.coordinates, base.order,
                             trials=16, seed=11, height=base.height)
-    layout, monomials = jets._scaled_layout(jets._shared_jet_matrix(spec))
+    layout, monomials = jets._scaled_layout(jets.symbolic_jet_matrix(spec))
     rng = random.Random(spec.seed)
     zero_rows = 0
     for _ in range(spec.trials):
@@ -223,7 +223,7 @@ def test_rank_leaves_the_rows_it_is_given_as_they_were():
         assert all(a is b for a, b in zip(m, given)) and len(m) == len(given)
         assert _typed_rows(m) == before, f"case {case}"
     spec = BUNDLED_PROBES["p1-fourth"].build()
-    layout, monomials = jets._scaled_layout(jets._shared_jet_matrix(spec))
+    layout, monomials = jets._scaled_layout(jets.symbolic_jet_matrix(spec))
     rows = jets._scaled_rows(layout, monomials, jets._random_point(spec, random.Random(2)))
     before = _typed_rows(rows)
     assert rank_rational(rows) == BUNDLED_PROBES["p1-fourth"].expected_rank
